@@ -47,6 +47,9 @@ class ScenarioConfig:
     expect: str | None = None
 
 
+_CHOICES = {"output": ("text", "json"), "trace_render": ("none", "msc")}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -76,8 +79,8 @@ def _build_parser() -> _Parser:
                    help="adversary fresh-name budget")
     p.add_argument("--synthesis-depth", type=int, default=None)
     p.add_argument("--max-sessions", type=int, default=None)
-    p.add_argument("--output", choices=("text", "json"), default=None)
-    p.add_argument("--trace", dest="trace_render", choices=("none", "msc"),
+    p.add_argument("--output", choices=_CHOICES["output"], default=None)
+    p.add_argument("--trace", dest="trace_render", choices=_CHOICES["trace_render"],
                    default=None)
     p.add_argument("--deterministic", action="store_true", default=None,
                    help="zero out timing so output is byte-reproducible")
@@ -88,16 +91,56 @@ def _build_parser() -> _Parser:
     return p
 
 
+# Config-file keys and the check each value must pass.
+_CONFIG_FIELDS = {
+    "protocol": (str, "a protocol name"),
+    "goals": ((str, list, type(None)), "a comma-separated string or a list of goal ids"),
+    "change_enabled": (bool, "true or false"),
+    "reveals_enabled": (bool, "true or false"),
+    "bounds": (dict, "an object of bound values"),
+    "n_vehicles": (int, "an integer >= 1"),
+    "output": (str, "'text' or 'json'"),
+    "trace_render": (str, "'none' or 'msc'"),
+    "deterministic": (bool, "true or false"),
+    "expect": ((str, type(None)), "a file path or null"),
+}
+def _read_config(path: str, parser: _Parser) -> dict:
+    """Load a JSON config file; any unknown key or mistyped value is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    for key, value in cfg.items():
+        if key not in _CONFIG_FIELDS:
+            parser.error(
+                f"config file {path}: unknown key {key!r}; "
+                f"valid: {', '.join(_CONFIG_FIELDS)}"
+            )
+        kind, wanted = _CONFIG_FIELDS[key]
+        if (
+            not isinstance(value, kind)
+            # bool is an int subclass: true must not pass as a vehicle count
+            or (kind is int and isinstance(value, bool))
+            or value not in _CHOICES.get(key, (value,))
+        ):
+            parser.error(f"config file {path}: {key} must be {wanted}, got {value!r}")
+    valid = Bounds().as_dict()
+    unknown = sorted(set(cfg.get("bounds", {})) - set(valid))
+    if unknown:
+        parser.error(
+            f"config file {path}: unknown bound(s) {', '.join(unknown)}; "
+            f"valid: {', '.join(valid)}"
+        )
+    return cfg
+
+
 def parse_config(argv, parser: _Parser | None = None) -> ScenarioConfig:
     parser = parser or _build_parser()
     ns = parser.parse_args(argv)
-    file_cfg: dict = {}
-    if ns.config:
-        try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file {ns.config}: {exc}")
+    file_cfg = _read_config(ns.config, parser) if ns.config else {}
 
     def pick(flag, key, default):
         if flag is not None:
@@ -107,8 +150,8 @@ def parse_config(argv, parser: _Parser | None = None) -> ScenarioConfig:
     protocol = pick(ns.protocol, "protocol", "plain")
     if protocol not in PROTOCOLS:
         parser.error(f"invalid protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
-    change = bool(pick(ns.change, "change_enabled", False))
-    reveals = bool(pick(ns.reveals, "reveals_enabled", False))
+    change = pick(ns.change, "change_enabled", False)
+    reveals = pick(ns.reveals, "reveals_enabled", False)
     goals_raw = pick(ns.goals, "goals", None)
     goals = _parse_goals(goals_raw, change, parser)
     file_bounds = file_cfg.get("bounds", {})
@@ -141,7 +184,7 @@ def parse_config(argv, parser: _Parser | None = None) -> ScenarioConfig:
         n_vehicles=n_vehicles,
         output=pick(ns.output, "output", "text"),
         trace_render=pick(ns.trace_render, "trace_render", "none"),
-        deterministic=bool(pick(ns.deterministic, "deterministic", False)),
+        deterministic=pick(ns.deterministic, "deterministic", False),
         expect=ns.expect or file_cfg.get("expect"),
     )
 
@@ -197,6 +240,10 @@ def run(config: ScenarioConfig) -> tuple[dict, int]:
                 reference = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ExpectFileError(f"cannot read reference matrix {config.expect}: {exc}")
+        if not isinstance(reference, dict) or not isinstance(reference.get("verdicts"), dict):
+            raise ExpectFileError(
+                f"reference matrix {config.expect} has no \"verdicts\" object"
+            )
         mismatches = compare_with_reference(doc, reference)
         if mismatches:
             doc["expect_mismatches"] = mismatches

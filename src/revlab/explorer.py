@@ -34,8 +34,9 @@ class Bounds:
             "synthesis_depth",
             "max_sessions",
         ):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be >= 0")
+            value = getattr(self, f)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{f} must be an integer >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -142,7 +143,7 @@ def explore(
         else:
             children = []
             # at the step bound: flag the leaf when rules could still fire
-            truncated = bool(_children(state, steps, rules, bounds))
+            truncated = _any_enabled(state, steps, rules, bounds)
         if not children:
             traces.append(
                 Trace(steps=steps, terminal_state=state, truncated=truncated)
@@ -163,6 +164,8 @@ def explore(
 def _children(state, steps, rules, bounds):
     out = []
     for rule in rules:
+        if not _within_rule_bounds(rule, None, steps, bounds):
+            continue
         for inst in enabled_instances(state, rule, bounds.synthesis_depth):
             if not _within_rule_bounds(rule, inst, steps, bounds):
                 continue
@@ -183,11 +186,24 @@ def _children(state, steps, rules, bounds):
     return out
 
 
-def _within_rule_bounds(rule: Rule, inst: Instance, steps, bounds: Bounds) -> bool:
+def _any_enabled(state, steps, rules, bounds) -> bool:
+    """Whether some rule instance could still fire within the rule bounds."""
+    return any(
+        _within_rule_bounds(rule, inst, steps, bounds)
+        for rule in rules
+        if _within_rule_bounds(rule, None, steps, bounds)
+        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+    )
+
+
+def _within_rule_bounds(rule: Rule, inst: Instance | None, steps, bounds: Bounds) -> bool:
+    """Whether inst may fire after steps; with inst None, whether any may."""
     if rule.id == "REPORT":
         fired = sum(1 for s in steps if s.rule_id == "REPORT")
         return fired < bounds.max_sessions
     if rule.id == "CHANGE_PSEUDONYM":
+        if inst is None:
+            return bounds.max_changes > 0
         vehicle = dict(inst.binding).get("Vj")
         fired = sum(
             1

@@ -4,6 +4,17 @@ Analysis (projection, signature payload extraction, decryption with an
 available key) is closed eagerly whenever a term is observed; synthesis is
 answered lazily and goal-directed by can_derive.  Public names are derivable
 at depth 0: the adversary can always utter agent ids and protocol tags.
+
+Network inputs are synthesized rigid-first.  A pattern is rigid when only a
+stored term can supply it: its symbol is not a constructor, or one of its
+ground arguments is underivable (a signature under a key the adversary never
+learns).  Rigid patterns are only replayed, never built, and when a
+constructor's arguments are synthesized the rigid ones go first, so a stored
+signature binds the variables its siblings share before they are
+enumerated.  rewriting.enabled_instances adds the other half: it binds the
+signing key of a verify(sign(m, X), m, pk(K)) = true guard to K before
+synthesis.  Both only prune: the results equal those of enumerating every
+basis term for every variable and filtering afterwards.
 """
 
 from __future__ import annotations
@@ -268,6 +279,11 @@ def synthesize(
     positions draw from observed and generated material plus at most one
     newly minted fresh name per position (fids from fid_base onward); freely
     constructed compounds are only built where the pattern demands them.
+    Rigid subpatterns (see the module docstring) are replayed from stored
+    terms and synthesized ahead of their siblings, which then see the
+    variables they bind; the results, their costs and derivations equal
+    those of plain left-to-right enumeration.  Callers may pre-bind
+    variables, as enabled_instances does for solved signer guards.
     Deterministic order: results sorted by structural term order.
     """
     from .terms import variables
@@ -351,21 +367,113 @@ def _synth_raw(k: Knowledge, pattern: Term, subst: dict, budget: int, next_fid: 
         m = match(p, stored, subst)
         if m is not None:
             yield m, stored, 0, (), f"{render(stored)}[known]"
-    if p.sym in CONSTRUCTORS and budget >= 1:
-        for combo in _synth_args(k, p.args, subst, budget - 1, next_fid, 0):
+    if budget >= 1 and not _rigid(k, p):
+        for combo in _synth_app_args(k, p.args, subst, budget - 1, next_fid):
             sub2, args, cost, new_names, derivs = combo
             g = normalize(app(p.sym, args))
             yield sub2, g, cost + 1, new_names, f"(build:{p.sym} {' '.join(derivs)})"
 
 
-def _synth_args(k: Knowledge, patterns, subst, budget, fid_base, n_new):
+def _rigid(k: Knowledge, p: App) -> bool:
+    """Whether a non-ground pattern can only be replayed from a stored term.
+
+    True when its symbol is not a constructor or one of its ground
+    arguments is underivable at any cost: building it then never succeeds.
+    """
+    if p.sym not in CONSTRUCTORS:
+        return True
+    return any(is_ground(a) and _derive(k, normalize(a)) is None for a in p.args)
+
+
+def presettable(k: Knowledge, t: Term) -> bool:
+    """Whether binding a variable to ground t before synthesis is exact.
+
+    A bare variable position draws only stored and freshly minted terms, so
+    binding it early to a derivable term outside the basis would admit
+    results that synthesizing it and filtering on t never yields.  Stored
+    and underivable terms give the same results either way, in patterns
+    without reducible symbols.
+    """
+    return t in k.basis or _derive(k, normalize(t)) is None
+
+
+_REDUCIBLE = frozenset({"verify", "rdec", "odec"})
+_pattern_reducible: dict = {}
+
+
+def reducible(pattern: Term) -> bool:
+    """Whether pattern has a symbol that may rewrite once variables are bound."""
+    got = _pattern_reducible.get(pattern)
+    if got is None:
+        got = isinstance(pattern, App) and (
+            pattern.sym in _REDUCIBLE or any(map(reducible, pattern.args))
+        )
+        _pattern_reducible[pattern] = got
+    return got
+
+
+def _synth_app_args(k: Knowledge, args: tuple, subst: dict, budget: int, next_fid: int):
+    """Synthesize a constructor's arguments, rigid ones first.
+
+    A rigid argument only replays stored terms, so it binds the variables it
+    shares with its siblings before they are enumerated, and it mints no
+    fresh names, so fid numbering stays positional.  A binding the rigid
+    argument makes that is not presettable is withheld from an earlier
+    sibling that first mentions the variable: in positional order that
+    sibling would bind the variable itself, so its results are filtered on
+    the binding instead.  Arguments with reducible symbols keep positional
+    order, since binding early can change their normal form.
+    """
+    rigid = [
+        i
+        for i, a in enumerate(args)
+        if isinstance(a, App) and not is_ground(a) and _rigid(k, a)
+    ]
+    rest = [i for i in range(len(args)) if i not in rigid]
+    if not rigid or not rest or rigid[-1] < rest[0] or any(map(reducible, args)):
+        yield from _synth_args(k, args, subst, budget, next_fid, 0)
+        return
+    first_use: dict = {}
+    for i, a in enumerate(args):
+        for v in _vars_of(a):
+            first_use.setdefault(v, i)
+    hoisted = tuple(args[i] for i in rigid)
+    later = tuple(args[i] for i in rest)
+    # slot j of the rigid-first order holds argument positions[j]
+    positions = rigid + rest
+    slots = sorted(range(len(args)), key=positions.__getitem__)
+    for sub1, terms1, c1, _, derivs1 in _synth_args(k, hoisted, subst, budget, next_fid, 0):
+        hides: list = [[] for _ in rest]
+        for v, t in sub1.items():
+            if v not in subst and first_use[v] in rest and not presettable(k, t):
+                hides[rest.index(first_use[v])].append(v)
+        for sub2, terms2, c2, names, derivs2 in _synth_args(
+            k, later, sub1, budget - c1, next_fid, 0, hides
+        ):
+            terms, derivs = terms1 + terms2, derivs1 + derivs2
+            yield (
+                sub2,
+                tuple(terms[j] for j in slots),
+                c1 + c2,
+                names,
+                tuple(derivs[j] for j in slots),
+            )
+
+
+def _synth_args(k: Knowledge, patterns, subst, budget, fid_base, n_new, hides=()):
+    # hides[i] lists variables patterns[i] must bind itself; its results
+    # are then filtered on the bindings subst already holds for them.
     if not patterns:
         yield subst, (), 0, (), ()
         return
     head, tail = patterns[0], patterns[1:]
-    for sub1, t1, c1, names1, d1 in _synth(k, head, subst, budget, fid_base, n_new):
+    hide = hides[0] if hides else ()
+    seen = {v: t for v, t in subst.items() if v not in hide} if hide else subst
+    for sub1, t1, c1, names1, d1 in _synth(k, head, seen, budget, fid_base, n_new):
+        if hide and any(sub1[v] is not subst[v] for v in hide):
+            continue
         for sub2, rest, c2, names2, drest in _synth_args(
-            k, tail, sub1, budget - c1, fid_base, n_new + len(names1)
+            k, tail, sub1, budget - c1, fid_base, n_new + len(names1), hides[1:]
         ):
             if c1 + c2 <= budget:
                 yield sub2, (t1,) + rest, c1 + c2, names1 + names2, (d1,) + drest

@@ -11,7 +11,20 @@ from dataclasses import dataclass, field
 
 from . import knowledge as kn
 from .knowledge import Knowledge
-from .terms import fresh, match, render, sort_key, substitute, variables
+from .terms import (
+    TRUE,
+    App,
+    Var,
+    fresh,
+    instantiate_partial,
+    is_ground,
+    match,
+    normalize,
+    render,
+    sort_key,
+    substitute,
+    variables,
+)
 
 
 class StaleInstanceError(RuntimeError):
@@ -157,6 +170,8 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
     Premises match distinct available facts (linear multiplicity respected),
     network inputs are instantiated with adversary-derivable terms within
     the synthesis budget, and all guards must normalize to equal terms.
+    Signer guards are solved between premise matching and synthesis, so
+    synthesis never enumerates signing keys that a guard would reject.
     Deterministic order: sorted by instance key.
     """
     out = []
@@ -165,10 +180,13 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
         for i, ident in enumerate(rule.fresh_vars)
     )
     fid_base = state.next_fresh + len(fresh_alloc)
+    solvable = not any(map(kn.reducible, rule.network_in))
     for subst, consumed in _match_premises(state, rule.premises):
         subst = dict(subst)
         for ident, f in fresh_alloc:
             subst[ident] = f
+        if solvable and not _solve_signers(state.knowledge, rule.guards, subst):
+            continue
         for filled in _fill_inputs(
             state.knowledge, rule.network_in, subst, synthesis_budget, fid_base
         ):
@@ -224,6 +242,31 @@ def _match_premises(state: SystemState, premises, subst=None, used=None):
         used2 = used if idx is None else used | {idx}
         for sub2, consumed in _match_premises(state, tail, binding, used2):
             yield sub2, ((cand,) + consumed if idx is not None else consumed)
+
+
+def _solve_signers(k: Knowledge, guards, subst: dict) -> bool:
+    """Bind the signing key of each signer guard before synthesis.
+
+    A guard verify(sign(m, X), m', P) = true with X unbound and P ground
+    can only hold when P normalizes to pk(K) and X to K.  X := K is bound
+    when K is presettable; False (no instance) is returned when P is not a
+    pk term.  Every guard is still checked on each complete instance.
+    """
+    for l, r in guards:
+        if r is not TRUE or not isinstance(l, App) or l.sym != "verify":
+            continue
+        sig, pub = l.args[0], instantiate_partial(subst, l.args[2])
+        if not (isinstance(sig, App) and sig.sym == "sign") or not is_ground(pub):
+            continue
+        signer = sig.args[1]
+        if not isinstance(signer, Var) or signer.ident in subst:
+            continue
+        pub = normalize(pub)
+        if not (isinstance(pub, App) and pub.sym == "pk"):
+            return False
+        if kn.presettable(k, pub.args[0]):
+            subst[signer.ident] = pub.args[0]
+    return True
 
 
 def _fill_inputs(k: Knowledge, patterns, subst, budget, fid_base):

@@ -429,3 +429,208 @@ def honest_prefix(protocol: str, upto: str = "REV_AUTH_OSR_REQ_SEND"):
         if rule_id == upto:
             break
     return spec, state
+
+
+# --- filter-after-enumeration synthesis oracle ----------------------------------
+#
+# Network-input synthesis as it stood before guard solving and rigid-first
+# ordering: every open variable draws from the whole basis plus one fresh
+# name, arguments are synthesized left to right, and guards only filter
+# complete instances.  Memo entries carry a "ref" tag so they never mix with
+# the production synthesizer's entries in the same Knowledge.
+
+
+def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
+    """Every state the explorer visits, in its DFS order (leaves included)."""
+    from revlab.explorer import _children, _dedup_key
+
+    init = initial_state(spec, n_vehicles)
+    init = type(init)(
+        linear=init.linear,
+        persistent=init.persistent,
+        knowledge=init.knowledge.with_budget(bounds.adversary_fresh_budget),
+        next_fresh=init.next_fresh,
+        step=init.step,
+    )
+    rules = sorted(spec.rules, key=lambda r: r.id)
+    seen: set = set()
+    stack = [(init, ())]
+    while stack:
+        state, steps = stack.pop()
+        digest = _dedup_key(state, steps)
+        if digest in seen:
+            continue
+        seen.add(digest)
+        yield state
+        if len(steps) < bounds.max_steps:
+            for child, step in reversed(_children(state, steps, rules, bounds)):
+                stack.append((child, steps + (step,)))
+
+
+def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
+    """enabled_instances without guard solving: enumerate, then filter."""
+    from revlab.rewriting import Instance, _guards_hold, _match_premises
+
+    out = []
+    fresh_alloc = tuple(
+        (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
+        for i, ident in enumerate(rule.fresh_vars)
+    )
+    fid_base = state.next_fresh + len(fresh_alloc)
+    for subst, consumed in _match_premises(state, rule.premises):
+        subst = dict(subst)
+        subst.update(fresh_alloc)
+        for full, inputs, costs, derivs, new_names in _reference_fill(
+            state.knowledge, rule.network_in, subst, synthesis_budget, fid_base
+        ):
+            if not _guards_hold(rule.guards, full):
+                continue
+            out.append(
+                Instance(
+                    rule_id=rule.id,
+                    binding=tuple(sorted(full.items())),
+                    consumed=consumed,
+                    inputs=inputs,
+                    input_costs=costs,
+                    input_derivations=derivs,
+                    new_names=new_names,
+                    fresh_alloc=fresh_alloc,
+                )
+            )
+    out.sort(key=Instance.key)
+    return out
+
+
+def _reference_fill(k, patterns, subst, budget, fid_base):
+    if not patterns:
+        yield subst, (), (), (), ()
+        return
+    head, tail = patterns[0], patterns[1:]
+    for r in reference_synthesize(k, head, subst, budget, fid_base):
+        sub2 = dict(subst)
+        sub2.update(dict(r.subst))
+        for full, inputs, costs, derivs, names in _reference_fill(
+            k, tail, sub2, budget, fid_base + len(r.new_names)
+        ):
+            yield (
+                full,
+                (r.term,) + inputs,
+                (r.cost,) + costs,
+                (r.derivation,) + derivs,
+                r.new_names + names,
+            )
+
+
+def reference_synthesize(k, pattern, subst: dict, budget: int, fid_base: int) -> list:
+    """synthesize() with full-basis candidates and positional argument order."""
+    from revlab.knowledge import SynthResult
+    from revlab.terms import sort_key, variables
+
+    pvars = variables(pattern)
+    relevant = tuple(sorted((v, t) for v, t in subst.items() if v in pvars))
+    memo_key = ("ref-synth", pattern, relevant, budget, fid_base)
+    hit = k._memo.get(memo_key)
+    if hit is not None:
+        return hit
+    results: dict = {}
+    for subst2, term, cost, new_names, deriv in _ref_synth(
+        k, pattern, dict(relevant), budget, fid_base
+    ):
+        key = (tuple(sorted(subst2.items())), term, new_names)
+        old = results.get(key)
+        if old is None or cost < old[0]:
+            results[key] = (cost, deriv)
+    out = [
+        SynthResult(subst=key[0], term=key[1], cost=cost, new_names=key[2], derivation=deriv)
+        for key, (cost, deriv) in results.items()
+    ]
+    out.sort(
+        key=lambda r: (
+            sort_key(r.term),
+            tuple((ident, sort_key(t)) for ident, t in r.subst),
+        )
+    )
+    k._memo[memo_key] = out
+    return out
+
+
+def _ref_synth(k, pattern, subst, budget, next_fid):
+    from revlab.terms import variables
+
+    pvars = variables(pattern)
+    rel = {v: t for v, t in subst.items() if v in pvars}
+    key = ("ref-pat", pattern, tuple(sorted(rel.items())), budget, next_fid)
+    hit = k._memo.get(key)
+    if hit is None:
+        hit = list(_ref_synth_raw(k, pattern, rel, budget, next_fid))
+        k._memo[key] = hit
+    for delta, term, cost, names, deriv in hit:
+        merged = dict(subst)
+        merged.update(delta)
+        yield merged, term, cost, names, deriv
+
+
+def _ref_synth_raw(k, pattern, subst, budget, next_fid):
+    from revlab.knowledge import can_derive
+    from revlab.terms import (
+        CONSTRUCTORS,
+        Var,
+        instantiate_partial,
+        is_ground,
+        match,
+        render,
+        sort_key,
+    )
+
+    p = instantiate_partial(subst, pattern)
+    if is_ground(p):
+        g = normalize(p)
+        d = can_derive(k, g, budget)
+        if d is not None:
+            yield subst, g, d.cost, (), d.render()
+        return
+    if isinstance(p, Var):
+        for term, new_names, deriv in _ref_candidates(k, next_fid):
+            sub2 = dict(subst)
+            sub2[p.ident] = term
+            yield sub2, term, 0, new_names, deriv
+        return
+    for stored in sorted(k.basis, key=sort_key):
+        m = match(p, stored, subst)
+        if m is not None:
+            yield m, stored, 0, (), f"{render(stored)}[known]"
+    if p.sym in CONSTRUCTORS and budget >= 1:
+        for sub2, args, cost, new_names, derivs in _ref_synth_args(
+            k, p.args, subst, budget - 1, next_fid
+        ):
+            g = normalize(app(p.sym, args))
+            yield sub2, g, cost + 1, new_names, f"(build:{p.sym} {' '.join(derivs)})"
+
+
+def _ref_synth_args(k, patterns, subst, budget, next_fid):
+    if not patterns:
+        yield subst, (), 0, (), ()
+        return
+    head, tail = patterns[0], patterns[1:]
+    for sub1, t1, c1, names1, d1 in _ref_synth(k, head, subst, budget, next_fid):
+        for sub2, rest, c2, names2, drest in _ref_synth_args(
+            k, tail, sub1, budget - c1, next_fid + len(names1)
+        ):
+            if c1 + c2 <= budget:
+                yield sub2, (t1,) + rest, c1 + c2, names1 + names2, (d1,) + drest
+
+
+def _ref_candidates(k, next_fid) -> list:
+    from revlab.terms import render, sort_key
+
+    cands = []
+    if k.budget > 0:
+        f = fresh(next_fid, origin="adversary")
+        cands.append((f, (f,), f"{render(f)}[gen-fresh]"))
+    for g in k.generated:
+        cands.append((g, (), f"{render(g)}[generated]"))
+    for t in k.basis:
+        if t not in k.generated:
+            cands.append((t, (), f"{render(t)}[known]"))
+    cands.sort(key=lambda c: sort_key(c[0]))
+    return cands

@@ -65,6 +65,32 @@ class TestParseConfig:
         cfg2 = parse(["--config", str(cfile), "--protocol", "plain", "--max-steps", "7"])
         assert cfg2.protocol == "plain" and cfg2.bounds.max_steps == 7
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"bounds": {"max_steps": "5"}},
+            {"n_vehicles": "2"},
+            {"n_vehicles": True},
+            {"bounds": {"max_steps": 2.5}},
+            {"bounds": {"max_stepz": 5}},
+            {"bounds": [5]},
+            {"change_enabled": "yes"},
+            {"output": "xml"},
+            {"trace_render": "svg"},
+            {"goals": 7},
+            {"maxsteps": 5},
+            [1, 2],
+        ],
+    )
+    def test_mistyped_config_is_a_usage_error(self, tmp_path, capsys, content):
+        cfile = tmp_path / "scenario.json"
+        cfile.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            parse(["--config", str(cfile)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestMain:
     def test_json_run_reports_attack(self, capsys):
@@ -112,6 +138,13 @@ class TestMain:
         code = main(["--protocol", "plain", "--expect", "/no/such/matrix.json"])
         capsys.readouterr()
         assert code == 2
+
+    def test_expect_without_verdicts_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "doc.json"
+        bad.write_text(json.dumps({"results": []}))
+        code = main(["--protocol", "plain", "--expect", str(bad)])
+        assert code == 2
+        assert "verdicts" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         import pytest as _pytest

@@ -1,12 +1,16 @@
 """Exploration: completeness vs a dedup-free enumerator, canonical digests,
 replay, truncation, determinism."""
 
+import json
 import random
+from pathlib import Path
 
 from helpers import (
     enumerate_event_seqs,
+    outcomes,
     random_small_state,
     renamed_copy,
+    scenario,
     states_isomorphic,
 )
 from revlab import Bounds, build_protocol, explore, initial_state, replay
@@ -89,6 +93,29 @@ class TestExplore:
         full = explore(spec, initial_state(spec, 1), Bounds())
         assert all(not t.truncated for t in full)
 
+    def test_step_bound_leaves_are_never_fired(self, monkeypatch):
+        import revlab.explorer as ex
+
+        bounds = Bounds(max_steps=5)
+        fire = ex.fire
+
+        def checked_fire(state, rule, inst):
+            assert state.step < bounds.max_steps
+            return fire(state, rule, inst)
+
+        monkeypatch.setattr(ex, "fire", checked_fire)
+        spec = build_protocol("rtoken", change_enabled=True)
+        ts = explore(spec, initial_state(spec, 1), bounds)
+        assert ts.truncated_count > 0
+
+    def test_reveals_complete_at_default_bounds(self):
+        result, _ = scenario("otoken", change=True, reveals=True)
+        assert len(result.traces) > 0
+        assert result.traces.truncated_count == 0
+        reference = Path(__file__).resolve().parent.parent / "reference" / "otoken.json"
+        expected = json.loads(reference.read_text(encoding="utf-8"))["verdicts"]
+        assert outcomes(result) == expected
+
     def test_prefix_closure_via_replay(self):
         spec = build_protocol("plain")
         bounds = Bounds()
@@ -127,6 +154,21 @@ class TestBounds:
             sum(1 for s in t.steps if s.rule_id == "CHANGE_PSEUDONYM") for t in ts
         )
         assert max_changes == 2
+
+    def test_spent_session_budget_skips_report_enumeration(self, monkeypatch):
+        import revlab.explorer as ex
+
+        enumerated = []
+        enabled = ex.enabled_instances
+
+        def recording(state, rule, depth):
+            enumerated.append(rule.id)
+            return enabled(state, rule, depth)
+
+        monkeypatch.setattr(ex, "enabled_instances", recording)
+        spec = build_protocol("plain")
+        explore(spec, initial_state(spec, 1), Bounds(max_sessions=0))
+        assert enumerated and "REPORT" not in enumerated
 
     def test_session_budget_limits_reports(self):
         spec = build_protocol("plain")
