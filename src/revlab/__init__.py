@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .explorer import Bounds, Trace, TraceSet, canonicalize, explore, replay
 from .goals import GoalVerdict, RunResult, run_all
-from .knowledge import Knowledge, can_derive, gen_fresh, observe, saturate_oracle
+from .knowledge import Knowledge, can_derive, gen_fresh, observe
 from .protocols import ProtocolSpec, build_protocol, initial_state
 from .rewriting import Event, Fact, Rule, SystemState, enabled_instances, fire
 from .terms import Term, match, normalize, render, substitute
@@ -36,7 +36,6 @@ __all__ = [
     "render",
     "replay",
     "run_all",
-    "saturate_oracle",
     "substitute",
     "__version__",
 ]

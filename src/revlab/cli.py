@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -75,7 +74,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--vehicles", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--max-changes", type=int, default=None)
-    p.add_argument("--fresh-budget", type=int, default=None,
+    p.add_argument("--fresh-budget", dest="adversary_fresh_budget", type=int,
+                   default=None, metavar="FRESH_BUDGET",
                    help="adversary fresh-name budget")
     p.add_argument("--synthesis-depth", type=int, default=None)
     p.add_argument("--max-sessions", type=int, default=None)
@@ -154,21 +154,11 @@ def parse_config(argv, parser: _Parser | None = None) -> ScenarioConfig:
     reveals = pick(ns.reveals, "reveals_enabled", False)
     goals_raw = pick(ns.goals, "goals", None)
     goals = _parse_goals(goals_raw, change, parser)
-    file_bounds = file_cfg.get("bounds", {})
-    defaults = Bounds()
+    file_bounds = {**Bounds().as_dict(), **file_cfg.get("bounds", {})}
     try:
+        # each bound's flag stores under the Bounds field name
         bounds = Bounds(
-            max_steps=pick(ns.max_steps, None, file_bounds.get("max_steps", defaults.max_steps)),
-            max_changes=pick(ns.max_changes, None, file_bounds.get("max_changes", defaults.max_changes)),
-            adversary_fresh_budget=pick(
-                ns.fresh_budget, None,
-                file_bounds.get("adversary_fresh_budget", defaults.adversary_fresh_budget),
-            ),
-            synthesis_depth=pick(
-                ns.synthesis_depth, None,
-                file_bounds.get("synthesis_depth", defaults.synthesis_depth),
-            ),
-            max_sessions=pick(ns.max_sessions, None, file_bounds.get("max_sessions", defaults.max_sessions)),
+            **{f: pick(getattr(ns, f), None, v) for f, v in file_bounds.items()}
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -217,14 +207,12 @@ def run(config: ScenarioConfig) -> tuple[dict, int]:
         change_enabled=config.change_enabled,
         reveals_enabled=config.reveals_enabled,
     )
-    workers = int(os.environ.get("REVLAB_WORKERS", "1") or "1")
     started = time.monotonic()
     result = run_all(
         spec,
         config.bounds,
         goals=config.goals or None,
         n_vehicles=config.n_vehicles,
-        workers=workers,
     )
     elapsed = time.monotonic() - started
     doc = build_document(

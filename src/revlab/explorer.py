@@ -8,7 +8,7 @@ is therefore a bounded-exhaustive statement, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import permutations
 
 from .protocols import ProtocolSpec
@@ -21,31 +21,19 @@ class Bounds:
     """Search bounds replacing unbounded proof search."""
 
     max_steps: int = 14
-    max_changes: int = 1  # CHANGE_PSEUDONYM firings per vehicle
+    max_changes: int = 1  # pseudonym changes per vehicle
     adversary_fresh_budget: int = 1
     synthesis_depth: int = 4
-    max_sessions: int = 1  # REPORT firings
+    max_sessions: int = 1  # misbehaviour reports per trace
 
     def __post_init__(self):
-        for f in (
-            "max_steps",
-            "max_changes",
-            "adversary_fresh_budget",
-            "synthesis_depth",
-            "max_sessions",
-        ):
-            value = getattr(self, f)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{f} must be an integer >= 0, got {value!r}")
+                raise ValueError(f"{f.name} must be an integer >= 0, got {value!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "max_changes": self.max_changes,
-            "adversary_fresh_budget": self.adversary_fresh_budget,
-            "synthesis_depth": self.synthesis_depth,
-            "max_sessions": self.max_sessions,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -198,20 +186,16 @@ def _any_enabled(state, steps, rules, bounds) -> bool:
 
 def _within_rule_bounds(rule: Rule, inst: Instance | None, steps, bounds: Bounds) -> bool:
     """Whether inst may fire after steps; with inst None, whether any may."""
-    if rule.id == "REPORT":
-        fired = sum(1 for s in steps if s.rule_id == "REPORT")
-        return fired < bounds.max_sessions
-    if rule.id == "CHANGE_PSEUDONYM":
-        if inst is None:
-            return bounds.max_changes > 0
-        vehicle = dict(inst.binding).get("Vj")
-        fired = sum(
-            1
-            for s in steps
-            if s.rule_id == "CHANGE_PSEUDONYM" and dict(s.binding).get("Vj") is vehicle
-        )
-        return fired < bounds.max_changes
-    return True
+    if not rule.budget:
+        return True
+    limit = getattr(bounds, rule.budget)
+    if not rule.budget_per:
+        return [s.rule_id for s in steps].count(rule.id) < limit
+    if inst is None:
+        return limit > 0
+    per = rule.budget_per
+    fired = [(s.rule_id, dict(s.binding).get(per)) for s in steps]
+    return fired.count((rule.id, dict(inst.binding).get(per))) < limit
 
 
 def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
@@ -229,21 +213,14 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
     )
     for i, step in enumerate(trace.steps):
         rule = spec.rule(step.rule_id)
-        wanted = step.key()
-        found = None
-        for inst in enabled_instances(state, rule, bounds.synthesis_depth):
-            got = Step(
-                rule_id=rule.id,
-                binding=inst.binding,
-                inputs=inst.inputs,
-                input_synthesized=inst.synthesized,
-                input_derivations=inst.input_derivations,
-                generated=inst.new_names,
-                events=(),
-            )
-            if got.key() == wanted:
-                found = inst
-                break
+        found = next(
+            (
+                inst
+                for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+                if inst.binding == step.binding and inst.inputs == step.inputs
+            ),
+            None,
+        )
         if found is None:
             raise ValueError(f"step {i} ({step.rule_id}) is not enabled on replay")
         state, events = fire(state, rule, found)

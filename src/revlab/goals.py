@@ -7,8 +7,6 @@ All-traces passes are bounded-exhaustive verdicts, never proofs.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -58,6 +56,17 @@ def _is_vehicle(agent) -> bool:
 # --- guard predicates ------------------------------------------------------
 
 
+_WEAK_REVEALS = frozenset({"RevealLtk", "RevealSKPSi"})
+_COMPROMISES = _WEAK_REVEALS | {"VjSKPSiReveal", "VehicleCompromised"}
+
+
+def _revealed(labels, events, vehicle, upto: int) -> bool:
+    return any(
+        e.label in labels and e.args[0] is vehicle and e.time <= upto
+        for e in events
+    )
+
+
 def reveal_guard_weak(events, vehicle, upto: int) -> bool:
     """Whether the vehicle's keys were revealed (RevealLtk / RevealSKPSi).
 
@@ -65,22 +74,12 @@ def reveal_guard_weak(events, vehicle, upto: int) -> bool:
     itself a valid execution, so a compromise after the anchor event cannot
     excuse a pattern that already occurred.
     """
-    return any(
-        e.label in ("RevealLtk", "RevealSKPSi")
-        and e.args[0] is vehicle
-        and e.time <= upto
-        for e in events
-    )
+    return _revealed(_WEAK_REVEALS, events, vehicle, upto)
 
 
 def compromise_guard(events, vehicle, upto: int) -> bool:
     """Any compromise event for the vehicle at or before the anchor time."""
-    return any(
-        e.label in ("RevealLtk", "RevealSKPSi", "VjSKPSiReveal", "VehicleCompromised")
-        and e.args[0] is vehicle
-        and e.time <= upto
-        for e in events
-    )
+    return _revealed(_COMPROMISES, events, vehicle, upto)
 
 
 # --- per-trace predicates ---------------------------------------------------
@@ -122,14 +121,17 @@ def _find_from(events, start, label, fits) -> Optional[int]:
     return None
 
 
-def g2_violation(trace: Trace) -> bool:
-    """Accepted confirmation with no matching receive: weak agreement broken."""
+def _accepted_without_receive(trace: Trace, guard) -> bool:
+    """An RA acceptance with no earlier matching receive by the vehicle.
+
+    guard(events, vehicle, time) excuses a vehicle compromised by then.
+    """
     events = trace.events
     for acc in events:
         if acc.label != "OsrConfAcceptedBy":
             continue
         ra, vj, t = acc.args
-        if reveal_guard_weak(events, vj, acc.time):
+        if guard(events, vj, acc.time):
             continue
         got = any(
             e.label == "OsrReqMsgRecvBy"
@@ -142,6 +144,11 @@ def g2_violation(trace: Trace) -> bool:
         if not got:
             return True
     return False
+
+
+def g2_violation(trace: Trace) -> bool:
+    """Accepted confirmation with no matching receive: weak agreement broken."""
+    return _accepted_without_receive(trace, reveal_guard_weak)
 
 
 def g3_violation(trace: Trace) -> bool:
@@ -170,26 +177,7 @@ def g3_violation(trace: Trace) -> bool:
 
 def g4_violation(trace: Trace) -> bool:
     """Agreement plus message order: receive must precede acceptance."""
-    if g3_violation(trace):
-        return True
-    events = trace.events
-    for acc in events:
-        if acc.label != "OsrConfAcceptedBy":
-            continue
-        ra, vj, t = acc.args
-        if reveal_guard_weak(events, vj, acc.time):
-            continue
-        got = any(
-            e.label == "OsrReqMsgRecvBy"
-            and e.args[0] is vj
-            and e.args[1] is ra
-            and e.args[2] is t
-            and e.time < acc.time
-            for e in events
-        )
-        if not got:
-            return True
-    return False
+    return g3_violation(trace) or g2_violation(trace)
 
 
 def g5_witness(trace: Trace) -> bool:
@@ -242,24 +230,7 @@ def g6_violation(trace: Trace) -> bool:
 
 def g7_violation(trace: Trace) -> bool:
     """Acceptance by the RA although the vehicle never processed a request."""
-    events = trace.events
-    for acc in events:
-        if acc.label != "OsrConfAcceptedBy":
-            continue
-        ra, vj, t = acc.args
-        if compromise_guard(events, vj, acc.time):
-            continue
-        got = any(
-            e.label == "OsrReqMsgRecvBy"
-            and e.args[0] is vj
-            and e.args[1] is ra
-            and e.args[2] is t
-            and e.time < acc.time
-            for e in events
-        )
-        if not got:
-            return True
-    return False
+    return _accepted_without_receive(trace, compromise_guard)
 
 
 _PREDICATES: dict[str, Callable[[Trace], bool]] = {
@@ -276,10 +247,10 @@ _PREDICATES: dict[str, Callable[[Trace], bool]] = {
 # --- verdict construction ---------------------------------------------------
 
 
-def _evaluate(goal: str, traces: TraceSet, workers: int = 1) -> GoalVerdict:
+def _evaluate(goal: str, traces: TraceSet) -> GoalVerdict:
+    """Verdict of one goal over a sorted trace set; the least hit is evidence."""
     pred = _PREDICATES[goal]
-    flags = _map_traces(pred, traces.traces, workers)
-    hit = next((t for t, f in zip(traces.traces, flags) if f), None)
+    hit = next((t for t in traces.traces if pred(t)), None)
     if goal in EXISTS_GOALS:
         if hit is not None:
             return GoalVerdict(goal, _mode(goal), WITNESS_FOUND, evidence=hit)
@@ -290,41 +261,6 @@ def _evaluate(goal: str, traces: TraceSet, workers: int = 1) -> GoalVerdict:
     if traces.truncated_count:
         note += f" ({traces.truncated_count} truncated at the step bound)"
     return GoalVerdict(goal, _mode(goal), NO_COUNTEREXAMPLE, explanation=note)
-
-
-def _map_traces(pred, traces, workers: int):
-    if workers > 1 and len(traces) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(pred, traces))
-    return [pred(t) for t in traces]
-
-
-def check_g1_executable(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g1", traces, workers)
-
-
-def check_g2_weak_agreement(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g2", traces, workers)
-
-
-def check_g3_noninjective_agreement(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g3", traces, workers)
-
-
-def check_g4_noninjective_synchronisation(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g4", traces, workers)
-
-
-def check_g5_revoke_after_change_exists(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g5", traces, workers)
-
-
-def check_g6_osr_req_received_with_change_all(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g6", traces, workers)
-
-
-def check_g7_revoke_with_change_all(traces: TraceSet, workers: int = 1) -> GoalVerdict:
-    return _evaluate("g7", traces, workers)
 
 
 def applicable_goals(spec: ProtocolSpec) -> tuple:
@@ -347,7 +283,6 @@ def run_all(
     bounds: Bounds,
     goals: Optional[Iterable[str]] = None,
     n_vehicles: int = 1,
-    workers: Optional[int] = None,
     trace_set: Optional[TraceSet] = None,
 ) -> RunResult:
     """Explore once, evaluate the requested goals, re-check all evidence.
@@ -355,8 +290,6 @@ def run_all(
     Every witness and counterexample is re-validated by an independently
     written evaluator; a disagreement raises EvidenceCheckError.
     """
-    if workers is None:
-        workers = int(os.environ.get("REVLAB_WORKERS", "1") or "1")
     wanted = tuple(goals) if goals is not None else applicable_goals(spec)
     for g in wanted:
         if g not in GOAL_IDS:
@@ -367,7 +300,7 @@ def run_all(
         trace_set = explore(spec, initial_state(spec, n_vehicles), bounds)
     verdicts = {}
     for g in wanted:
-        v = _evaluate(g, trace_set, workers)
+        v = _evaluate(g, trace_set)
         if v.evidence is not None:
             v = replace(
                 v,
@@ -449,12 +382,10 @@ def _explain_g5_failure(traces: TraceSet) -> str:
             if changed is None:
                 continue
             recv_after = any(
-                s.rule_id == "OSR_REQ_RECV"
-                and any(
-                    e.label == "OsrConfSentBy" and e.args[2] is t1 for e in s.events
-                )
-                and s.events[0].time > changed.time
-                for s in trace.steps
+                e.label == "OsrConfSentBy"
+                and e.args[2] is t1
+                and e.time > changed.time
+                for e in events
             )
             if not recv_after:
                 return (

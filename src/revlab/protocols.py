@@ -82,6 +82,7 @@ def build_protocol(
             events=(("Reported", (vj, token_of)),),
             conclusions=(Fact("PendingRevocation", (ra, vj, ps_premise)),),
             actor="RA",
+            budget="max_sessions",
         ),
         _osr_req_send_rule(ps_premise, token_of),
         _osr_req_recv_rule(protocol),
@@ -337,6 +338,8 @@ def _change_pseudonym_rule(protocol: str) -> Rule:
         ),
         network_out=(new_ps,),
         actor="Vj",
+        budget="max_changes",
+        budget_per="Vj",
     )
 
 

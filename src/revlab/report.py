@@ -11,7 +11,7 @@ from .goals import (
     NO_COUNTEREXAMPLE,
     RunResult,
 )
-from .protocols import agent_names, initial_state
+from .protocols import ProtocolSpec, agent_names, initial_state
 from .terms import render
 
 SCHEMA_VERSION = 1
@@ -60,7 +60,6 @@ def build_document(
     elapsed: float,
     deterministic: bool = False,
     trace_render: str = "none",
-    verify_replay: bool = True,
 ) -> dict:
     """Assemble the report; evidence traces are replay-checked first."""
     goals_out = []
@@ -77,12 +76,11 @@ def build_document(
         if v.mode == "all-traces" and v.outcome == NO_COUNTEREXAMPLE:
             entry["disclaimer"] = BOUNDED_DISCLAIMER
         if v.evidence is not None:
-            if verify_replay:
-                _check_replay(result, v.evidence)
+            _check_replay(result, v.evidence)
             entry["evidence"] = serialize_trace(v.evidence)
             if trace_render == "msc":
                 entry["msc"] = render_msc(
-                    v.evidence, agent_names(result.n_vehicles)
+                    v.evidence, agent_names(result.n_vehicles), result.spec
                 )
         goals_out.append(entry)
     return {
@@ -164,9 +162,10 @@ def render_text(doc: dict) -> str:
 _COL = 26
 
 
-def render_msc(trace: Trace, agents) -> str:
+def render_msc(trace: Trace, agents, spec: ProtocolSpec) -> str:
     """ASCII message-sequence chart: one column per agent plus the adversary.
 
+    Each step sits in the column of the agent bound to its rule's actor.
     Released messages flow to the adversary-controlled network; delivered
     inputs are drawn from their original sender when relayed verbatim and
     from the adversary when synthesized.
@@ -178,7 +177,7 @@ def render_msc(trace: Trace, agents) -> str:
     if not trace.steps:
         return "\n".join(lines)
     for i, step in enumerate(trace.steps):
-        actor = _actor_column(step, columns)
+        actor = _actor_column(step, spec.rule(step.rule_id).actor, columns)
         lines.append(_cells(columns, {actor: f"[{step.rule_id}@{i}]"}))
         if step.generated:
             gen = ", ".join(render(f) for f in step.generated)
@@ -199,14 +198,8 @@ def render_msc(trace: Trace, agents) -> str:
     return "\n".join(lines)
 
 
-# Rules acted by the revocation authority; everything else is vehicle-side.
-_RA_RULES = ("SETUP_REV_AUTH", "REPORT", "REV_AUTH_OSR_REQ_SEND", "REV_AUTH_OSR_CONF_RECV")
-
-
-def _actor_column(step, columns) -> str:
-    binding = dict(step.binding)
-    ident = "RA" if step.rule_id in _RA_RULES else "Vj"
-    t = binding.get(ident)
+def _actor_column(step, ident: str, columns) -> str:
+    t = dict(step.binding).get(ident)
     if t is not None and render(t) in columns:
         return render(t)
     return columns[0]

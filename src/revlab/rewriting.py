@@ -73,7 +73,9 @@ class Rule:
     guards are pairs compared for equality after substitution and
     normalization.  network_in patterns are fed by the adversary;
     network_out terms are released to it.  actor names the variable whose
-    binding is the agent performing the step (for rendering only).
+    binding is the agent performing the step.  budget, when set, names the
+    Bounds field capping how often the rule fires in one trace; with
+    budget_per set, the cap applies per value bound to that variable.
     """
 
     id: str
@@ -85,6 +87,8 @@ class Rule:
     network_in: tuple = ()
     network_out: tuple = ()
     actor: str = ""
+    budget: str = ""
+    budget_per: str = ""
 
     def __post_init__(self):
         bound: set[str] = set(self.fresh_vars)

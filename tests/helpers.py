@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import time
 from functools import lru_cache
+from typing import Iterable
 
 from revlab import Bounds, build_protocol, run_all
 from revlab.explorer import canonical_events
+from revlab.knowledge import Knowledge
 from revlab.protocols import initial_state
 from revlab.rewriting import Fact, enabled_instances
 from revlab.terms import (
@@ -30,6 +32,7 @@ from revlab.terms import (
     pk,
     renc,
     sign,
+    term_size,
     tup,
 )
 
@@ -126,6 +129,82 @@ def random_term(rng, depth: int, atoms=None) -> Term:
 
 
 # --- knowledge: independent bottom-up derivability over a saturated set -------
+
+
+def saturate_oracle(
+    k: Knowledge,
+    size_cap: int,
+    extra_atoms: Iterable[Term] = (),
+    max_tuple_arity: int = 3,
+) -> frozenset:
+    """All derivable terms with at most size_cap constructor applications.
+
+    Naive forward saturation, used only as an independent test oracle for
+    can_derive.  Alternates analysis (projection, payload extraction,
+    decryption with an in-set key) and synthesis (every constructor over
+    in-set arguments whose result stays within size_cap) until fixpoint.
+    extra_atoms supplies the public-name alphabet the oracle may utter.
+    """
+    universe = set(k.basis) | set(k.generated) | {normalize(a) for a in extra_atoms}
+    changed = True
+    while changed:
+        changed = False
+        # analysis pass
+        for t in list(universe):
+            if not isinstance(t, App):
+                continue
+            parts: tuple = ()
+            if t.sym == "tuple":
+                parts = t.args
+            elif t.sym == "sign":
+                parts = (t.args[0],)
+            elif t.sym in ("renc", "oenc") and t.args[1] in universe:
+                parts = (t.args[0],)
+            for p in parts:
+                if p not in universe:
+                    universe.add(p)
+                    changed = True
+        # synthesis pass, stratified by result size
+        by_size: dict[int, list] = {}
+        for t in universe:
+            by_size.setdefault(term_size(t), []).append(t)
+        for t in _all_constructions(by_size, size_cap, max_tuple_arity):
+            if t not in universe:
+                universe.add(t)
+                changed = True
+    return frozenset(t for t in universe if term_size(t) <= size_cap)
+
+
+def _all_constructions(by_size: dict, cap: int, max_arity: int):
+    sizes = sorted(by_size)
+    shapes = [("pk", 1), ("sign", 2), ("renc", 2), ("oenc", 2), ("verify", 3)]
+    shapes += [("tuple", n) for n in range(2, max_arity + 1)]
+    for sym, arity in shapes:
+        for combo in _size_combos(sizes, arity, cap - 1):
+            pools = [by_size[s] for s in combo]
+            for args in _product(pools):
+                yield normalize(app(sym, args))
+
+
+def _size_combos(sizes, arity, budget):
+    if arity == 0:
+        yield ()
+        return
+    for s in sizes:
+        if s > budget:
+            continue
+        for rest in _size_combos(sizes, arity - 1, budget - s):
+            yield (s,) + rest
+
+
+def _product(pools):
+    if not pools:
+        yield ()
+        return
+    head, *tail = pools
+    for h in head:
+        for rest in _product(tail):
+            yield (h,) + rest
 
 
 def derivable_forward(universe: frozenset, goal: Term) -> bool:
@@ -344,8 +423,7 @@ def oracle_agreement_cases(seed: int, rounds: int, deep_rounds: int = 0) -> int:
 
 
 def _one_agreement_round(rng, n_atoms: int, cap: int, arity: int) -> int:
-    from revlab.knowledge import Knowledge, can_derive, gen_fresh, observe, saturate_oracle
-    from revlab.terms import normalize, term_size
+    from revlab.knowledge import can_derive, gen_fresh, observe
 
     atoms = [name(x) for x in ("A", "B")[:n_atoms]] + [
         fresh(960 + i) for i in range(2)

@@ -1,6 +1,7 @@
 """Exploration: completeness vs a dedup-free enumerator, canonical digests,
 replay, truncation, determinism."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -16,6 +17,8 @@ from helpers import (
 from revlab import Bounds, build_protocol, explore, initial_state, replay
 from revlab.explorer import Trace, canonical_events, canonicalize
 from revlab.knowledge import Knowledge, observe
+from revlab.protocols import agent_names
+from revlab.report import render_msc
 from revlab.rewriting import Fact, make_state
 from revlab.terms import fresh, pk, tup
 
@@ -169,6 +172,37 @@ class TestBounds:
         spec = build_protocol("plain")
         explore(spec, initial_state(spec, 1), Bounds(max_sessions=0))
         assert enumerated and "REPORT" not in enumerated
+
+    def test_rule_budget_follows_the_rule_not_its_id(self, monkeypatch):
+        import revlab.explorer as ex
+
+        spec = build_protocol("plain")
+        spec = dataclasses.replace(
+            spec,
+            rules=tuple(
+                dataclasses.replace(r, id="REPORT_RENAMED") if r.id == "REPORT" else r
+                for r in spec.rules
+            ),
+        )
+        ts = explore(spec, initial_state(spec, 1), Bounds(max_steps=6, max_sessions=1))
+        fired = [sum(s.rule_id == "REPORT_RENAMED" for s in t.steps) for t in ts]
+        assert max(fired) == 1
+
+        enumerated = []
+        enabled = ex.enabled_instances
+
+        def recording(state, rule, depth):
+            enumerated.append(rule.id)
+            return enabled(state, rule, depth)
+
+        monkeypatch.setattr(ex, "enabled_instances", recording)
+        explore(spec, initial_state(spec, 1), Bounds(max_steps=6, max_sessions=0))
+        assert enumerated and "REPORT_RENAMED" not in enumerated
+
+        trace = next(t for t, n in zip(ts, fired) if n)
+        chart = render_msc(trace, agent_names(1), spec)
+        (row,) = [line for line in chart.splitlines() if "[REPORT_RENAMED@" in line]
+        assert row.index("[REPORT_RENAMED@") < 26  # inside the RA column
 
     def test_session_budget_limits_reports(self):
         spec = build_protocol("plain")

@@ -10,11 +10,8 @@ from revlab.goals import (
     NO_COUNTEREXAMPLE,
     NO_WITNESS,
     WITNESS_FOUND,
+    _evaluate,
     applicable_goals,
-    check_g1_executable,
-    check_g2_weak_agreement,
-    check_g6_osr_req_received_with_change_all,
-    check_g7_revoke_with_change_all,
     g2_violation,
     g5_witness,
 )
@@ -55,12 +52,12 @@ def mk_traceset(*traces) -> TraceSet:
 
 class TestFixtureTraces:
     def test_empty_trace_set_has_no_witness(self):
-        v = check_g1_executable(mk_traceset())
+        v = _evaluate("g1", mk_traceset())
         assert v.outcome == NO_WITNESS
 
     def test_lone_confirmation_violates_g6(self):
         t = mk_trace(ev("OsrConfSentBy", V1, RA, T, time=0))
-        v = check_g6_osr_req_received_with_change_all(mk_traceset(t))
+        v = _evaluate("g6", mk_traceset(t))
         assert v.outcome == COUNTEREXAMPLE_FOUND
 
     def test_request_before_confirmation_satisfies_g6(self):
@@ -68,7 +65,7 @@ class TestFixtureTraces:
             ev("OsrReqMsgSentTo", RA, V1, T, time=0),
             ev("OsrConfSentBy", V1, RA, T, time=1),
         )
-        v = check_g6_osr_req_received_with_change_all(mk_traceset(t))
+        v = _evaluate("g6", mk_traceset(t))
         assert v.outcome == NO_COUNTEREXAMPLE
 
     def test_accept_preceded_by_receive_satisfies_g7(self):
@@ -76,13 +73,13 @@ class TestFixtureTraces:
             ev("OsrReqMsgRecvBy", V1, RA, T, time=0),
             ev("OsrConfAcceptedBy", RA, V1, T, time=1),
         )
-        v = check_g7_revoke_with_change_all(mk_traceset(t))
+        v = _evaluate("g7", mk_traceset(t))
         assert v.outcome == NO_COUNTEREXAMPLE
 
     def test_accept_without_receive_violates_g7_and_g2(self):
         t = mk_trace(ev("OsrConfAcceptedBy", RA, V1, T, time=0))
-        assert check_g7_revoke_with_change_all(mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
-        assert check_g2_weak_agreement(mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
+        assert _evaluate("g7", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
+        assert _evaluate("g2", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
 
     def test_receive_after_accept_still_violates_g2(self):
         t = mk_trace(
@@ -97,7 +94,7 @@ class TestFixtureTraces:
             ev("OsrConfAcceptedBy", RA, V1, T, time=1),
         )
         assert not g2_violation(t)
-        assert check_g2_weak_agreement(mk_traceset(t)).outcome == NO_COUNTEREXAMPLE
+        assert _evaluate("g2", mk_traceset(t)).outcome == NO_COUNTEREXAMPLE
 
     def test_reveal_after_the_accept_does_not_excuse(self):
         # prefixes are executions: the forgery happened while keys were safe
@@ -106,7 +103,7 @@ class TestFixtureTraces:
             ev("RevealLtk", V1, time=1),
         )
         assert g2_violation(t)
-        assert check_g2_weak_agreement(mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
+        assert _evaluate("g2", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
 
     def test_token_mismatch_is_a_violation(self):
         t = mk_trace(

@@ -2,13 +2,12 @@
 
 import random
 
-from helpers import oracle_agreement_cases, random_term
+from helpers import oracle_agreement_cases, random_term, saturate_oracle
 from revlab.knowledge import (
     Knowledge,
     can_derive,
     gen_fresh,
     observe,
-    saturate_oracle,
     synthesize,
 )
 from revlab.terms import fresh, name, normalize, oenc, pk, renc, sign, tup, var

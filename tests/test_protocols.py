@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import honest_prefix
-from revlab.knowledge import can_derive, saturate_oracle
+from helpers import honest_prefix, saturate_oracle
+from revlab.knowledge import can_derive
 from revlab.protocols import (
     RA_NAME,
     build_protocol,

@@ -5,7 +5,7 @@ import json
 from helpers import scenario
 from revlab.explorer import Trace
 from revlab.goals import BOUNDED_DISCLAIMER
-from revlab.protocols import agent_names
+from revlab.protocols import agent_names, build_protocol
 from revlab.report import (
     build_document,
     compare_with_reference,
@@ -91,7 +91,7 @@ class TestReferenceComparison:
 class TestMsc:
     def test_empty_trace_renders_headers_only(self):
         trace = Trace(steps=(), terminal_state=make_state(), truncated=False)
-        chart = render_msc(trace, agent_names(1))
+        chart = render_msc(trace, agent_names(1), build_protocol("plain"))
         lines = chart.splitlines()
         assert len(lines) == 1
         assert "RA" in lines[0] and "V1" in lines[0] and "ADVERSARY" in lines[0]
@@ -99,7 +99,7 @@ class TestMsc:
     def test_honest_plain_run_shows_relayed_exchange(self):
         result, _ = scenario("plain")
         witness = result.verdicts["g1"].evidence
-        chart = render_msc(witness, agent_names(1))
+        chart = render_msc(witness, agent_names(1), result.spec)
         # the request is relayed from the authority to the vehicle, and the
         # confirmation back; broadcast arrows reach the adversary column
         assert "relayed: (tuple RA V1 (tuple revoke" in chart
@@ -110,7 +110,7 @@ class TestMsc:
     def test_rtoken_attack_shows_forged_confirmation(self):
         result, _ = scenario("rtoken", change=True)
         cex = result.verdicts["g2"].evidence
-        chart = render_msc(cex, agent_names(1))
+        chart = render_msc(cex, agent_names(1), result.spec)
         assert "forged: (tuple V1 RA (tuple confirm" in chart
         assert "gen-fresh" in chart
         assert "out: (tuple RA V1" in chart  # the intercepted broadcast
@@ -118,4 +118,5 @@ class TestMsc:
     def test_deterministic_layout(self):
         result, _ = scenario("rtoken", change=True)
         cex = result.verdicts["g2"].evidence
-        assert render_msc(cex, agent_names(1)) == render_msc(cex, agent_names(1))
+        agents = agent_names(1)
+        assert render_msc(cex, agents, result.spec) == render_msc(cex, agents, result.spec)
