@@ -8,12 +8,16 @@ is therefore a bounded-exhaustive statement, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import permutations
 
 from .protocols import ProtocolSpec
 from .rewriting import Instance, Rule, SystemState, enabled_instances, fire
 from .terms import App, Fresh, Name, Term, Var, sort_key, substitute
+
+
+class ReplayMismatchError(ValueError):
+    """A recorded trace does not re-fire to the same steps and state."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +107,7 @@ def explore(
     Traces hitting max_steps with enabled rules remaining are truncated and
     flagged.  The result is sorted, so it is a pure function of the inputs.
     """
-    init = SystemState(
-        linear=init.linear,
-        persistent=init.persistent,
-        knowledge=init.knowledge.with_budget(bounds.adversary_fresh_budget),
-        next_fresh=init.next_fresh,
-        step=init.step,
-    )
+    init = _start_state(init, bounds)
     rules = sorted(spec.rules, key=lambda r: r.id)
     traces: list[Trace] = []
     seen: set[str] = set()
@@ -201,16 +199,10 @@ def _within_rule_bounds(rule: Rule, inst: Instance | None, steps, bounds: Bounds
 def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
     """Re-fire a trace's steps from the initial state; returns the final state.
 
-    Raises ValueError when any step is not reproducible, so a successful
-    replay certifies the recorded steps are a valid execution.
+    Raises ReplayMismatchError when any step is not reproducible, so a
+    successful replay certifies the recorded steps are a valid execution.
     """
-    state = SystemState(
-        linear=init.linear,
-        persistent=init.persistent,
-        knowledge=init.knowledge.with_budget(bounds.adversary_fresh_budget),
-        next_fresh=init.next_fresh,
-        step=init.step,
-    )
+    state = _start_state(init, bounds)
     for i, step in enumerate(trace.steps):
         rule = spec.rule(step.rule_id)
         found = next(
@@ -222,11 +214,17 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
             None,
         )
         if found is None:
-            raise ValueError(f"step {i} ({step.rule_id}) is not enabled on replay")
+            raise ReplayMismatchError(f"step {i} ({step.rule_id}) is not enabled on replay")
         state, events = fire(state, rule, found)
         if tuple(e.key() for e in events) != tuple(e.key() for e in step.events):
-            raise ValueError(f"step {i} ({step.rule_id}) emitted different events")
+            raise ReplayMismatchError(f"step {i} ({step.rule_id}) emitted different events")
     return state
+
+
+def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
+    """The initial state with the adversary's fresh-name budget set."""
+    budget = bounds.adversary_fresh_budget
+    return replace(init, knowledge=init.knowledge.with_budget(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -250,46 +248,27 @@ def canonicalize(state: SystemState, history: tuple = ()) -> str:
     the least occurrence signature is fixed next, and names whose signatures
     tie are ordered by exhaustively minimizing the loosely rendered digest.
     """
-    ordered = [
-        f"ev {e.label}({', '.join(_skel(a) for a in e.args)})@{e.time}"
-        for e in history
-    ]
+    events, base = _compile_history(history)
     sections = [
-        ("lin", [_fact_skel(f) for f in state.linear]),
-        ("per", [_fact_skel(f) for f in state.persistent]),
-        ("kn", [_skel(t) for t in state.knowledge.basis]),
-        ("gen", [_skel(t) for t in state.knowledge.generated]),
+        ("lin", [_compile_fact(f) for f in state.linear]),
+        ("per", [_compile_fact(f) for f in state.persistent]),
+        ("kn", [_compile(t) for t in state.knowledge.basis]),
+        ("gen", [_compile(t) for t in state.knowledge.generated]),
     ]
-    base: dict[int, int] = {}
-    for skel in ordered:
-        for fid in _marker_fids(skel):
-            if fid not in base:
-                base[fid] = len(base)
-    leftover: list[int] = []
-    for _, items in sections:
-        for skel in items:
-            for fid in _marker_fids(skel):
-                if fid not in base and fid not in leftover:
-                    leftover.append(fid)
+    tagged_items = [(key, c) for key, items in sections for c in items]
 
-    compiled_ordered = [_compile_skel(s) for s in ordered]
-    compiled_sections = [
-        (key, [_compile_skel(s) for s in items]) for key, items in sections
-    ]
-    tagged_items = [
-        (key, c) for key, items in compiled_sections for c in items
-    ]
-
-    def full_render(renaming: dict, loose: bool = False) -> str:
+    def full_render(slot) -> str:
         parts = [f"budget:{state.knowledge.budget}"]
-        parts += [_assemble(c, renaming, loose) for c in compiled_ordered]
-        for key, items in compiled_sections:
-            rendered = sorted(_assemble(c, renaming, loose) for c in items)
+        parts += ["ev " + _assemble(c, slot) for c in events]
+        for key, items in sections:
+            rendered = sorted(_assemble(c, slot) for c in items)
             parts.append(key + "{" + ";".join(rendered) + "}")
         return "|".join(parts)
 
     renaming = dict(base)
-    pending = list(leftover)
+    pending = list(dict.fromkeys(
+        fid for _, (_, fids) in tagged_items for fid in fids if fid not in base
+    ))
     while pending:
         sigs = {fid: _signature(fid, tagged_items, renaming) for fid in pending}
         least = min(sigs.values())
@@ -299,19 +278,39 @@ def canonicalize(state: SystemState, history: tuple = ()) -> str:
         else:
             chosen = min(
                 permutations(group),
-                key=lambda perm: full_render(_extended(renaming, perm), loose=True),
+                key=lambda perm: full_render(_loose(_extended(renaming, perm))),
             )
-        for fid in chosen:
-            renaming[fid] = len(renaming)
+        renaming = _extended(renaming, chosen)
         pending = [f for f in pending if f not in renaming]
-    return full_render(renaming)
+    return full_render(renaming.__getitem__)
+
+
+def canonical_events(events) -> tuple:
+    """Event sequence rendered with per-trace canonical fresh renaming."""
+    compiled, renaming = _compile_history(events)
+    return tuple(_assemble(c, renaming.__getitem__) for c in compiled)
+
+
+def _compile_history(events):
+    """Compiled events and their fresh names' slot texts, by first occurrence."""
+    compiled = [_compile_event(e) for e in events]
+    renaming: dict[int, str] = {}
+    for _, fids in compiled:
+        for fid in fids:
+            renaming.setdefault(fid, f"~c{len(renaming)}")
+    return compiled, renaming
 
 
 def _extended(renaming: dict, perm) -> dict:
     trial = dict(renaming)
     for fid in perm:
-        trial[fid] = len(trial)
+        trial[fid] = f"~c{len(trial)}"
     return trial
+
+
+def _loose(renaming: dict):
+    """Slot renderer that writes ~? for names not renamed yet."""
+    return lambda fid: renaming.get(fid, "~?")
 
 
 def _signature(fid: int, tagged_items, renaming: dict) -> tuple:
@@ -321,22 +320,14 @@ def _signature(fid: int, tagged_items, renaming: dict) -> tuple:
     structure, already-assigned canonical ids), so isomorphic states yield
     identical signatures for corresponding names.
     """
-    rows = []
-    for section, (parts, fids) in tagged_items:
-        if fid not in fids:
-            continue
-        out = []
-        for part, f in zip(parts, fids):
-            out.append(part)
-            if f == fid:
-                out.append("~#")
-            elif f in renaming:
-                out.append(f"~c{renaming[f]}")
-            else:
-                out.append("~?")
-        out.append(parts[-1])
-        rows.append(section + ":" + "".join(out))
-    return tuple(sorted(rows))
+    def slot(f: int) -> str:
+        return "~#" if f == fid else renaming.get(f, "~?")
+
+    return tuple(sorted(
+        section + ":" + _assemble(c, slot)
+        for section, c in tagged_items
+        if fid in c[1]
+    ))
 
 
 def _dedup_key(state: SystemState, steps) -> str:
@@ -344,82 +335,49 @@ def _dedup_key(state: SystemState, steps) -> str:
     return f"step:{state.step}|" + canonicalize(state, history)
 
 
-def _skel(t: Term) -> str:
-    # Rendering with fresh ids kept as markers for later renaming.
+def _compile(t: Term) -> tuple:
+    """A term's rendering split around its fresh names: (parts, fids).
+
+    parts has one more entry than fids; fid i is rendered between parts i
+    and i + 1, so any renaming of the fresh names is a join away.
+    """
     if isinstance(t, Fresh):
-        return f"\x00{t.fid}\x00"
+        return ("", ""), (t.fid,)
     if isinstance(t, Name):
-        return t.label
+        return (t.label,), ()
     if isinstance(t, Var):
-        return f"?{t.ident}"
+        return (f"?{t.ident}",), ()
     assert isinstance(t, App)
-    return "(" + t.sym + " " + " ".join(_skel(a) for a in t.args) + ")"
+    return _compile_seq(f"({t.sym} ", t.args, " ", ")")
 
 
-def _fact_skel(f) -> str:
-    bang = "!" if f.persistent else ""
-    return f"{bang}{f.name}({','.join(_skel(a) for a in f.args)})"
+def _compile_fact(f) -> tuple:
+    return _compile_seq(f"{'!' if f.persistent else ''}{f.name}(", f.args, ",", ")")
 
 
-def _compile_skel(skel: str):
-    """Split a marker skeleton into literal parts and the fid gaps between."""
-    parts = []
-    fids = []
-    i = 0
-    while True:
-        j = skel.find("\x00", i)
-        if j < 0:
-            parts.append(skel[i:])
-            return tuple(parts), tuple(fids)
-        parts.append(skel[i:j])
-        end = skel.index("\x00", j + 1)
-        fids.append(int(skel[j + 1 : end]))
-        i = end + 1
+def _compile_event(e) -> tuple:
+    return _compile_seq(f"{e.label}(", e.args, ", ", f")@{e.time}")
 
 
-def _assemble(compiled, renaming: dict, loose: bool = False) -> str:
+def _compile_seq(head: str, terms, sep: str, tail: str) -> tuple:
+    """Compiled head + sep.join(terms) + tail."""
+    parts = [head]
+    fids: list[int] = []
+    for i, t in enumerate(terms):
+        t_parts, t_fids = _compile(t)
+        parts[-1] += sep + t_parts[0] if i else t_parts[0]
+        parts += t_parts[1:]
+        fids += t_fids
+    parts[-1] += tail
+    return tuple(parts), tuple(fids)
+
+
+def _assemble(compiled, slot) -> str:
+    """Join a compiled rendering, writing slot(fid) in each fresh-name gap."""
     parts, fids = compiled
     if not fids:
         return parts[0]
-    out = []
-    for part, fid in zip(parts, fids):
-        out.append(part)
-        got = renaming.get(fid)
-        if got is not None:
-            out.append(f"~c{got}")
-        elif loose:
-            out.append("~?")
-        else:
-            raise KeyError(f"unrenamed fresh id {fid}")
-    out.append(parts[-1])
+    out = [parts[0]]
+    for fid, part in zip(fids, parts[1:]):
+        out += (slot(fid), part)
     return "".join(out)
-
-
-def _marker_fids(skel: str):
-    i = 0
-    while True:
-        i = skel.find("\x00", i)
-        if i < 0:
-            return
-        j = skel.index("\x00", i + 1)
-        yield int(skel[i + 1 : j])
-        i = j + 1
-
-
-def canonical_events(events) -> tuple:
-    """Event sequence rendered with per-trace canonical fresh renaming."""
-    renaming: dict[int, int] = {}
-
-    def rn(t: Term) -> str:
-        if isinstance(t, Fresh):
-            if t.fid not in renaming:
-                renaming[t.fid] = len(renaming)
-            return f"~c{renaming[t.fid]}"
-        if isinstance(t, Name):
-            return t.label
-        assert isinstance(t, App)
-        return "(" + t.sym + " " + " ".join(rn(a) for a in t.args) + ")"
-
-    return tuple(
-        f"{e.label}({', '.join(rn(a) for a in e.args)})@{e.time}" for e in events
-    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .explorer import Trace, replay, canonicalize
+from .explorer import ReplayMismatchError, Trace, canonicalize, replay
 from .goals import (
     BOUNDED_DISCLAIMER,
     NO_COUNTEREXAMPLE,
@@ -15,10 +15,6 @@ from .protocols import ProtocolSpec, agent_names, initial_state
 from .terms import render
 
 SCHEMA_VERSION = 1
-
-
-class ReplayMismatchError(RuntimeError):
-    """A serialized evidence trace failed to replay to its terminal digest."""
 
 
 def serialize_trace(trace: Trace) -> dict:
@@ -111,11 +107,8 @@ def build_document(
 
 def _check_replay(result: RunResult, trace: Trace) -> None:
     init = initial_state(result.spec, result.n_vehicles)
-    try:
-        final = replay(result.spec, init, trace, result.bounds)
-    except ValueError as exc:
-        raise ReplayMismatchError(str(exc)) from exc
-    if canonicalize(final) != canonicalize(trace.terminal_state):
+    final = replay(result.spec, init, trace, result.bounds)
+    if final != trace.terminal_state:
         raise ReplayMismatchError("replayed terminal state differs from recorded one")
 
 

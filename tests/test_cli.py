@@ -166,13 +166,17 @@ class TestMain:
         import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import revlab
 
         argv = [sys.executable, "-m", "revlab", "--protocol", "rtoken",
                 "--goals", "g2", "--change", "--max-steps", "8",
                 "--output", "json", "--deterministic"]
+        src = str(Path(revlab.__file__).resolve().parent.parent)
         outs = []
         for seed in ("1", "99991"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             got = subprocess.run(argv, capture_output=True, env=env, check=True)
             outs.append(got.stdout)
         assert outs[0] == outs[1]

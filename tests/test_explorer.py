@@ -15,12 +15,17 @@ from helpers import (
     states_isomorphic,
 )
 from revlab import Bounds, build_protocol, explore, initial_state, replay
-from revlab.explorer import Trace, canonical_events, canonicalize
+from revlab.explorer import (
+    ReplayMismatchError,
+    Trace,
+    canonical_events,
+    canonicalize,
+)
 from revlab.knowledge import Knowledge, observe
 from revlab.protocols import agent_names
 from revlab.report import render_msc
-from revlab.rewriting import Fact, make_state
-from revlab.terms import fresh, pk, tup
+from revlab.rewriting import Event, Fact, make_state
+from revlab.terms import fresh, name, pk, tup
 
 
 class TestExplore:
@@ -142,6 +147,22 @@ class TestExplore:
             final = replay(spec, init, trace, bounds)
             assert canonicalize(final) == canonicalize(trace.terminal_state)
 
+    def test_replay_rejects_a_swapped_input(self):
+        import pytest
+
+        spec = build_protocol("plain")
+        bounds = Bounds()
+        init = initial_state(spec, 1)
+        trace = max(explore(spec, init, bounds), key=lambda t: len(t.steps))
+        i = next(i for i, s in enumerate(trace.steps) if s.inputs)
+        step = trace.steps[i]
+        forged = dataclasses.replace(step, inputs=(name("M"),) + step.inputs[1:])
+        tampered = dataclasses.replace(
+            trace, steps=trace.steps[:i] + (forged,) + trace.steps[i + 1 :]
+        )
+        with pytest.raises(ReplayMismatchError):
+            replay(spec, init, tampered, bounds)
+
 
 class TestBounds:
     def test_rejects_negative_values(self):
@@ -212,21 +233,62 @@ class TestBounds:
         )
 
 
+def _linked_state(a, b):
+    return make_state(
+        linear=[Fact("F", (a,))],
+        persistent=[Fact("P", (pk(b),), persistent=True)],
+        knowledge=observe(Knowledge(), tup(a, pk(b))),
+    )
+
+
 class TestCanonicalize:
     def test_fresh_renaming_invariance(self):
-        a, b = fresh(500), fresh(501)
-        s1 = make_state(
-            linear=[Fact("F", (a,))],
-            persistent=[Fact("P", (pk(b),), persistent=True)],
-            knowledge=observe(Knowledge(), tup(a, pk(b))),
-        )
-        c, d = fresh(600), fresh(601)
-        s2 = make_state(
-            linear=[Fact("F", (d,))],
-            persistent=[Fact("P", (pk(c),), persistent=True)],
-            knowledge=observe(Knowledge(), tup(d, pk(c))),
-        )
+        s1 = _linked_state(fresh(500), fresh(501))
+        s2 = _linked_state(fresh(601), fresh(600))
         assert canonicalize(s1) == canonicalize(s2)
+
+    def test_digest_text_is_pinned(self):
+        # The slot texts ~cN, ~? and ~# sort against each other and so
+        # decide which tied name is fixed first: any change to the rendering
+        # changes digests, and only these literal strings show it.
+        s1 = _linked_state(fresh(500), fresh(501))
+        assert canonicalize(s1) == (
+            "budget:0|lin{F(~c1)}|per{!P((pk ~c0))}"
+            "|kn{(pk ~c0);(tuple ~c1 (pk ~c0));~c1}|gen{}"
+        )
+        # Three names with equal signatures on a directed cycle: only the
+        # permutation search orients it (raw id order would give
+        # Edge(~c0,~c2);Edge(~c1,~c0);Edge(~c2,~c1)).  In Pair, u is fixed
+        # first because its row Pair(~#,~?) sorts before Pair(~?,~#).
+        x, y, z = fresh(901), fresh(903), fresh(902)
+        u, v = fresh(912), fresh(911)
+        ring = make_state(
+            linear=[
+                Fact("Edge", (x, y)),
+                Fact("Edge", (y, z)),
+                Fact("Edge", (z, x)),
+                Fact("Pair", (u, v)),
+            ]
+        )
+        assert canonicalize(ring) == (
+            "budget:0|lin{Edge(~c0,~c1);Edge(~c1,~c2);Edge(~c2,~c0);Pair(~c3,~c4)}"
+            "|per{}|kn{}|gen{}"
+        )
+        history = (
+            Event("Sent", (name("A"), pk(fresh(502))), 0),
+            Event("Got", (fresh(502), fresh(501)), 1),
+            Event("Done", (), 2),
+        )
+        digest = canonicalize(s1, history)
+        assert digest == (
+            "budget:0|ev Sent(A, (pk ~c0))@0|ev Got(~c0, ~c1)@1|ev Done()@2"
+            "|lin{F(~c2)}|per{!P((pk ~c1))}"
+            "|kn{(pk ~c1);(tuple ~c2 (pk ~c1));~c2}|gen{}"
+        )
+        events = tuple(
+            seg[len("ev "):] for seg in digest.split("|") if seg.startswith("ev ")
+        )
+        assert canonical_events(history) == events
 
     def test_multiplicity_differences_detected(self):
         a = fresh(502)

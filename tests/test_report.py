@@ -1,12 +1,16 @@
 """Report documents: JSON round-trip, disclaimers, replay checks, MSC."""
 
+import dataclasses
 import json
 
+import pytest
+
 from helpers import scenario
-from revlab.explorer import Trace
+from revlab.explorer import Trace, canonicalize
 from revlab.goals import BOUNDED_DISCLAIMER
 from revlab.protocols import agent_names, build_protocol
 from revlab.report import (
+    ReplayMismatchError,
     build_document,
     compare_with_reference,
     render_msc,
@@ -59,6 +63,21 @@ class TestDocument:
         for proto, change in (("rtoken", True), ("otoken", True)):
             result, elapsed = scenario(proto, change=change)
             build_document(result, elapsed, deterministic=True)
+
+    def test_swapped_terminal_state_is_rejected(self):
+        result, elapsed = scenario("rtoken", change=True)
+        goal, v = next(
+            (g, v) for g, v in sorted(result.verdicts.items()) if v.evidence
+        )
+        recorded = canonicalize(v.evidence.terminal_state)
+        other = next(
+            t for t in result.traces if canonicalize(t.terminal_state) != recorded
+        )
+        forged = dataclasses.replace(v.evidence, terminal_state=other.terminal_state)
+        verdicts = dict(result.verdicts)
+        verdicts[goal] = dataclasses.replace(v, evidence=forged)
+        with pytest.raises(ReplayMismatchError):
+            build_document(dataclasses.replace(result, verdicts=verdicts), elapsed)
 
     def test_text_rendering_mentions_verdicts(self):
         result, elapsed = scenario("plain", change=True)
