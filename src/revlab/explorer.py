@@ -1,18 +1,25 @@
 """Bounded exhaustive exploration of the labelled transition system.
 
-Depth-first search with an explicit stack over immutable states.  Branches
-reaching a state already seen (equal modulo a fresh-name bijection, with the
-same event history) are explored once.  Every all-traces verdict downstream
-is therefore a bounded-exhaustive statement, never a proof.
+Depth-first search with an explicit stack over immutable states.  Each
+stack entry carries, besides the state and its steps, every goal monitor's
+state (monitors.py) and the rule budgets used so far.  Branches reaching a
+state already seen at the same depth, equal modulo a fresh-name bijection
+that also maps the monitor states and budget usage onto each other, are
+explored once: their futures are isomorphic and every goal judges them
+alike.  Children are expanded in Step.key order, so of the merged prefixes
+the lexicographically least is kept, and the least violating or witnessing
+trace in Trace.key order is never pruned.  Every all-traces verdict
+downstream is a bounded-exhaustive statement, never a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import permutations
+from itertools import chain, permutations
 
+from . import monitors
 from .protocols import ProtocolSpec
-from .rewriting import Instance, Rule, SystemState, enabled_instances, fire
+from .rewriting import Fact, Instance, Rule, SystemState, enabled_instances, fire
 from .terms import App, Fresh, Name, Term, Var, sort_key, substitute
 
 
@@ -64,10 +71,14 @@ class Step:
 
 @dataclass(frozen=True)
 class Trace:
-    """Maximal (or bound-truncated) execution with its terminal state."""
+    """Maximal (or bound-truncated) execution with its terminal state.
+
+    A minimized evidence prefix has no recorded terminal state (None); the
+    report's replay supplies it.
+    """
 
     steps: tuple
-    terminal_state: SystemState
+    terminal_state: SystemState | None
     truncated: bool = False
 
     @property
@@ -113,31 +124,33 @@ def explore(
     seen: set[str] = set()
     explored = 0
     dedup_hits = 0
-    stack: list[tuple[SystemState, tuple]] = [(init, ())]
+    stack: list[tuple] = [(init, (), monitors.start(), {})]
     while stack:
-        state, steps = stack.pop()
+        state, steps, watch, usage = stack.pop()
         if dedup:
-            digest = _dedup_key(state, steps)
+            digest = _dedup_key(state, watch, usage)
             if digest in seen:
                 dedup_hits += 1
                 continue
             seen.add(digest)
         explored += 1
         if len(steps) < bounds.max_steps:
-            children = _children(state, steps, rules, bounds)
+            children = _children(state, usage, rules, bounds)
             truncated = False
         else:
             children = []
             # at the step bound: flag the leaf when rules could still fire
-            truncated = _any_enabled(state, steps, rules, bounds)
+            truncated = _any_enabled(state, usage, rules, bounds)
         if not children:
             traces.append(
                 Trace(steps=steps, terminal_state=state, truncated=truncated)
             )
             continue
         # reversed so the lexicographically least child is expanded first
-        for child_state, step in reversed(children):
-            stack.append((child_state, steps + (step,)))
+        for child_state, step, child_usage in reversed(children):
+            stack.append(
+                (child_state, steps + (step,), monitors.advance_all(watch, step), child_usage)
+            )
     traces.sort(key=Trace.key)
     return TraceSet(
         traces=tuple(traces),
@@ -147,13 +160,14 @@ def explore(
     )
 
 
-def _children(state, steps, rules, bounds):
+def _children(state, usage, rules, bounds):
+    """(child state, step, budget usage after it) for every instance in bounds."""
     out = []
     for rule in rules:
-        if not _within_rule_bounds(rule, None, steps, bounds):
+        if not _within_rule_bounds(rule, None, usage, bounds):
             continue
         for inst in enabled_instances(state, rule, bounds.synthesis_depth):
-            if not _within_rule_bounds(rule, inst, steps, bounds):
+            if not _within_rule_bounds(rule, inst, usage, bounds):
                 continue
             child, events = fire(state, rule, inst)
             subst = inst.subst
@@ -168,32 +182,42 @@ def _children(state, steps, rules, bounds):
                 outputs=tuple(substitute(subst, t) for t in rule.network_out),
                 fresh_idents=tuple(ident for ident, _ in inst.fresh_alloc),
             )
-            out.append((child, step))
+            child_usage = usage
+            if rule.budget:
+                key = _budget_key(rule, inst)
+                child_usage = {**usage, key: usage.get(key, 0) + 1}
+            out.append((child, step, child_usage))
     return out
 
 
-def _any_enabled(state, steps, rules, bounds) -> bool:
+def _any_enabled(state, usage, rules, bounds) -> bool:
     """Whether some rule instance could still fire within the rule bounds."""
     return any(
-        _within_rule_bounds(rule, inst, steps, bounds)
+        _within_rule_bounds(rule, inst, usage, bounds)
         for rule in rules
-        if _within_rule_bounds(rule, None, steps, bounds)
+        if _within_rule_bounds(rule, None, usage, bounds)
         for inst in enabled_instances(state, rule, bounds.synthesis_depth)
     )
 
 
-def _within_rule_bounds(rule: Rule, inst: Instance | None, steps, bounds: Bounds) -> bool:
-    """Whether inst may fire after steps; with inst None, whether any may."""
+def _within_rule_bounds(rule: Rule, inst: Instance | None, usage: dict, bounds: Bounds) -> bool:
+    """Whether inst may fire given the budget usage; with inst None, whether any may.
+
+    usage counts the firings of each budgeted rule per _budget_key.
+    """
     if not rule.budget:
         return True
     limit = getattr(bounds, rule.budget)
-    if not rule.budget_per:
-        return [s.rule_id for s in steps].count(rule.id) < limit
-    if inst is None:
+    if inst is None and rule.budget_per:
         return limit > 0
-    per = rule.budget_per
-    fired = [(s.rule_id, dict(s.binding).get(per)) for s in steps]
-    return fired.count((rule.id, dict(inst.binding).get(per))) < limit
+    return usage.get(_budget_key(rule, inst), 0) < limit
+
+
+def _budget_key(rule: Rule, inst: Instance | None) -> tuple:
+    """The rule and, for a per-binding budget, the binding its cap applies to."""
+    if not rule.budget_per:
+        return rule.id, None
+    return rule.id, dict(inst.binding).get(rule.budget_per)
 
 
 def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
@@ -237,16 +261,19 @@ def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
 _GROUP_LIMIT = 6
 
 
-def canonicalize(state: SystemState, history: tuple = ()) -> str:
-    """Canonical digest of a state (optionally with its event history).
+def canonicalize(state: SystemState, history: tuple = (), monitor=()) -> str:
+    """Canonical digest of a state, optionally with its event history and
+    monitor facts.
 
     Fresh names are renamed so that two states equal modulo a fresh-name
     bijection yield the same digest; equal digests reconstruct the same
     state up to renaming.  History events are position-fixed, so their
-    names canonicalize by first occurrence.  The leftover names are ordered
-    by iterative signature refinement: at each round the pending name with
-    the least occurrence signature is fixed next, and names whose signatures
-    tie are ordered by exhaustively minimizing the loosely rendered digest.
+    names canonicalize by first occurrence.  Monitor facts are one more
+    section of the state, renamed together with it.  The leftover names
+    are ordered by iterative signature refinement: at each round the
+    pending name with the least occurrence signature is fixed next, and
+    names whose signatures tie are ordered by exhaustively minimizing the
+    loosely rendered digest.
     """
     events, base = _compile_history(history)
     sections = [
@@ -255,6 +282,8 @@ def canonicalize(state: SystemState, history: tuple = ()) -> str:
         ("kn", [_compile(t) for t in state.knowledge.basis]),
         ("gen", [_compile(t) for t in state.knowledge.generated]),
     ]
+    if monitor:
+        sections.append(("mon", [_compile_fact(f) for f in monitor]))
     tagged_items = [(key, c) for key, items in sections for c in items]
 
     def full_render(slot) -> str:
@@ -269,9 +298,17 @@ def canonicalize(state: SystemState, history: tuple = ()) -> str:
     pending = list(dict.fromkeys(
         fid for _, (_, fids) in tagged_items for fid in fids if fid not in base
     ))
+    # a signature only changes when a name it sits next to gets renamed
+    occurs = {fid: [] for fid in pending}
+    for item in tagged_items:
+        for fid in set(item[1][1]) & occurs.keys():
+            occurs[fid].append(item)
+    sigs: dict = {}
+    stale = pending
     while pending:
-        sigs = {fid: _signature(fid, tagged_items, renaming) for fid in pending}
-        least = min(sigs.values())
+        for fid in stale:
+            sigs[fid] = _signature(fid, occurs[fid], renaming)
+        least = min(sigs[fid] for fid in pending)
         group = [fid for fid in pending if sigs[fid] == least]
         if len(group) == 1 or len(group) > _GROUP_LIMIT:
             chosen = tuple(sorted(group))
@@ -282,6 +319,8 @@ def canonicalize(state: SystemState, history: tuple = ()) -> str:
             )
         renaming = _extended(renaming, chosen)
         pending = [f for f in pending if f not in renaming]
+        fixed = set(chosen)
+        stale = [f for f in pending if any(not fixed.isdisjoint(c[1]) for _, c in occurs[f])]
     return full_render(renaming.__getitem__)
 
 
@@ -313,8 +352,10 @@ def _loose(renaming: dict):
     return lambda fid: renaming.get(fid, "~?")
 
 
-def _signature(fid: int, tagged_items, renaming: dict) -> tuple:
+def _signature(fid: int, occurrences, renaming: dict) -> tuple:
     """Occurrence signature of a pending name: the sorted contexts it sits in.
+
+    occurrences are the (section, compiled item) pairs that contain fid.
 
     Pure function of bijection-invariant data (section tags, literal
     structure, already-assigned canonical ids), so isomorphic states yield
@@ -323,16 +364,20 @@ def _signature(fid: int, tagged_items, renaming: dict) -> tuple:
     def slot(f: int) -> str:
         return "~#" if f == fid else renaming.get(f, "~?")
 
-    return tuple(sorted(
-        section + ":" + _assemble(c, slot)
-        for section, c in tagged_items
-        if fid in c[1]
-    ))
+    return tuple(sorted(section + ":" + _assemble(c, slot) for section, c in occurrences))
 
 
-def _dedup_key(state: SystemState, steps) -> str:
-    history = tuple(e for s in steps for e in s.events)
-    return f"step:{state.step}|" + canonicalize(state, history)
+def _dedup_key(state: SystemState, watch: tuple, usage: dict) -> str:
+    """Depth, state, monitor states and budget usage, canonicalized together."""
+    used = [
+        Fact(f"{rule_id}#{count}", () if value is None else (value,))
+        for (rule_id, value), count in usage.items()
+    ]
+    facts = [*chain.from_iterable(watch), *used]
+    return f"step:{state.step}|" + canonicalize(state, monitor=facts)
+
+
+_compiled: dict = {}  # interned term, Fact or Event -> its compiled rendering
 
 
 def _compile(t: Term) -> tuple:
@@ -341,22 +386,35 @@ def _compile(t: Term) -> tuple:
     parts has one more entry than fids; fid i is rendered between parts i
     and i + 1, so any renaming of the fresh names is a join away.
     """
+    got = _compiled.get(t)
+    if got is not None:
+        return got
     if isinstance(t, Fresh):
-        return ("", ""), (t.fid,)
-    if isinstance(t, Name):
-        return (t.label,), ()
-    if isinstance(t, Var):
-        return (f"?{t.ident}",), ()
-    assert isinstance(t, App)
-    return _compile_seq(f"({t.sym} ", t.args, " ", ")")
+        out = ("", ""), (t.fid,)
+    elif isinstance(t, Name):
+        out = (t.label,), ()
+    elif isinstance(t, Var):
+        out = (f"?{t.ident}",), ()
+    else:
+        assert isinstance(t, App)
+        out = _compile_seq(f"({t.sym} ", t.args, " ", ")")
+    _compiled[t] = out
+    return out
 
 
 def _compile_fact(f) -> tuple:
-    return _compile_seq(f"{'!' if f.persistent else ''}{f.name}(", f.args, ",", ")")
+    got = _compiled.get(f)
+    if got is None:
+        head = f"{'!' if f.persistent else ''}{f.name}("
+        got = _compiled[f] = _compile_seq(head, f.args, ",", ")")
+    return got
 
 
 def _compile_event(e) -> tuple:
-    return _compile_seq(f"{e.label}(", e.args, ", ", f")@{e.time}")
+    got = _compiled.get(e)
+    if got is None:
+        got = _compiled[e] = _compile_seq(f"{e.label}(", e.args, ", ", f")@{e.time}")
+    return got
 
 
 def _compile_seq(head: str, terms, sep: str, tail: str) -> tuple:

@@ -1,4 +1,7 @@
-"""The seven correctness and authentication goals as trace predicates.
+"""The seven correctness and authentication goals and their verdicts.
+
+Each goal's pattern is written once, as a monitor in monitors.py; the
+per-trace predicates here fold it over a trace's steps.
 
 G1 and G5 are exists-trace goals (a witness execution must be found); the
 rest are all-traces goals (a single violating trace is a counterexample).
@@ -10,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
-from . import recheck
-from .explorer import Bounds, Trace, TraceSet, explore, replay
+from . import monitors, recheck
+from .explorer import Bounds, Trace, TraceSet, explore
+from .explorer import replay  # noqa: F401  (revlab.goals.replay stays importable)
+from .monitors import WEAK_REVEALS
 from .protocols import ProtocolSpec, initial_state
-from .terms import Fresh, Name, render
+from .terms import Fresh, render
 
 GOAL_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
 EXISTS_GOALS = frozenset({"g1", "g5"})
@@ -49,22 +54,7 @@ def _mode(goal: str) -> str:
     return "exists-trace" if goal in EXISTS_GOALS else "all-traces"
 
 
-def _is_vehicle(agent) -> bool:
-    return isinstance(agent, Name) and agent.label.startswith("V") and agent.label[1:].isdigit()
-
-
 # --- guard predicates ------------------------------------------------------
-
-
-_WEAK_REVEALS = frozenset({"RevealLtk", "RevealSKPSi"})
-_COMPROMISES = _WEAK_REVEALS | {"VjSKPSiReveal", "VehicleCompromised"}
-
-
-def _revealed(labels, events, vehicle, upto: int) -> bool:
-    return any(
-        e.label in labels and e.args[0] is vehicle and e.time <= upto
-        for e in events
-    )
 
 
 def reveal_guard_weak(events, vehicle, upto: int) -> bool:
@@ -74,163 +64,48 @@ def reveal_guard_weak(events, vehicle, upto: int) -> bool:
     itself a valid execution, so a compromise after the anchor event cannot
     excuse a pattern that already occurred.
     """
-    return _revealed(_WEAK_REVEALS, events, vehicle, upto)
+    return any(
+        e.label in WEAK_REVEALS and e.args[0] is vehicle and e.time <= upto
+        for e in events
+    )
 
 
-def compromise_guard(events, vehicle, upto: int) -> bool:
-    """Any compromise event for the vehicle at or before the anchor time."""
-    return _revealed(_COMPROMISES, events, vehicle, upto)
-
-
-# --- per-trace predicates ---------------------------------------------------
+# --- per-trace predicates: each goal's monitor folded over the steps ----------
 
 
 def g1_witness(trace: Trace) -> bool:
     """Core messages all delivered, in order, for one consistent run."""
-    events = trace.events
-    for rep in events:
-        if rep.label != "Reported":
-            continue
-        vj, t = rep.args
-        chain = (
-            ("OsrReqMsgSentTo", lambda e: e.args[1] is vj and e.args[2] is t),
-            ("OsrReqMsgRecvBy", lambda e: e.args[0] is vj and e.args[2] is t),
-            ("OsrConfSentBy", lambda e: e.args[0] is vj and e.args[2] is t),
-            ("OsrConfAcceptedBy", lambda e: e.args[1] is vj and e.args[2] is t),
-        )
-        pos = _position_after(events, rep)
-        ok = True
-        for label, fits in chain:
-            pos = _find_from(events, pos, label, fits)
-            if pos is None:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _position_after(events, ev) -> int:
-    return events.index(ev) + 1
-
-
-def _find_from(events, start, label, fits) -> Optional[int]:
-    for i in range(start, len(events)):
-        if events[i].label == label and fits(events[i]):
-            return i + 1
-    return None
-
-
-def _accepted_without_receive(trace: Trace, guard) -> bool:
-    """An RA acceptance with no earlier matching receive by the vehicle.
-
-    guard(events, vehicle, time) excuses a vehicle compromised by then.
-    """
-    events = trace.events
-    for acc in events:
-        if acc.label != "OsrConfAcceptedBy":
-            continue
-        ra, vj, t = acc.args
-        if guard(events, vj, acc.time):
-            continue
-        got = any(
-            e.label == "OsrReqMsgRecvBy"
-            and e.args[0] is vj
-            and e.args[1] is ra
-            and e.args[2] is t
-            and e.time < acc.time
-            for e in events
-        )
-        if not got:
-            return True
-    return False
+    return monitors.holds("g1", trace.steps)
 
 
 def g2_violation(trace: Trace) -> bool:
     """Accepted confirmation with no matching receive: weak agreement broken."""
-    return _accepted_without_receive(trace, reveal_guard_weak)
+    return monitors.holds("g2", trace.steps)
 
 
 def g3_violation(trace: Trace) -> bool:
     """Commit without an earlier Running on the same message."""
-    events = trace.events
-    for acc in events:
-        if acc.label != "Commit":
-            continue
-        a, b, m = acc.args
-        if any(
-            reveal_guard_weak(events, x, acc.time) for x in (a, b) if _is_vehicle(x)
-        ):
-            continue
-        got = any(
-            e.label == "Running"
-            and e.args[0] is a
-            and e.args[1] is b
-            and e.args[2] is m
-            and e.time < acc.time
-            for e in events
-        )
-        if not got:
-            return True
-    return False
+    return monitors.holds("g3", trace.steps)
 
 
 def g4_violation(trace: Trace) -> bool:
     """Agreement plus message order: receive must precede acceptance."""
-    return g3_violation(trace) or g2_violation(trace)
+    return monitors.holds("g4", trace.steps)
 
 
 def g5_witness(trace: Trace) -> bool:
     """Revocation still confirmable after the pseudonym changed."""
-    events = trace.events
-    for rep in events:
-        if rep.label != "Reported":
-            continue
-        vj, t1 = rep.args
-        for chg in events:
-            if (
-                chg.label == "ChangePseudonymForVehicle"
-                and chg.args[0] is vj
-                and chg.args[1] is t1
-                and rep.time < chg.time
-            ):
-                for e in events:
-                    if (
-                        e.label == "OsrConfSentBy"
-                        and e.args[0] is vj
-                        and e.args[2] is t1
-                        and chg.time < e.time
-                        and not compromise_guard(events, vj, e.time)
-                    ):
-                        return True
-    return False
+    return monitors.holds("g5", trace.steps)
 
 
 def g6_violation(trace: Trace) -> bool:
     """Confirmation sent although no matching request was ever issued."""
-    events = trace.events
-    for sent in events:
-        if sent.label != "OsrConfSentBy":
-            continue
-        vj, ra, t = sent.args
-        if compromise_guard(events, vj, sent.time):
-            continue
-        got = any(
-            e.label == "OsrReqMsgSentTo"
-            and e.args[0] is ra
-            and e.args[1] is vj
-            and e.args[2] is t
-            and e.time < sent.time
-            for e in events
-        )
-        if not got:
-            return True
-    return False
+    return monitors.holds("g6", trace.steps)
 
 
 def g7_violation(trace: Trace) -> bool:
     """Acceptance by the RA although the vehicle never processed a request."""
-    return _accepted_without_receive(trace, compromise_guard)
+    return monitors.holds("g7", trace.steps)
 
 
 _PREDICATES: dict[str, Callable[[Trace], bool]] = {
@@ -302,12 +177,7 @@ def run_all(
     for g in wanted:
         v = _evaluate(g, trace_set)
         if v.evidence is not None:
-            v = replace(
-                v,
-                evidence=_minimal_prefix(
-                    v.evidence, _PREDICATES[g], spec, bounds, n_vehicles
-                ),
-            )
+            v = replace(v, evidence=_minimal_prefix(v.evidence, g))
         if g == "g5" and v.outcome == NO_WITNESS:
             v = replace(v, explanation=_explain_g5_failure(trace_set))
         v = replace(v, bounds=bounds)
@@ -322,27 +192,17 @@ def run_all(
     )
 
 
-def _minimal_prefix(
-    trace: Trace, pred, spec: ProtocolSpec, bounds: Bounds, n_vehicles: int
-) -> Trace:
-    """Shortest prefix of the trace on which the predicate already holds.
+def _minimal_prefix(trace: Trace, goal: str) -> Trace:
+    """Shortest prefix of the trace on which the goal's pattern already holds.
 
     The pattern formulas are preserved under extension, so a violating or
-    witnessing prefix stands for every continuation; the prefix is replayed
-    to obtain its own terminal state.
+    witnessing prefix stands for every continuation.  A shorter prefix has
+    no recorded terminal state: the report's replay supplies it.
     """
-    for k in range(1, len(trace.steps) + 1):
-        partial = Trace(
-            steps=trace.steps[:k],
-            terminal_state=trace.terminal_state,
-            truncated=False,
-        )
-        if pred(partial):
-            if k == len(trace.steps):
-                return trace
-            final = replay(spec, initial_state(spec, n_vehicles), partial, bounds)
-            return Trace(steps=partial.steps, terminal_state=final, truncated=False)
-    return trace
+    k = monitors.hit_length(goal, trace.steps)
+    if k is None or k == len(trace.steps):
+        return trace
+    return Trace(steps=trace.steps[:k], terminal_state=None, truncated=False)
 
 
 def _recheck_verdict(v: GoalVerdict) -> None:
@@ -359,41 +219,20 @@ def _recheck_verdict(v: GoalVerdict) -> None:
 def _explain_g5_failure(traces: TraceSet) -> str:
     """Diagnose why no revoke-after-change witness exists.
 
-    Looks for runs where the reported pseudonym was changed away and the
-    receive rule then stayed silent for the reported token.
+    Looks, in each run's G5 monitor state, for a reported pseudonym that was
+    changed away after which the receive rule stayed silent for its token.
     """
+    g5 = monitors.MONITORS["g5"]
     for trace in traces:
-        events = trace.events
-        for rep in events:
-            if rep.label != "Reported":
-                continue
-            vj, t1 = rep.args
-            changed = next(
-                (
-                    c
-                    for c in events
-                    if c.label == "ChangePseudonymForVehicle"
-                    and c.args[0] is vj
-                    and c.args[1] is t1
-                    and c.time > rep.time
-                ),
-                None,
+        pair = monitors.g5_unanswered_change(g5.fold(trace.steps))
+        if pair is not None:
+            vj, t1 = pair
+            return (
+                "no witness: CHANGE_PSEUDONYM consumed the active-pseudonym "
+                f"fact CanChange({render(vj)}, _, {render(t1)}), so rule "
+                "OSR_REQ_RECV is disabled for the reported pseudonym "
+                f"{render(t1)} and no confirmation for it can follow the change"
             )
-            if changed is None:
-                continue
-            recv_after = any(
-                e.label == "OsrConfSentBy"
-                and e.args[2] is t1
-                and e.time > changed.time
-                for e in events
-            )
-            if not recv_after:
-                return (
-                    "no witness: CHANGE_PSEUDONYM consumed the active-pseudonym "
-                    f"fact CanChange({render(vj)}, _, {render(t1)}), so rule "
-                    "OSR_REQ_RECV is disabled for the reported pseudonym "
-                    f"{render(t1)} and no confirmation for it can follow the change"
-                )
     return "no witness within bounds"
 
 

@@ -209,11 +209,8 @@ def synthesize(
     variables, as enabled_instances does for solved signer guards.
     Deterministic order: results sorted by structural term order.
     """
-    from .terms import variables
-
-    relevant = tuple(
-        sorted((v, t) for v, t in subst.items() if v in variables(pattern))
-    )
+    pvars = _vars_of(pattern)
+    relevant = tuple(sorted((v, t) for v, t in subst.items() if v in pvars))
     memo_key = ("synth", pattern, relevant, budget, fid_base)
     hit = k._memo.get(memo_key)
     if hit is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from . import __version__
 from .explorer import ReplayMismatchError, Trace, canonicalize, replay
@@ -72,8 +73,7 @@ def build_document(
         if v.mode == "all-traces" and v.outcome == NO_COUNTEREXAMPLE:
             entry["disclaimer"] = BOUNDED_DISCLAIMER
         if v.evidence is not None:
-            _check_replay(result, v.evidence)
-            entry["evidence"] = serialize_trace(v.evidence)
+            entry["evidence"] = serialize_trace(_check_replay(result, v.evidence))
             if trace_render == "msc":
                 entry["msc"] = render_msc(
                     v.evidence, agent_names(result.n_vehicles), result.spec
@@ -105,11 +105,15 @@ def build_document(
     }
 
 
-def _check_replay(result: RunResult, trace: Trace) -> None:
+def _check_replay(result: RunResult, trace: Trace) -> Trace:
+    """The trace, replayed; a minimized prefix gets its terminal state here."""
     init = initial_state(result.spec, result.n_vehicles)
     final = replay(result.spec, init, trace, result.bounds)
+    if trace.terminal_state is None:
+        return replace(trace, terminal_state=final)
     if final != trace.terminal_state:
         raise ReplayMismatchError("replayed terminal state differs from recorded one")
+    return trace
 
 
 def to_json(doc: dict) -> str:

@@ -519,8 +519,12 @@ def honest_prefix(protocol: str, upto: str = "REV_AUTH_OSR_REQ_SEND"):
 
 
 def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
-    """Every state the explorer visits, in its DFS order (leaves included)."""
-    from revlab.explorer import _children, _dedup_key
+    """Every state a history-keyed DFS visits, in its order (leaves included).
+
+    States merge only when their event histories match too, so this walks
+    more states than explore does, which merges on monitor states instead.
+    """
+    from revlab.explorer import _children, canonicalize
 
     init = initial_state(spec, n_vehicles)
     init = type(init)(
@@ -532,17 +536,17 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     )
     rules = sorted(spec.rules, key=lambda r: r.id)
     seen: set = set()
-    stack = [(init, ())]
+    stack = [(init, (), {})]
     while stack:
-        state, steps = stack.pop()
-        digest = _dedup_key(state, steps)
+        state, history, usage = stack.pop()
+        digest = f"step:{state.step}|" + canonicalize(state, history)
         if digest in seen:
             continue
         seen.add(digest)
         yield state
-        if len(steps) < bounds.max_steps:
-            for child, step in reversed(_children(state, steps, rules, bounds)):
-                stack.append((child, steps + (step,)))
+        if state.step < bounds.max_steps:
+            for child, step, used in reversed(_children(state, usage, rules, bounds)):
+                stack.append((child, history + step.events, used))
 
 
 def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:

@@ -1,10 +1,13 @@
-"""Exploration: completeness vs a dedup-free enumerator, canonical digests,
-replay, truncation, determinism."""
+"""Exploration: monitor-keyed dedup vs the unpruned search and a dedup-free
+enumerator, canonical digests, replay, truncation, determinism."""
 
 import dataclasses
 import json
 import random
+import re
 from pathlib import Path
+
+import pytest
 
 from helpers import (
     enumerate_event_seqs,
@@ -14,13 +17,17 @@ from helpers import (
     scenario,
     states_isomorphic,
 )
-from revlab import Bounds, build_protocol, explore, initial_state, replay
+from revlab import Bounds, build_protocol, explore, initial_state, monitors, recheck, replay, run_all
 from revlab.explorer import (
     ReplayMismatchError,
+    Step,
     Trace,
+    _children,
+    _dedup_key,
     canonical_events,
     canonicalize,
 )
+from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
 from revlab.protocols import agent_names
 from revlab.report import render_msc
@@ -57,42 +64,12 @@ class TestExplore:
             return True
         assert any(has_flow(t) for t in ts)
 
-    def test_matches_dedup_free_enumerator(self):
-        # small bounds keep the naive recursion tractable
-        bounds = Bounds(max_steps=7)
-        for protocol in ("plain", "rtoken"):
-            spec = build_protocol(protocol, change_enabled=True)
-            init = initial_state(spec, 1)
-            ts = explore(spec, init, bounds)
-            got = {canonical_events(t.events) for t in ts}
-            expected = enumerate_event_seqs(spec, init, bounds)
-            assert got == expected, f"{protocol}: trace sets diverge"
-
     def test_deterministic_reruns(self):
         spec = build_protocol("rtoken", change_enabled=True)
         bounds = Bounds(max_steps=8)
         a = explore(spec, initial_state(spec, 1), bounds)
         b = explore(spec, initial_state(spec, 1), bounds)
         assert [t.key() for t in a] == [t.key() for t in b]
-
-    def test_dedup_only_removes_duplicates(self):
-        from revlab.goals import run_all
-
-        for protocol in ("plain", "rtoken"):
-            spec = build_protocol(protocol, change_enabled=True)
-            bounds = Bounds(max_steps=7)
-            with_dedup = explore(spec, initial_state(spec, 1), bounds, dedup=True)
-            without = explore(spec, initial_state(spec, 1), bounds, dedup=False)
-            assert {canonical_events(t.events) for t in with_dedup} == {
-                canonical_events(t.events) for t in without
-            }
-            assert len(with_dedup) <= len(without)
-            # goal verdicts must not depend on deduplication
-            a = run_all(spec, bounds, trace_set=with_dedup).verdicts
-            b = run_all(spec, bounds, trace_set=without).verdicts
-            assert {g: v.outcome for g, v in a.items()} == {
-                g: v.outcome for g, v in b.items()
-            }
 
     def test_truncation_is_flagged(self):
         spec = build_protocol("plain")
@@ -120,9 +97,20 @@ class TestExplore:
         result, _ = scenario("otoken", change=True, reveals=True)
         assert len(result.traces) > 0
         assert result.traces.truncated_count == 0
-        reference = Path(__file__).resolve().parent.parent / "reference" / "otoken.json"
-        expected = json.loads(reference.read_text(encoding="utf-8"))["verdicts"]
-        assert outcomes(result) == expected
+        assert outcomes(result) == _reference("otoken")
+
+    def test_rtoken_reveals_complete_at_default_bounds(self):
+        result, _ = scenario("rtoken", change=True, reveals=True)
+        assert len(result.traces) > 0
+        assert result.traces.truncated_count == 0
+        assert outcomes(result) == _reference("rtoken")
+
+    def test_two_vehicles_complete_at_default_bounds(self):
+        spec = build_protocol("rtoken", change_enabled=True)
+        result = run_all(spec, Bounds(), n_vehicles=2)
+        assert len(result.traces) > 0
+        assert result.traces.truncated_count == 0
+        assert outcomes(result) == _reference("rtoken")
 
     def test_prefix_closure_via_replay(self):
         spec = build_protocol("plain")
@@ -162,6 +150,122 @@ class TestExplore:
         )
         with pytest.raises(ReplayMismatchError):
             replay(spec, init, tampered, bounds)
+
+
+# (protocol, reveals, vehicles, max_steps).  At 7 steps every witness and
+# counterexample of the default-bound matrices is found, with one vehicle or
+# two.  Two vehicles with reveals stop at 6 steps (rtoken's forgeries are
+# found there already): at 7 the unpruned search alone visits ~25,000 states.
+GATE = [
+    (protocol, reveals, vehicles, 6 if reveals and vehicles == 2 else 7)
+    for protocol in ("plain", "rtoken", "otoken")
+    for reveals in (False, True)
+    for vehicles in (1, 2)
+]
+
+
+def _uncounted(explanation):
+    if explanation is None:
+        return None
+    return re.sub(r"checked \d+ maximal traces( \(\d+ truncated at the step bound\))?",
+                  "checked the maximal traces", explanation)
+
+
+def _evidence_events(verdict):
+    return None if verdict.evidence is None else canonical_events(verdict.evidence.events)
+
+
+def _profile(trace):
+    """Every goal's pattern, judged by the independent evaluator, plus truncation."""
+    return tuple(recheck.holds(g, trace.events) for g in GOAL_IDS), trace.truncated
+
+
+class TestMonitorDedup:
+    """Dedup on monitor states prunes traces; it must not change any verdict."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_equal_to_the_unpruned_search(self, protocol, reveals, vehicles, steps):
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        bounds = Bounds(max_steps=steps)
+        init = initial_state(spec, vehicles)
+        kept = explore(spec, init, bounds)
+        full = explore(spec, init, bounds, dedup=False)
+        full_events = {canonical_events(t.events) for t in full}
+        assert full_events == enumerate_event_seqs(spec, init, bounds)
+        assert {canonical_events(t.events) for t in kept} <= full_events
+        assert len(kept) < len(full)
+        a = run_all(spec, bounds, n_vehicles=vehicles, trace_set=kept).verdicts
+        b = run_all(spec, bounds, n_vehicles=vehicles, trace_set=full).verdicts
+        assert a.keys() == b.keys()
+        for goal in b:
+            assert a[goal].outcome == b[goal].outcome, goal
+            assert _evidence_events(a[goal]) == _evidence_events(b[goal]), goal
+            assert _uncounted(a[goal].explanation) == _uncounted(b[goal].explanation), goal
+        assert {_profile(t) for t in full} <= {_profile(t) for t in kept}
+        for t in full:  # the monitors judge every trace as the evaluator does
+            monitored = tuple(monitors.holds(g, t.steps) for g in GOAL_IDS)
+            assert monitored == _profile(t)[0], canonical_events(t.events)
+
+    def test_independent_steps_merge_in_either_order(self):
+        spec = build_protocol("plain")
+        setup = [("SETUP_VEHICLE", "V1"), ("SETUP_VEHICLE", "V2")]
+        one = _follow(spec, setup + [("SETUP_PSEUDONYM", "V1"), ("SETUP_PSEUDONYM", "V2")])
+        two = _follow(spec, setup + [("SETUP_PSEUDONYM", "V2"), ("SETUP_PSEUDONYM", "V1")])
+        assert _dedup_key(*one[:3]) == _dedup_key(*two[:3])
+        # the event histories differ, so a history-keyed digest kept both
+        assert canonicalize(one[0], one[3]) != canonicalize(two[0], two[3])
+
+    def test_received_and_not_received_stay_apart(self):
+        state = make_state()
+        token = pk(fresh(700))
+        ra, v1 = name("RA"), name("V1")
+        received = _event_step(Event("OsrReqMsgRecvBy", (v1, ra, token), 0))
+        other = _event_step(Event("InitVjPseudonym", (v1,), 0))
+        a = monitors.advance_all(monitors.start(), received)
+        b = monitors.advance_all(monitors.start(), other)
+        assert _dedup_key(state, a, {}) != _dedup_key(state, b, {})
+        # the futures differ: only the second history makes an acceptance a forgery
+        accepted = _event_step(Event("OsrConfAcceptedBy", (ra, v1, token), 1))
+        g2 = monitors.MONITORS["g2"]
+        assert not g2.holds(g2.fold([received, accepted]))
+        assert g2.holds(g2.fold([other, accepted]))
+
+
+def _follow(spec, picks):
+    """Fire the named rule for the named vehicle in turn, from the initial state.
+
+    Returns the state, monitor states, budget usage and event history.
+    """
+    bounds = Bounds()
+    rules = sorted(spec.rules, key=lambda r: r.id)
+    state = initial_state(spec, 2)
+    watch, usage, history = monitors.start(), {}, ()
+    for rule_id, vehicle in picks:
+        state, step, usage = next(
+            c
+            for c in _children(state, usage, rules, bounds)
+            if c[1].rule_id == rule_id and dict(c[1].binding)["Vj"] is name(vehicle)
+        )
+        watch = monitors.advance_all(watch, step)
+        history += step.events
+    return state, watch, usage, history
+
+
+def _event_step(event):
+    return Step(
+        rule_id="FIXTURE",
+        binding=(),
+        inputs=(),
+        input_synthesized=(),
+        input_derivations=(),
+        generated=(),
+        events=(event,),
+    )
+
+
+def _reference(protocol):
+    path = Path(__file__).resolve().parent.parent / "reference" / f"{protocol}.json"
+    return json.loads(path.read_text(encoding="utf-8"))["verdicts"]
 
 
 class TestBounds:

@@ -9,15 +9,17 @@ from revlab.goals import (
     COUNTEREXAMPLE_FOUND,
     NO_COUNTEREXAMPLE,
     NO_WITNESS,
+    GOAL_IDS,
     WITNESS_FOUND,
     _evaluate,
+    _explain_g5_failure,
     applicable_goals,
     g2_violation,
     g5_witness,
 )
 from revlab.explorer import Step
 from revlab.rewriting import Event
-from revlab.terms import fresh, name, pk
+from revlab.terms import fresh, name, pk, render
 from revlab import recheck
 
 
@@ -146,6 +148,153 @@ class TestFixtureTraces:
                 from revlab.goals import _PREDICATES
 
                 assert _PREDICATES[goal](t) == recheck.holds(goal, t.events)
+
+
+V2 = name("V2")
+M = name("M")
+
+# Timing edge cases, one step each.  Expected: whether g1..g7 hold (1 = the
+# pattern occurs), as the event predicates the monitors replaced judged them.
+TIMING_FIXTURES = {
+    "receive at the accept's timepoint is not earlier": (
+        "0101001",
+        [("OsrReqMsgRecvBy", (V1, RA, T), 0), ("OsrConfAcceptedBy", (RA, V1, T), 0)],
+    ),
+    "reveal at the accept's timepoint excuses": (
+        "0000000",
+        [("OsrConfAcceptedBy", (RA, V1, T), 0), ("RevealLtk", (V1,), 0)],
+    ),
+    "Running at the commit's timepoint is not earlier": (
+        "0011000",
+        [("Running", (RA, V1, M), 0), ("Commit", (RA, V1, M), 0)],
+    ),
+    "earlier Running": (
+        "0000000",
+        [("Running", (RA, V1, M), 0), ("Commit", (RA, V1, M), 1)],
+    ),
+    "revealed committer": (
+        "0000000",
+        [("Commit", (V1, RA, M), 1), ("RevealSKPSi", (V1,), 1)],
+    ),
+    "request at the confirmation's timepoint is not earlier": (
+        "0000010",
+        [("OsrReqMsgSentTo", (RA, V1, T), 0), ("OsrConfSentBy", (V1, RA, T), 0)],
+    ),
+    "compromise at the confirmation's timepoint excuses": (
+        "0000000",
+        [("OsrConfSentBy", (V1, RA, T), 0), ("VehicleCompromised", (V1,), 0)],
+    ),
+    "G1 chain within one timepoint, in position order": (
+        "1101011",
+        [
+            ("Reported", (V1, T), 0),
+            ("OsrReqMsgSentTo", (RA, V1, T), 0),
+            ("OsrReqMsgRecvBy", (V1, RA, T), 0),
+            ("OsrConfSentBy", (V1, RA, T), 0),
+            ("OsrConfAcceptedBy", (RA, V1, T), 0),
+        ],
+    ),
+    "G1 chain out of position order": (
+        "0101011",
+        [
+            ("Reported", (V1, T), 0),
+            ("OsrReqMsgSentTo", (RA, V1, T), 0),
+            ("OsrReqMsgRecvBy", (V1, RA, T), 0),
+            ("OsrConfAcceptedBy", (RA, V1, T), 0),
+            ("OsrConfSentBy", (V1, RA, T), 0),
+        ],
+    ),
+    "G1 chain across a repeated report": (
+        "1000000",
+        [
+            ("Reported", (V1, T), 0),
+            ("OsrReqMsgSentTo", (RA, V1, T), 1),
+            ("Reported", (V1, T), 2),
+            ("OsrReqMsgRecvBy", (V1, RA, T), 3),
+            ("OsrConfSentBy", (V1, RA, T), 4),
+            ("OsrConfAcceptedBy", (RA, V1, T), 5),
+        ],
+    ),
+    "G1 request to another vehicle": (
+        "0000010",
+        [
+            ("Reported", (V1, T), 0),
+            ("OsrReqMsgSentTo", (RA, V2, T), 1),
+            ("OsrReqMsgRecvBy", (V1, RA, T), 3),
+            ("OsrConfSentBy", (V1, RA, T), 4),
+            ("OsrConfAcceptedBy", (RA, V1, T), 5),
+        ],
+    ),
+    "change at the report's timepoint": (
+        "0000010",
+        [
+            ("Reported", (V1, T), 0),
+            ("ChangePseudonymForVehicle", (V1, T, T2), 0),
+            ("OsrConfSentBy", (V1, RA, T), 1),
+        ],
+    ),
+    "confirmation at the change's timepoint": (
+        "0000010",
+        [
+            ("Reported", (V1, T), 0),
+            ("ChangePseudonymForVehicle", (V1, T, T2), 1),
+            ("OsrConfSentBy", (V1, RA, T), 1),
+        ],
+    ),
+    "report, change, confirmation": (
+        "0000110",
+        [
+            ("Reported", (V1, T), 0),
+            ("ChangePseudonymForVehicle", (V1, T, T2), 1),
+            ("OsrConfSentBy", (V1, RA, T), 2),
+        ],
+    ),
+    "compromised at the confirmation": (
+        "0000000",
+        [
+            ("Reported", (V1, T), 0),
+            ("ChangePseudonymForVehicle", (V1, T, T2), 1),
+            ("OsrConfSentBy", (V1, RA, T), 2),
+            ("VehicleCompromised", (V1,), 2),
+        ],
+    ),
+    "compromised after the confirmation": (
+        "0000110",
+        [
+            ("Reported", (V1, T), 0),
+            ("ChangePseudonymForVehicle", (V1, T, T2), 1),
+            ("OsrConfSentBy", (V1, RA, T), 2),
+            ("VjSKPSiReveal", (V1,), 3),
+        ],
+    ),
+}
+
+
+class TestTiming:
+    @pytest.mark.parametrize("case", sorted(TIMING_FIXTURES))
+    def test_monitors_keep_the_predicates_timing(self, case):
+        from revlab.goals import _PREDICATES
+
+        expected, rows = TIMING_FIXTURES[case]
+        t = mk_trace(*(ev(label, *args, time=time) for label, args, time in rows))
+        got = "".join(str(int(_PREDICATES[g](t))) for g in GOAL_IDS)
+        assert got == expected
+        assert got == "".join(str(int(recheck.holds(g, t.events))) for g in GOAL_IDS)
+
+    def test_g5_diagnosis_reads_the_monitor(self):
+        changed = [
+            ev("Reported", V1, T, time=0),
+            ev("ChangePseudonymForVehicle", V1, T, T2, time=1),
+        ]
+        silent = _explain_g5_failure(mk_traceset(mk_trace(*changed)))
+        assert f"CanChange(V1, _, {render(T)})" in silent
+        answered = mk_trace(*changed, ev("OsrConfSentBy", V2, RA, T, time=2))
+        assert _explain_g5_failure(mk_traceset(answered)) == "no witness within bounds"
+        # a change at the report's own timepoint does not follow the report
+        same_time = mk_trace(
+            ev("Reported", V1, T, time=0), ev("ChangePseudonymForVehicle", V1, T, T2, time=0)
+        )
+        assert _explain_g5_failure(mk_traceset(same_time)) == "no witness within bounds"
 
 
 class TestApplicability:
