@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .explorer import Bounds, Trace, TraceSet, canonicalize, explore, replay
+from .explorer import Bounds, Trace, TraceSet, canonicalize, digest, explore, replay
 from .goals import GoalVerdict, RunResult, run_all
 from .knowledge import Knowledge, can_derive, gen_fresh, observe
 from .protocols import ProtocolSpec, build_protocol, initial_state
@@ -25,6 +25,7 @@ __all__ = [
     "build_protocol",
     "can_derive",
     "canonicalize",
+    "digest",
     "enabled_instances",
     "explore",
     "fire",

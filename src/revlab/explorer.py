@@ -10,12 +10,19 @@ alike.  Children are expanded in Step.key order, so of the merged prefixes
 the lexicographically least is kept, and the least violating or witnessing
 trace in Trace.key order is never pruned.  Every all-traces verdict
 downstream is a bounded-exhaustive statement, never a proof.
+
+Seen states are keyed by canonicalize, an exact canonical form made of
+integers (colour refinement, then individualization where names stay tied;
+McKay & Piperno, Practical graph isomorphism II, 2014).  Its ints depend on
+the order in which shapes were first seen, so it decides equality only.
+digest renders states as canonical text for the report and the tests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, permutations
+from itertools import chain, count, permutations
 
 from . import monitors
 from .protocols import ProtocolSpec
@@ -121,18 +128,19 @@ def explore(
     init = _start_state(init, bounds)
     rules = sorted(spec.rules, key=lambda r: r.id)
     traces: list[Trace] = []
-    seen: set[str] = set()
+    seen: set[tuple] = set()
+    memo: dict = {}  # canonicalize's item rows, kept for this search only
     explored = 0
     dedup_hits = 0
     stack: list[tuple] = [(init, (), monitors.start(), {})]
     while stack:
         state, steps, watch, usage = stack.pop()
         if dedup:
-            digest = _dedup_key(state, watch, usage)
-            if digest in seen:
+            key = _dedup_key(state, watch, usage, memo)
+            if key in seen:
                 dedup_hits += 1
                 continue
-            seen.add(digest)
+            seen.add(key)
         explored += 1
         if len(steps) < bounds.max_steps:
             children = _children(state, usage, rules, bounds)
@@ -252,18 +260,19 @@ def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization: digests invariant under fresh-name bijections.
+# Digests: texts invariant under fresh-name bijections.
 
 
-# Tied groups larger than this are assigned in raw id order; realistic
-# states never produce such symmetry, and soundness (equal digest implies
-# isomorphism) is unaffected either way.
+# Tied groups larger than this are assigned in raw id order, so isomorphic
+# states with more than this many tied names can get different digests.
+# Equal digests still imply isomorphism, and dedup keys on canonicalize, so
+# such a split only changes report text.
 _GROUP_LIMIT = 6
 
 
-def canonicalize(state: SystemState, history: tuple = (), monitor=()) -> str:
-    """Canonical digest of a state, optionally with its event history and
-    monitor facts.
+def digest(state: SystemState, history: tuple = (), monitor=()) -> str:
+    """Canonical text digest of a state, optionally with its event history
+    and monitor facts.
 
     Fresh names are renamed so that two states equal modulo a fresh-name
     bijection yield the same digest; equal digests reconstruct the same
@@ -273,7 +282,8 @@ def canonicalize(state: SystemState, history: tuple = (), monitor=()) -> str:
     are ordered by iterative signature refinement: at each round the
     pending name with the least occurrence signature is fixed next, and
     names whose signatures tie are ordered by exhaustively minimizing the
-    loosely rendered digest.
+    loosely rendered digest.  The report prints it as a trace's terminal
+    digest; dedup keys on canonicalize instead.
     """
     events, base = _compile_history(history)
     sections = [
@@ -367,14 +377,136 @@ def _signature(fid: int, occurrences, renaming: dict) -> tuple:
     return tuple(sorted(section + ":" + _assemble(c, slot) for section, c in occurrences))
 
 
-def _dedup_key(state: SystemState, watch: tuple, usage: dict) -> str:
+# ---------------------------------------------------------------------------
+# Dedup keys: exact canonical forms of integers, by colour refinement.
+
+
+# A shape with k fresh names takes k + 1 ids: its own, then the slot ids
+# of its k positions.
+_ids = count()
+_shapes: dict = {}  # (section, literal parts, fresh-name pattern) -> shape id
+
+
+def canonicalize(state: SystemState, monitor=(), memo: dict | None = None) -> tuple:
+    """Exact canonical key of a state and its monitor facts, a flat int tuple.
+
+    Two keys are equal exactly when the states are at the same step, have
+    the same fresh budget and are equal modulo a fresh-name bijection that
+    also maps the monitor facts onto each other.  Each fact, knowledge term,
+    generated name and monitor fact is an item, and its shape is a small int
+    for its section, its literal text and the pattern in which its fresh
+    names repeat: (7, 3, 7) has the pattern (0, 1, 0).  A fresh name's first
+    colour is the multiset of the (shape, position) slots it fills.  Colours
+    are refined by the colours of the names they share items with until the
+    partition is stable (1-WL); while a cell is tied, each of its members is
+    individualized in turn and the least result is kept, so the result never
+    depends on fresh ids.  The key is the step, the budget, the sorted ground
+    shapes and the sorted rows (shape, colours of its names); a shape fixes
+    its row's length, so a key reads back as one state up to renaming.
+    Shape ids follow first-seen order in the process: keys are compared,
+    never printed.
+
+    memo caches each item's row per section; a caller that keys many states,
+    as a search does, passes the same dict to every call.
+    """
+    if memo is None:
+        memo = {}
+    ground = []
+    rows = []
+    for section, items in (
+        ("lin", state.linear),
+        ("per", state.persistent),
+        ("kn", state.knowledge.basis),
+        ("gen", state.knowledge.generated),
+        ("mon", monitor),
+    ):
+        known = memo.setdefault(section, {})
+        for item in items:
+            row = known.get(item)
+            if row is None:
+                row = known[item] = _item(section, item)
+            if row[1]:
+                rows.append(row)
+            else:
+                ground.append(row[0])
+    filled: dict = {}
+    for shape, fids in rows:
+        for slot, fid in enumerate(fids, shape + 1):
+            filled.setdefault(fid, []).append(slot)
+    colour, classes = _ranked({fid: tuple(sorted(s)) for fid, s in filled.items()})
+    if classes == len(colour):
+        cert = _certificate(rows, colour)
+    else:
+        links: dict = {fid: [] for fid in colour}
+        for shape, fids in rows:
+            for slot, fid in enumerate(fids, shape + 1):
+                links[fid].append((slot, fids))
+        cert = _least_certificate(rows, links, colour, classes)
+    ground.sort()
+    return (state.step, state.knowledge.budget, *ground, *chain.from_iterable(cert))
+
+
+def _item(section: str, item) -> tuple:
+    """(shape, distinct fresh ids by first occurrence) of an item."""
+    parts, fids = _compile(item) if isinstance(item, Term) else _compile_fact(item)
+    local = tuple(dict.fromkeys(fids))
+    key = (section, parts, tuple(map(local.index, fids)))
+    shape = _shapes.get(key)
+    if shape is None:
+        shape = _shapes[key] = next(_ids)
+        for _ in local:
+            next(_ids)
+    return shape, fids if len(local) == len(fids) else local
+
+
+def _ranked(signatures: dict) -> tuple:
+    """Each name's rank among the distinct signatures, and their number."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
+    return {fid: rank[sig] for fid, sig in signatures.items()}, len(rank)
+
+
+def _certificate(rows, colour) -> list:
+    """The sorted rows (shape, colours of its names) under a discrete colouring."""
+    return sorted((shape, *map(colour.__getitem__, fids)) for shape, fids in rows)
+
+
+def _least_certificate(rows, links, colour: dict, classes: int) -> list:
+    """The least certificate over every individualization below this colouring.
+
+    links maps each name to its (slot, names of the item) occurrences.
+    """
+    while True:  # refine to a stable partition
+        colour, refined = _ranked({
+            fid: (colour[fid], tuple(sorted(
+                (slot, tuple(map(colour.__getitem__, fids))) for slot, fids in occ
+            )))
+            for fid, occ in links.items()
+        })
+        if refined == classes:
+            break
+        classes = refined
+    if classes == len(colour):
+        return _certificate(rows, colour)
+    sizes = Counter(colour.values())
+    cell = min(c for c, n in sizes.items() if n > 1)
+    # individualizing fid: it alone keeps the lower half of its cell's colour
+    return min(
+        _least_certificate(
+            rows, links, {f: 2 * k + (f != fid) for f, k in colour.items()}, classes + 1
+        )
+        for fid, c in colour.items()
+        if c == cell
+    )
+
+
+def _dedup_key(state: SystemState, watch: tuple, usage: dict, memo=None) -> tuple:
     """Depth, state, monitor states and budget usage, canonicalized together."""
     used = [
-        Fact(f"{rule_id}#{count}", () if value is None else (value,))
-        for (rule_id, value), count in usage.items()
+        Fact(f"{rule_id}#{fired}", () if value is None else (value,))
+        for (rule_id, value), fired in usage.items()
     ]
     facts = [*chain.from_iterable(watch), *used]
-    return f"step:{state.step}|" + canonicalize(state, monitor=facts)
+    return canonicalize(state, monitor=facts, memo=memo)
 
 
 _compiled: dict = {}  # interned term, Fact or Event -> its compiled rendering

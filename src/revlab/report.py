@@ -6,7 +6,7 @@ import json
 from dataclasses import replace
 
 from . import __version__
-from .explorer import ReplayMismatchError, Trace, canonicalize, replay
+from .explorer import ReplayMismatchError, Trace, digest, replay
 from .goals import (
     BOUNDED_DISCLAIMER,
     NO_COUNTEREXAMPLE,
@@ -48,7 +48,7 @@ def serialize_trace(trace: Trace) -> dict:
             for s in trace.steps
         ],
         "truncated": trace.truncated,
-        "terminal": canonicalize(trace.terminal_state),
+        "terminal": digest(trace.terminal_state),
     }
 
 

@@ -524,7 +524,7 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     States merge only when their event histories match too, so this walks
     more states than explore does, which merges on monitor states instead.
     """
-    from revlab.explorer import _children, canonicalize
+    from revlab.explorer import _children, digest
 
     init = initial_state(spec, n_vehicles)
     init = type(init)(
@@ -539,10 +539,10 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     stack = [(init, (), {})]
     while stack:
         state, history, usage = stack.pop()
-        digest = f"step:{state.step}|" + canonicalize(state, history)
-        if digest in seen:
+        key = f"step:{state.step}|" + digest(state, history)
+        if key in seen:
             continue
-        seen.add(digest)
+        seen.add(key)
         yield state
         if state.step < bounds.max_steps:
             for child, step, used in reversed(_children(state, usage, rules, bounds)):

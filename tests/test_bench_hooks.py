@@ -1,0 +1,41 @@
+"""The benchmark's layer hooks still find what they measure.
+
+perfbench/ wraps module attributes of revlab by name.  A renamed or removed
+attribute is reported as absent and its metrics drop out of the result line,
+so every per-layer metric that BENCHMARK.json names must come out of one
+traced run of a fast scenario.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import harness  # noqa: E402
+
+# Needs an untraced run beside the traced one.
+UNTRACED_ONLY = {"trace.overhead_s"}
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    cmd = [sys.executable, str(BENCH / "child.py"), "traced", "plain-change", "--",
+           "--protocol", "plain", "--change", "--goals", "all"]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True,
+                          cwd=ROOT, timeout=120)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit_code"] == 0
+    values = harness.layer_values(harness.combine([result]))
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    wanted = {m["name"] for m in spec["per_layer"]} - UNTRACED_ONLY
+    assert sorted(wanted - values.keys()) == []
+    stats = result["stats"]
+    assert values["explorer.canonicalize.calls"] == (
+        stats["states_explored"] + stats["dedup_hits"]
+    )

@@ -146,6 +146,20 @@ class TestMain:
         assert code == 2
         assert "verdicts" in capsys.readouterr().err
 
+    def test_failed_evidence_replay_exits_two(self, capsys, monkeypatch):
+        import revlab.report
+        from revlab.explorer import ReplayMismatchError
+
+        def diverging(*args, **kwargs):
+            raise ReplayMismatchError("step 0 (SETUP_VEHICLE) is not enabled on replay")
+
+        monkeypatch.setattr(revlab.report, "replay", diverging)
+        code = main(["--protocol", "rtoken", "--goals", "g2", "--change"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "internal invariant violation" in captured.err
+        assert captured.out == ""
+
     def test_version_flag(self, capsys):
         import pytest as _pytest
 

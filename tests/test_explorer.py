@@ -8,6 +8,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     enumerate_event_seqs,
@@ -26,13 +28,14 @@ from revlab.explorer import (
     _dedup_key,
     canonical_events,
     canonicalize,
+    digest,
 )
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
 from revlab.protocols import agent_names
 from revlab.report import render_msc
 from revlab.rewriting import Event, Fact, make_state
-from revlab.terms import fresh, name, pk, tup
+from revlab.terms import fresh, name, pk, sign, tup
 
 
 class TestExplore:
@@ -133,7 +136,7 @@ class TestExplore:
         ts = explore(spec, init, bounds)
         for trace in list(ts)[:10]:
             final = replay(spec, init, trace, bounds)
-            assert canonicalize(final) == canonicalize(trace.terminal_state)
+            assert digest(final) == digest(trace.terminal_state)
 
     def test_replay_rejects_a_swapped_input(self):
         import pytest
@@ -213,7 +216,7 @@ class TestMonitorDedup:
         two = _follow(spec, setup + [("SETUP_PSEUDONYM", "V2"), ("SETUP_PSEUDONYM", "V1")])
         assert _dedup_key(*one[:3]) == _dedup_key(*two[:3])
         # the event histories differ, so a history-keyed digest kept both
-        assert canonicalize(one[0], one[3]) != canonicalize(two[0], two[3])
+        assert digest(one[0], one[3]) != digest(two[0], two[3])
 
     def test_received_and_not_received_stay_apart(self):
         state = make_state()
@@ -229,6 +232,29 @@ class TestMonitorDedup:
         g2 = monitors.MONITORS["g2"]
         assert not g2.holds(g2.fold([received, accepted]))
         assert g2.holds(g2.fold([other, accepted]))
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_key_partition_equals_the_digest(self, protocol, reveals, vehicles, steps,
+                                             monkeypatch):
+        import revlab.explorer as ex
+
+        keyed = []
+        canonical = ex.canonicalize
+
+        def recording(state, monitor=(), memo=None):
+            key = canonical(state, monitor=monitor, memo=memo)
+            keyed.append((key, state, tuple(monitor)))
+            return key
+
+        monkeypatch.setattr(ex, "canonicalize", recording)
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        by_key, by_text = {}, {}
+        for key, state, monitor in keyed:
+            text = (state.step, digest(state, monitor=monitor))
+            assert by_key.setdefault(key, text) == text
+            assert by_text.setdefault(text, key) == key
+        assert len(by_key) < len(keyed)  # some popped states were merged
 
 
 def _follow(spec, picks):
@@ -349,14 +375,14 @@ class TestCanonicalize:
     def test_fresh_renaming_invariance(self):
         s1 = _linked_state(fresh(500), fresh(501))
         s2 = _linked_state(fresh(601), fresh(600))
-        assert canonicalize(s1) == canonicalize(s2)
+        assert digest(s1) == digest(s2)
 
     def test_digest_text_is_pinned(self):
         # The slot texts ~cN, ~? and ~# sort against each other and so
         # decide which tied name is fixed first: any change to the rendering
         # changes digests, and only these literal strings show it.
         s1 = _linked_state(fresh(500), fresh(501))
-        assert canonicalize(s1) == (
+        assert digest(s1) == (
             "budget:0|lin{F(~c1)}|per{!P((pk ~c0))}"
             "|kn{(pk ~c0);(tuple ~c1 (pk ~c0));~c1}|gen{}"
         )
@@ -374,7 +400,7 @@ class TestCanonicalize:
                 Fact("Pair", (u, v)),
             ]
         )
-        assert canonicalize(ring) == (
+        assert digest(ring) == (
             "budget:0|lin{Edge(~c0,~c1);Edge(~c1,~c2);Edge(~c2,~c0);Pair(~c3,~c4)}"
             "|per{}|kn{}|gen{}"
         )
@@ -383,14 +409,14 @@ class TestCanonicalize:
             Event("Got", (fresh(502), fresh(501)), 1),
             Event("Done", (), 2),
         )
-        digest = canonicalize(s1, history)
-        assert digest == (
+        text = digest(s1, history)
+        assert text == (
             "budget:0|ev Sent(A, (pk ~c0))@0|ev Got(~c0, ~c1)@1|ev Done()@2"
             "|lin{F(~c2)}|per{!P((pk ~c1))}"
             "|kn{(pk ~c1);(tuple ~c2 (pk ~c1));~c2}|gen{}"
         )
         events = tuple(
-            seg[len("ev "):] for seg in digest.split("|") if seg.startswith("ev ")
+            seg[len("ev "):] for seg in text.split("|") if seg.startswith("ev ")
         )
         assert canonical_events(history) == events
 
@@ -398,7 +424,7 @@ class TestCanonicalize:
         a = fresh(502)
         one = make_state(linear=[Fact("F", (a,))])
         two = make_state(linear=[Fact("F", (a,)), Fact("F", (a,))])
-        assert canonicalize(one) != canonicalize(two)
+        assert digest(one) != digest(two)
 
     def test_digest_equality_matches_isomorphism_oracle(self):
         rng = random.Random(42)
@@ -409,8 +435,102 @@ class TestCanonicalize:
                 s2 = renamed_copy(s1, rng)
             else:
                 s2 = random_small_state(rng)
-            same_digest = canonicalize(s1) == canonicalize(s2)
+            same_digest = digest(s1) == digest(s2)
             iso = states_isomorphic(s1, s2)
             assert same_digest == iso
             agree += 1
         assert agree == 300
+
+
+def _cycles(*lengths, base=7000):
+    """Edge facts forming disjoint directed cycles over fresh names."""
+    edges = []
+    for n in lengths:
+        ring = [fresh(base + i) for i in range(n)]
+        edges += [Fact("Edge", (a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+        base += n
+    return make_state(linear=edges)
+
+
+# The ring pinned in test_digest_text_is_pinned: three names that colour
+# refinement leaves tied, and a Pair whose two names it splits.
+_X, _Y, _Z, _U, _V = (fresh(i) for i in (901, 903, 902, 912, 911))
+RING = make_state(
+    linear=[
+        Fact("Edge", (_X, _Y)),
+        Fact("Edge", (_Y, _Z)),
+        Fact("Edge", (_Z, _X)),
+        Fact("Pair", (_U, _V)),
+    ]
+)
+
+
+@st.composite
+def tied_states(draw):
+    """Small states over up to six fresh names, linked by a successor permutation.
+
+    Its cycles leave names tied after colour refinement, often in cells
+    whose members no renaming maps onto each other (a 2-cycle beside a
+    3-cycle), so only individualization tells them apart.
+    """
+    n = draw(st.integers(1, 6))
+    names = [fresh(7000 + i) for i in range(n)]
+    succ = draw(st.permutations(range(n)))
+    index = st.integers(0, n - 1)
+    linear = [Fact("Edge", (names[i], names[j])) for i, j in enumerate(succ)]
+    linear += [
+        Fact("Pair", (names[i], names[j]))
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=1))
+    ]
+    persistent = [
+        Fact("Key", (names[i],), persistent=True)
+        for i in draw(st.sets(index, max_size=1))
+    ]
+    k = Knowledge(budget=draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        g = names[draw(index)]
+        k = Knowledge(basis=frozenset({g}), generated=(g,), budget=k.budget)
+    for i, j, shape in draw(st.lists(st.tuples(index, index, st.integers(0, 2)), max_size=1)):
+        a, b = names[i], names[j]
+        k = observe(k, (pk(a), tup(a, pk(b)), sign(name("A"), a))[shape])
+    return make_state(linear=linear, persistent=persistent, knowledge=k)
+
+
+class TestCanonicalKey:
+    def test_renaming_invariance_and_multiplicity(self):
+        s1 = _linked_state(fresh(500), fresh(501))
+        s2 = _linked_state(fresh(601), fresh(600))
+        assert canonicalize(s1) == canonicalize(s2)
+        assert all(type(v) is int for v in canonicalize(s1))
+        a = fresh(502)
+        one = make_state(linear=[Fact("F", (a,))])
+        two = make_state(linear=[Fact("F", (a,)), Fact("F", (a,))])
+        assert canonicalize(one) != canonicalize(two)
+        later = dataclasses.replace(one, step=one.step + 1)
+        assert canonicalize(one) != canonicalize(later)
+        assert canonicalize(one) != canonicalize(one, monitor=[Fact("g2.Seen", (a,))])
+
+    def test_refinement_ties_are_individualized(self):
+        rng = random.Random(7)
+        for state in (RING, _cycles(2, 3), _cycles(5), _cycles(3, 3)):
+            key = canonicalize(state)
+            for _ in range(10):
+                assert canonicalize(renamed_copy(state, rng)) == key
+        # every name has one in-edge and one out-edge in both: same colours
+        assert canonicalize(_cycles(2, 3)) != canonicalize(_cycles(5))
+        assert canonicalize(_cycles(3, 3)) != canonicalize(_cycles(6))
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tied_states(), tied_states(), st.randoms(use_true_random=True))
+    @example(RING, RING, random.Random(0))
+    @example(_cycles(2, 3), _cycles(5), random.Random(0))
+    def test_key_equality_is_isomorphism(self, s1, s2, rng):
+        copy = renamed_copy(s1, rng)
+        assert canonicalize(copy) == canonicalize(s1)
+        assert (canonicalize(s1) == canonicalize(s2)) == states_isomorphic(s1, s2)
+        assert (canonicalize(copy) == canonicalize(s2)) == states_isomorphic(copy, s2)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from helpers import scenario
-from revlab.explorer import Trace, canonicalize
+from revlab.explorer import Trace, digest
 from revlab.goals import BOUNDED_DISCLAIMER
 from revlab.protocols import agent_names, build_protocol
 from revlab.report import (
@@ -69,9 +69,9 @@ class TestDocument:
         goal, v = next(
             (g, v) for g, v in sorted(result.verdicts.items()) if v.evidence
         )
-        recorded = canonicalize(v.evidence.terminal_state)
+        recorded = digest(v.evidence.terminal_state)
         other = next(
-            t for t in result.traces if canonicalize(t.terminal_state) != recorded
+            t for t in result.traces if digest(t.terminal_state) != recorded
         )
         forged = dataclasses.replace(v.evidence, terminal_state=other.terminal_state)
         verdicts = dict(result.verdicts)
