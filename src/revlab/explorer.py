@@ -3,19 +3,36 @@
 Depth-first search with an explicit stack over immutable states.  Each
 stack entry carries, besides the state and its steps, every goal monitor's
 state (monitors.py) and the rule budgets used so far.  Branches reaching a
-state already seen at the same depth, equal modulo a fresh-name bijection
-that also maps the monitor states and budget usage onto each other, are
-explored once: their futures are isomorphic and every goal judges them
-alike.  Children are expanded in Step.key order, so of the merged prefixes
-the lexicographically least is kept, and the least violating or witnessing
-trace in Trace.key order is never pruned.  Every all-traces verdict
+state already seen at the same depth, equal modulo a renaming that also maps
+the monitor states and budget usage onto each other, are explored once:
+their futures are isomorphic and every goal judges them alike.  The
+renaming is a fresh-name bijection together with a permutation of the
+vehicles.  Vehicles are a scalarset (Ip & Dill, Better verification through
+symmetry, 1996): no rule names one, the initial state treats them alike and
+every monitor is symmetric in the vehicle, so a state with V1 and V2
+swapped has the mirrored futures.  explore decides once, from the initial
+state, which names are interchangeable: its vehicles, when there are two or
+more.
+
+Children are expanded in Step.key order, so DFS visits the paths of one
+depth in that order, and a merged prefix P' always has a kept prefix
+P < P'.  The continuation from P mirrored by the renaming gives a trace
+with the same goal profile, and Trace.key compares the prefix first, so
+that trace is smaller than the original.  So the least violating or
+witnessing trace in Trace.key order is never pruned, and neither is the
+first trace in which goals._explain_g5_failure finds an unanswered change,
+so its diagnosis names the same vehicle.  Every all-traces verdict
 downstream is a bounded-exhaustive statement, never a proof.
 
 Seen states are keyed by canonicalize, an exact canonical form made of
 integers (colour refinement, then individualization where names stay tied;
-McKay & Piperno, Practical graph isomorphism II, 2014).  Its ints depend on
-the order in which shapes were first seen, so it decides equality only.
-digest renders states as canonical text for the report and the tests.
+McKay & Piperno, Practical graph isomorphism II, 2014).  Leaves of the
+individualization search with equal certificates give automorphisms, and
+the search skips the members of a cell that an automorphism fixing the
+path maps onto one already tried, so k interchangeable vehicles cost about
+k leaves, not k!.  The key's ints depend on the order in which shapes were
+first seen, so it decides equality only.  digest renders states as
+canonical text, modulo fresh names only, for the report and the tests.
 """
 
 from __future__ import annotations
@@ -25,9 +42,9 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, count, permutations
 
 from . import monitors
-from .protocols import ProtocolSpec
-from .rewriting import Fact, Instance, Rule, SystemState, enabled_instances, fire
-from .terms import App, Fresh, Name, Term, Var, sort_key, substitute
+from .protocols import ProtocolSpec, is_vehicle
+from .rewriting import Fact, Instance, Rule, SystemState, enabled_instances, fire, instances
+from .terms import App, Fresh, Name, Term, Var, sort_key, substitute, subterms
 
 
 class ReplayMismatchError(ValueError):
@@ -126,6 +143,7 @@ def explore(
     flagged.  The result is sorted, so it is a pure function of the inputs.
     """
     init = _start_state(init, bounds)
+    vehicles = _interchangeable(init)
     rules = sorted(spec.rules, key=lambda r: r.id)
     traces: list[Trace] = []
     seen: set[tuple] = set()
@@ -136,7 +154,7 @@ def explore(
     while stack:
         state, steps, watch, usage = stack.pop()
         if dedup:
-            key = _dedup_key(state, watch, usage, memo)
+            key = _dedup_key(state, watch, usage, memo, vehicles)
             if key in seen:
                 dedup_hits += 1
                 continue
@@ -199,12 +217,15 @@ def _children(state, usage, rules, bounds):
 
 
 def _any_enabled(state, usage, rules, bounds) -> bool:
-    """Whether some rule instance could still fire within the rule bounds."""
+    """Whether some rule instance could still fire within the rule bounds.
+
+    Stops at the first such instance.
+    """
     return any(
         _within_rule_bounds(rule, inst, usage, bounds)
         for rule in rules
         if _within_rule_bounds(rule, None, usage, bounds)
-        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+        for inst in instances(state, rule, bounds.synthesis_depth)
     )
 
 
@@ -251,6 +272,21 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
         if tuple(e.key() for e in events) != tuple(e.key() for e in step.events):
             raise ReplayMismatchError(f"step {i} ({step.rule_id}) emitted different events")
     return state
+
+
+def _interchangeable(init: SystemState) -> frozenset:
+    """The vehicle names of the initial state when there are two or more.
+
+    No rule names a vehicle, the initial state treats them alike and every
+    monitor is symmetric in the vehicle, so dedup may permute them.  One
+    vehicle has no symmetry to use, and then the set is empty.
+    """
+    terms = chain(
+        (a for f in (*init.linear, *init.persistent) for a in f.args),
+        init.knowledge.basis,
+    )
+    found = frozenset(s for t in terms for s in subterms(t) if is_vehicle(s))
+    return found if len(found) > 1 else frozenset()
 
 
 def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
@@ -381,36 +417,45 @@ def _signature(fid: int, occurrences, renaming: dict) -> tuple:
 # Dedup keys: exact canonical forms of integers, by colour refinement.
 
 
-# A shape with k fresh names takes k + 1 ids: its own, then the slot ids
-# of its k positions.
+# A shape with k renameable names takes k + 1 ids: its own, then the slot
+# ids of its k positions.
 _ids = count()
-_shapes: dict = {}  # (section, literal parts, fresh-name pattern) -> shape id
+_shapes: dict = {}  # (section, literal parts, name pattern) -> shape id
 
 
-def canonicalize(state: SystemState, monitor=(), memo: dict | None = None) -> tuple:
+def canonicalize(
+    state: SystemState, monitor=(), memo: dict | None = None, vehicles: frozenset = frozenset()
+) -> tuple:
     """Exact canonical key of a state and its monitor facts, a flat int tuple.
 
     Two keys are equal exactly when the states are at the same step, have
-    the same fresh budget and are equal modulo a fresh-name bijection that
-    also maps the monitor facts onto each other.  Each fact, knowledge term,
+    the same fresh budget and are equal modulo a renaming that also maps the
+    monitor facts onto each other: a fresh-name bijection together with a
+    permutation of the names in vehicles (a scalarset; Ip & Dill, Better
+    verification through symmetry, 1996).  Each fact, knowledge term,
     generated name and monitor fact is an item, and its shape is a small int
-    for its section, its literal text and the pattern in which its fresh
-    names repeat: (7, 3, 7) has the pattern (0, 1, 0).  A fresh name's first
-    colour is the multiset of the (shape, position) slots it fills.  Colours
-    are refined by the colours of the names they share items with until the
-    partition is stable (1-WL); while a cell is tied, each of its members is
-    individualized in turn and the least result is kept, so the result never
-    depends on fresh ids.  The key is the step, the budget, the sorted ground
-    shapes and the sorted rows (shape, colours of its names); a shape fixes
-    its row's length, so a key reads back as one state up to renaming.
-    Shape ids follow first-seen order in the process: keys are compared,
-    never printed.
+    for its section, its literal text and the pattern in which its
+    renameable names repeat: (7, 3, 7) has the pattern (0, 1, 0), and a
+    vehicle's position is marked negative, so no slot is filled by both a
+    vehicle and a fresh name.  A name's first colour is the multiset of the
+    (shape, position) slots it fills; it carries the name's class, so
+    vehicles and fresh names start in different cells and are never mapped
+    onto each other.  Colours are refined by the colours of the names they
+    share items with until the partition is stable (1-WL); while a cell is
+    tied, its members are individualized in turn and the least result is
+    kept (_least_certificate), so the result never depends on fresh ids or
+    on which vehicle is which.  The key is the step, the budget, the sorted
+    ground shapes and the sorted rows (shape, colours of its names); a shape
+    fixes its row's length and classes, so a key reads back as one state up
+    to renaming.  Shape ids follow first-seen order in the process: keys are
+    compared, never printed.  With vehicles empty, vehicle names are
+    literal text like any other name.
 
-    memo caches each item's row per section; a caller that keys many states,
-    as a search does, passes the same dict to every call.
+    memo caches each item's row per vehicle class and section; a caller
+    that keys many states, as a search does, passes the same dict to every
+    call.
     """
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo.setdefault(vehicles, {})
     ground = []
     rows = []
     for section, items in (
@@ -424,121 +469,193 @@ def canonicalize(state: SystemState, monitor=(), memo: dict | None = None) -> tu
         for item in items:
             row = known.get(item)
             if row is None:
-                row = known[item] = _item(section, item)
+                row = known[item] = _item(section, item, vehicles)
             if row[1]:
                 rows.append(row)
             else:
                 ground.append(row[0])
     filled: dict = {}
-    for shape, fids in rows:
-        for slot, fid in enumerate(fids, shape + 1):
-            filled.setdefault(fid, []).append(slot)
-    colour, classes = _ranked({fid: tuple(sorted(s)) for fid, s in filled.items()})
+    for shape, names in rows:
+        for slot, x in enumerate(names, shape + 1):
+            filled.setdefault(x, []).append(slot)
+    colour, classes = _ranked({x: tuple(sorted(s)) for x, s in filled.items()})
     if classes == len(colour):
         cert = _certificate(rows, colour)
     else:
-        links: dict = {fid: [] for fid in colour}
-        for shape, fids in rows:
-            for slot, fid in enumerate(fids, shape + 1):
-                links[fid].append((slot, fids))
+        links: dict = {x: [] for x in colour}
+        for shape, names in rows:
+            for slot, x in enumerate(names, shape + 1):
+                links[x].append((slot, names))
         cert = _least_certificate(rows, links, colour, classes)
     ground.sort()
     return (state.step, state.knowledge.budget, *ground, *chain.from_iterable(cert))
 
 
-def _item(section: str, item) -> tuple:
-    """(shape, distinct fresh ids by first occurrence) of an item."""
-    parts, fids = _compile(item) if isinstance(item, Term) else _compile_fact(item)
-    local = tuple(dict.fromkeys(fids))
-    key = (section, parts, tuple(map(local.index, fids)))
+def _item(section: str, item, vehicles: frozenset) -> tuple:
+    """(shape, distinct renameable names by first occurrence) of an item.
+
+    A fresh name is its fid; a vehicle is its Name term.
+    """
+    compiled = _compile if isinstance(item, Term) else _compile_fact
+    parts, names = compiled(item, vehicles)
+    local = tuple(dict.fromkeys(names))
+    pattern = tuple(local.index(x) if type(x) is int else ~local.index(x) for x in names)
+    key = (section, parts, pattern)
     shape = _shapes.get(key)
     if shape is None:
         shape = _shapes[key] = next(_ids)
         for _ in local:
             next(_ids)
-    return shape, fids if len(local) == len(fids) else local
+    return shape, names if len(local) == len(names) else local
 
 
 def _ranked(signatures: dict) -> tuple:
     """Each name's rank among the distinct signatures, and their number."""
     rank = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
-    return {fid: rank[sig] for fid, sig in signatures.items()}, len(rank)
+    return {x: rank[sig] for x, sig in signatures.items()}, len(rank)
+
+
+def _refined(links, colour: dict, classes: int) -> tuple:
+    """Colours refined by their neighbours' colours until the partition is stable.
+
+    links maps each name to its (slot, names of the item) occurrences.
+    Ranks keep the order of the colours they refine.  A name alone in its
+    colour cannot be split, and its colour alone places it among the ranks,
+    so its neighbours are not read.
+    """
+    while True:
+        sizes = Counter(colour.values())
+        colour, refined = _ranked({
+            x: (c, tuple(sorted(
+                (slot, tuple(map(colour.__getitem__, names))) for slot, names in links[x]
+            ))) if sizes[c] > 1 else (c,)
+            for x, c in colour.items()
+        })
+        if refined == classes:
+            return colour, classes
+        classes = refined
 
 
 def _certificate(rows, colour) -> list:
     """The sorted rows (shape, colours of its names) under a discrete colouring."""
-    return sorted((shape, *map(colour.__getitem__, fids)) for shape, fids in rows)
+    return sorted((shape, *map(colour.__getitem__, names)) for shape, names in rows)
 
 
 def _least_certificate(rows, links, colour: dict, classes: int) -> list:
     """The least certificate over every individualization below this colouring.
 
-    links maps each name to its (slot, names of the item) occurrences.
+    The search is depth-first: at each node the colouring is refined, and
+    each member of the least tied cell is individualized in turn (it alone
+    keeps the lower half of its cell's colour).  A leaf whose certificate
+    equals an earlier leaf's gives an automorphism, the map from each name
+    of the earlier leaf to the name with the same colour in this one.  It
+    fixes the names the two paths share and maps the subtree where they part
+    onto this leaf's, so the search goes back to where they part.  A member
+    is skipped where an automorphism that fixes the path so far (or a
+    product of such) maps it onto a member already tried.  A skipped subtree
+    is the image of a searched one and holds the same certificates, so the
+    least certificate is the full search's: k interchangeable names cost
+    about k leaves instead of k!.
     """
-    while True:  # refine to a stable partition
-        colour, refined = _ranked({
-            fid: (colour[fid], tuple(sorted(
-                (slot, tuple(map(colour.__getitem__, fids))) for slot, fids in occ
-            )))
-            for fid, occ in links.items()
-        })
-        if refined == classes:
-            break
-        classes = refined
-    if classes == len(colour):
-        return _certificate(rows, colour)
-    sizes = Counter(colour.values())
-    cell = min(c for c, n in sizes.items() if n > 1)
-    # individualizing fid: it alone keeps the lower half of its cell's colour
-    return min(
-        _least_certificate(
-            rows, links, {f: 2 * k + (f != fid) for f, k in colour.items()}, classes + 1
-        )
-        for fid, c in colour.items()
-        if c == cell
-    )
+    leaves: dict = {}  # certificate -> (path, colouring) of the first leaf with it
+    automorphisms: list = []
+    least = None
+
+    def search(colour, classes, path) -> int:
+        """Search below one node; returns the depth of the node to go on at."""
+        nonlocal least
+        colour, classes = _refined(links, colour, classes)
+        if classes == len(colour):
+            cert = _certificate(rows, colour)
+            if least is None or cert < least:
+                least = cert
+            earlier = leaves.setdefault(tuple(cert), (path, colour))
+            if earlier[1] is colour:
+                return len(path)
+            named = {c: x for x, c in colour.items()}
+            automorphisms.append({x: named[c] for x, c in earlier[1].items()})
+            return next(i for i, (a, b) in enumerate(zip(earlier[0], path)) if a != b)
+        sizes = Counter(colour.values())
+        cell = min(c for c, n in sizes.items() if n > 1)
+        tried: list = []
+        for x in [x for x, c in colour.items() if c == cell]:
+            if tried and x in _orbit(tried, path, automorphisms):
+                continue
+            tried.append(x)
+            back = search(
+                {f: 2 * k + (f != x) for f, k in colour.items()}, classes + 1, (*path, x)
+            )
+            if back < len(path):
+                return back
+        return len(path)
+
+    search(colour, classes, ())
+    return least
 
 
-def _dedup_key(state: SystemState, watch: tuple, usage: dict, memo=None) -> tuple:
+def _orbit(names: list, path: tuple, automorphisms: list) -> set:
+    """The orbit of names under the automorphisms that fix every name of path."""
+    fixing = [g for g in automorphisms if all(g[x] == x for x in path)]
+    orbit = set(names)
+    todo = list(names)
+    while todo:
+        x = todo.pop()
+        for g in fixing:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _dedup_key(
+    state: SystemState, watch: tuple, usage: dict, memo=None, vehicles: frozenset = frozenset()
+) -> tuple:
     """Depth, state, monitor states and budget usage, canonicalized together."""
     used = [
         Fact(f"{rule_id}#{fired}", () if value is None else (value,))
         for (rule_id, value), fired in usage.items()
     ]
     facts = [*chain.from_iterable(watch), *used]
-    return canonicalize(state, monitor=facts, memo=memo)
+    return canonicalize(state, monitor=facts, memo=memo, vehicles=vehicles)
 
 
 _compiled: dict = {}  # interned term, Fact or Event -> its compiled rendering
+_slotted: dict = {}  # (term or Fact, names cut out as slots) -> its compiled rendering
 
 
-def _compile(t: Term) -> tuple:
-    """A term's rendering split around its fresh names: (parts, fids).
+def _compile(t: Term, slots: frozenset = frozenset()) -> tuple:
+    """A term's rendering split around its fresh names: (parts, ids).
 
-    parts has one more entry than fids; fid i is rendered between parts i
-    and i + 1, so any renaming of the fresh names is a join away.
+    parts has one more entry than ids; the name with id i is rendered
+    between parts i and i + 1, so any renaming is a join away.  A fresh
+    name's id is its fid; a name in slots is cut out too, with itself as id.
     """
-    got = _compiled.get(t)
+    memo, key = (_slotted, (t, slots)) if slots else (_compiled, t)
+    got = memo.get(key)
     if got is not None:
         return got
     if isinstance(t, Fresh):
         out = ("", ""), (t.fid,)
+    elif t in slots:
+        out = ("", ""), (t,)
     elif isinstance(t, Name):
         out = (t.label,), ()
     elif isinstance(t, Var):
         out = (f"?{t.ident}",), ()
     else:
         assert isinstance(t, App)
-        out = _compile_seq(f"({t.sym} ", t.args, " ", ")")
-    _compiled[t] = out
+        out = _compile_seq(f"({t.sym} ", t.args, " ", ")", slots)
+    memo[key] = out
     return out
 
 
-def _compile_fact(f) -> tuple:
-    got = _compiled.get(f)
+def _compile_fact(f, slots: frozenset = frozenset()) -> tuple:
+    memo, key = (_slotted, (f, slots)) if slots else (_compiled, f)
+    got = memo.get(key)
     if got is None:
         head = f"{'!' if f.persistent else ''}{f.name}("
-        got = _compiled[f] = _compile_seq(head, f.args, ",", ")")
+        got = memo[key] = _compile_seq(head, f.args, ",", ")", slots)
     return got
 
 
@@ -549,12 +666,12 @@ def _compile_event(e) -> tuple:
     return got
 
 
-def _compile_seq(head: str, terms, sep: str, tail: str) -> tuple:
+def _compile_seq(head: str, terms, sep: str, tail: str, slots=frozenset()) -> tuple:
     """Compiled head + sep.join(terms) + tail."""
     parts = [head]
-    fids: list[int] = []
+    fids: list = []
     for i, t in enumerate(terms):
-        t_parts, t_fids = _compile(t)
+        t_parts, t_fids = _compile(t, slots)
         parts[-1] += sep + t_parts[0] if i else t_parts[0]
         parts += t_parts[1:]
         fids += t_fids

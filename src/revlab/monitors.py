@@ -23,8 +23,9 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable
 
+from .protocols import is_vehicle
 from .rewriting import Fact
-from .terms import Name, sort_key
+from .terms import sort_key
 
 WEAK_REVEALS = frozenset({"RevealLtk", "RevealSKPSi"})
 COMPROMISES = WEAK_REVEALS | {"VjSKPSiReveal", "VehicleCompromised"}
@@ -69,10 +70,6 @@ class Monitor:
 
     def holds(self, state: frozenset) -> bool:
         return state is self.hit
-
-
-def _is_vehicle(agent) -> bool:
-    return isinstance(agent, Name) and agent.label.startswith("V") and agent.label[1:].isdigit()
 
 
 def _recorded(m: Monitor, kind: str, events, label: str) -> set:
@@ -199,7 +196,7 @@ MONITORS = {
         _unpreceded(
             "g3", "Commit", "Running",
             lambda a, b, msg: (a, b, msg),
-            lambda a, b, msg: [x for x in (a, b) if _is_vehicle(x)],
+            lambda a, b, msg: [x for x in (a, b) if is_vehicle(x)],
             WEAK_REVEALS,
         ),
         Monitor(

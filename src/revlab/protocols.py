@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .knowledge import Knowledge
 from .rewriting import Fact, Rule, SystemState, make_state
-from .terms import Term, name, oenc, pk, renc, rdec, odec, sign, tup, var, verify, TRUE
+from .terms import Name, Term, name, oenc, pk, renc, rdec, odec, sign, tup, var, verify, TRUE
 
 PROTOCOLS = ("plain", "rtoken", "otoken")
 
@@ -46,6 +46,11 @@ class ProtocolSpec:
 
 def vehicle_name(i: int) -> Term:
     return name(f"V{i}")
+
+
+def is_vehicle(t: Term) -> bool:
+    """Whether t is a vehicle name, V<digits> as vehicle_name writes it."""
+    return isinstance(t, Name) and t.label[:1] == "V" and t.label[1:].isdigit()
 
 
 def build_protocol(

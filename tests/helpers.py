@@ -244,26 +244,27 @@ def _state_fresh_ids(state, history=()) -> list:
     return ids
 
 
-def _rename_term(t: Term, mapping: dict) -> Term:
+def _rename_term(t: Term, mapping: dict, swap=None) -> Term:
+    """t with fresh ids renamed by mapping and names (Name terms) by swap."""
     if isinstance(t, Fresh):
         return fresh(mapping[t.fid])
     if isinstance(t, App):
-        return app(t.sym, tuple(_rename_term(a, mapping) for a in t.args))
-    return t
+        return app(t.sym, tuple(_rename_term(a, mapping, swap) for a in t.args))
+    return swap.get(t, t) if swap else t
 
 
-def _state_shape(state, mapping: dict):
+def _state_shape(state, mapping: dict, swap=None):
     from revlab.terms import sort_key
 
     def fact_rows(facts):
         rows = [
-            (f.name, tuple(_rename_term(a, mapping) for a in f.args)) for f in facts
+            (f.name, tuple(_rename_term(a, mapping, swap) for a in f.args)) for f in facts
         ]
         rows.sort(key=lambda row: (row[0], tuple(sort_key(t) for t in row[1])))
         return tuple(rows)
 
-    basis = frozenset(_rename_term(t, mapping) for t in state.knowledge.basis)
-    gen = frozenset(_rename_term(t, mapping) for t in state.knowledge.generated)
+    basis = frozenset(_rename_term(t, mapping, swap) for t in state.knowledge.basis)
+    gen = frozenset(_rename_term(t, mapping, swap) for t in state.knowledge.generated)
     return (
         fact_rows(state.linear),
         fact_rows(state.persistent),
@@ -273,17 +274,24 @@ def _state_shape(state, mapping: dict):
     )
 
 
-def states_isomorphic(s1, s2) -> bool:
-    """Exhaustive search for a fresh-name bijection mapping s1 onto s2."""
+def states_isomorphic(s1, s2, vehicles=()) -> bool:
+    """Exhaustive search for a renaming mapping s1 onto s2.
+
+    The renaming is a fresh-name bijection together with a permutation of
+    the names in vehicles (none by default).
+    """
     ids1 = _state_fresh_ids(s1)
     ids2 = _state_fresh_ids(s2)
     if len(ids1) != len(ids2):
         return False
     target = _state_shape(s2, {fid: fid for fid in ids2})
-    for perm in itertools.permutations(ids2):
-        mapping = dict(zip(ids1, perm))
-        if _state_shape(s1, mapping) == target:
-            return True
+    vehicles = list(vehicles)
+    for order in itertools.permutations(vehicles):
+        swap = dict(zip(vehicles, order))
+        for perm in itertools.permutations(ids2):
+            mapping = dict(zip(ids1, perm))
+            if _state_shape(s1, mapping, swap) == target:
+                return True
     return False
 
 
@@ -360,27 +368,55 @@ def random_small_state(rng):
     return make_state(linear=linear, persistent=persistent, knowledge=k)
 
 
-def renamed_copy(state, rng):
+def renamed_copy(state, rng, vehicles=()):
+    """state with its fresh names renamed at random, and its vehicles permuted."""
+    ids = sorted({f.fid for f in _all_fresh(state)})
+    new_ids = rng.sample(range(8000, 8100), len(ids))
+    vehicles = list(vehicles)
+    swap = dict(zip(vehicles, rng.sample(vehicles, len(vehicles))))
+    return _renamed(state, dict(zip(ids, new_ids)), swap)
+
+
+def _renamed(state, mapping: dict, swap: dict):
     from revlab.knowledge import Knowledge
     from revlab.rewriting import make_state
 
-    ids = sorted({f.fid for f in _all_fresh(state)})
-    new_ids = rng.sample(range(8000, 8100), len(ids))
-    mapping = dict(zip(ids, new_ids))
-    linear = [
-        Fact(f.name, tuple(_rename_term(a, mapping) for a in f.args), f.persistent)
-        for f in state.linear
-    ]
-    persistent = [
-        Fact(f.name, tuple(_rename_term(a, mapping) for a in f.args), f.persistent)
-        for f in state.persistent
-    ]
     k = Knowledge(
-        basis=frozenset(_rename_term(t, mapping) for t in state.knowledge.basis),
-        generated=tuple(_rename_term(t, mapping) for t in state.knowledge.generated),
+        basis=frozenset(_rename_term(t, mapping, swap) for t in state.knowledge.basis),
+        generated=tuple(_rename_term(t, mapping, swap) for t in state.knowledge.generated),
         budget=state.knowledge.budget,
     )
-    return make_state(linear=linear, persistent=persistent, knowledge=k)
+    return make_state(
+        linear=_renamed_facts(state.linear, mapping, swap),
+        persistent=_renamed_facts(state.persistent, mapping, swap),
+        knowledge=k,
+        next_fresh=state.next_fresh,
+        step=state.step,
+    )
+
+
+def _renamed_facts(facts, mapping: dict, swap: dict) -> list:
+    return [
+        Fact(f.name, tuple(_rename_term(a, mapping, swap) for a in f.args), f.persistent)
+        for f in facts
+    ]
+
+
+def vehicle_swapped(state, swap: dict):
+    """state with its names renamed by swap (Name -> Name), fresh names kept."""
+    return _renamed(state, _Identity(), swap)
+
+
+def vehicle_swapped_facts(facts, swap: dict) -> tuple:
+    """facts with their names renamed by swap, fresh names kept."""
+    return tuple(_renamed_facts(facts, _Identity(), swap))
+
+
+class _Identity(dict):
+    """A fresh-id mapping that keeps every id."""
+
+    def __missing__(self, fid):
+        return fid
 
 
 def _all_fresh(state):

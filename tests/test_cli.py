@@ -1,11 +1,15 @@
 """Command-line front end: flag parsing, runs, exit codes, regression mode."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from revlab.cli import main, parse_config
 from revlab.explorer import Bounds
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "reference"
 
 
 def parse(argv):
@@ -112,6 +116,18 @@ class TestMain:
         )
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("protocol", ["plain", "rtoken", "otoken"])
+    def test_three_vehicle_reference_matrix(self, protocol, capsys):
+        code = main(
+            ["--protocol", protocol, "--goals", "all", "--change", "--vehicles", "3",
+             "--expect", str(REFERENCE / f"{protocol}_3v.json"),
+             "--output", "json", "--deterministic"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "expect_mismatches" not in doc
+        assert doc["stats"]["truncated_traces"] == 0
 
     def test_expect_plain_records_no_witness(self, capsys):
         code = main(

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 import re
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ from helpers import (
     renamed_copy,
     scenario,
     states_isomorphic,
+    vehicle_swapped,
+    vehicle_swapped_facts,
 )
 from revlab import Bounds, build_protocol, explore, initial_state, monitors, recheck, replay, run_all
 from revlab.explorer import (
@@ -26,13 +29,14 @@ from revlab.explorer import (
     Trace,
     _children,
     _dedup_key,
+    _interchangeable,
     canonical_events,
     canonicalize,
     digest,
 )
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
-from revlab.protocols import agent_names
+from revlab.protocols import agent_names, vehicle_name
 from revlab.report import render_msc
 from revlab.rewriting import Event, Fact, make_state
 from revlab.terms import fresh, name, pk, sign, tup
@@ -159,12 +163,15 @@ class TestExplore:
 # counterexample of the default-bound matrices is found, with one vehicle or
 # two.  Two vehicles with reveals stop at 6 steps (rtoken's forgeries are
 # found there already): at 7 the unpruned search alone visits ~25,000 states.
+# Three vehicles, where orbit pruning has cells of three to work on, stop at
+# 7 steps too: the unpruned search visits ~18,000 states there and ~98,000
+# at 8.
 GATE = [
     (protocol, reveals, vehicles, 6 if reveals and vehicles == 2 else 7)
     for protocol in ("plain", "rtoken", "otoken")
     for reveals in (False, True)
     for vehicles in (1, 2)
-]
+] + [(protocol, False, 3, 7) for protocol in ("plain", "rtoken", "otoken")]
 
 
 def _uncounted(explanation):
@@ -241,17 +248,24 @@ class TestMonitorDedup:
         keyed = []
         canonical = ex.canonicalize
 
-        def recording(state, monitor=(), memo=None):
-            key = canonical(state, monitor=monitor, memo=memo)
+        def recording(state, monitor=(), memo=None, vehicles=frozenset()):
+            key = canonical(state, monitor=monitor, memo=memo, vehicles=vehicles)
             keyed.append((key, state, tuple(monitor)))
             return key
 
         monkeypatch.setattr(ex, "canonicalize", recording)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        names = [vehicle_name(i + 1) for i in range(vehicles)]
+        swaps = [dict(zip(names, order)) for order in permutations(names)]
         by_key, by_text = {}, {}
         for key, state, monitor in keyed:
-            text = (state.step, digest(state, monitor=monitor))
+            # the least digest over the vehicle permutations: equal exactly
+            # when the states are equal up to fresh names and vehicles
+            text = (state.step, min(
+                digest(vehicle_swapped(state, swap), monitor=vehicle_swapped_facts(monitor, swap))
+                for swap in swaps
+            ))
             assert by_key.setdefault(key, text) == text
             assert by_text.setdefault(text, key) == key
         assert len(by_key) < len(keyed)  # some popped states were merged
@@ -465,36 +479,65 @@ RING = make_state(
 )
 
 
+# The names the key may permute in TestCanonicalKey.
+VEHICLES = frozenset(vehicle_name(i) for i in (1, 2, 3))
+
+
 @st.composite
 def tied_states(draw):
-    """Small states over up to six fresh names, linked by a successor permutation.
+    """Small states over up to six fresh names, linked by a successor
+    permutation, and up to three of the vehicles V1..V3.
 
     Its cycles leave names tied after colour refinement, often in cells
     whose members no renaming maps onto each other (a 2-cycle beside a
-    3-cycle), so only individualization tells them apart.
+    3-cycle), so only individualization tells them apart.  Each vehicle is
+    known to the adversary and owns one fresh name, so the vehicles are tied
+    after the first colouring and stay tied while the names they own are.
     """
     n = draw(st.integers(1, 6))
     names = [fresh(7000 + i) for i in range(n)]
     succ = draw(st.permutations(range(n)))
     index = st.integers(0, n - 1)
+    vehicles = [vehicle_name(i) for i in sorted(draw(st.sets(st.integers(1, 3))))]
     linear = [Fact("Edge", (names[i], names[j])) for i, j in enumerate(succ)]
     linear += [
         Fact("Pair", (names[i], names[j]))
         for i, j in draw(st.lists(st.tuples(index, index), max_size=1))
     ]
+    linear += [Fact("Car", (v, names[draw(index)])) for v in vehicles]
     persistent = [
         Fact("Key", (names[i],), persistent=True)
         for i in draw(st.sets(index, max_size=1))
     ]
-    k = Knowledge(budget=draw(st.integers(0, 1)))
+    k = Knowledge(basis=frozenset(vehicles), budget=draw(st.integers(0, 1)))
     if draw(st.booleans()):
         g = names[draw(index)]
-        k = Knowledge(basis=frozenset({g}), generated=(g,), budget=k.budget)
-    for i, j, shape in draw(st.lists(st.tuples(index, index, st.integers(0, 2)), max_size=1)):
+        k = Knowledge(basis=k.basis | {g}, generated=(g,), budget=k.budget)
+    shapes = st.integers(0, 2 + len(vehicles))
+    for i, j, shape in draw(st.lists(st.tuples(index, index, shapes), max_size=1)):
         a, b = names[i], names[j]
-        k = observe(k, (pk(a), tup(a, pk(b)), sign(name("A"), a))[shape])
+        terms = (pk(a), tup(a, pk(b)), sign(name("A"), a), *(tup(v, pk(a)) for v in vehicles))
+        k = observe(k, terms[shape])
     return make_state(linear=linear, persistent=persistent, knowledge=k)
 
+
+def _owned(cycle: int, owners, vehicles=(1, 2)):
+    """A directed cycle of fresh names; vehicle i owns the owners[i]-th name."""
+    state = _cycles(cycle)
+    cars = [Fact("Car", (vehicle_name(v), fresh(7000 + o))) for v, o in zip(vehicles, owners)]
+    return make_state(
+        linear=[*state.linear, *cars],
+        knowledge=Knowledge(basis=frozenset(vehicle_name(v) for v in vehicles)),
+    )
+
+
+# Refinement leaves both the vehicles and the fresh names tied: V1 and V2
+# own the two names of a 2-cycle.
+TWINS = _owned(2, (0, 1))
+# Three vehicles own one name each of a 3-cycle: only the rotations are
+# automorphisms, so orbit pruning must not take the cell for one orbit
+# under S3.
+TRIPLETS = _owned(3, (0, 1, 2), vehicles=(1, 2, 3))
 
 class TestCanonicalKey:
     def test_renaming_invariance_and_multiplicity(self):
@@ -520,6 +563,40 @@ class TestCanonicalKey:
         assert canonicalize(_cycles(2, 3)) != canonicalize(_cycles(5))
         assert canonicalize(_cycles(3, 3)) != canonicalize(_cycles(6))
 
+    def test_vehicles_are_renamed_among_themselves_only(self):
+        a, b = fresh(7000), fresh(7001)
+        v1, v2 = vehicle_name(1), vehicle_name(2)
+        both = frozenset({v1, v2})
+
+        def cars(x, y):
+            return make_state(linear=[Fact("Car", (x, a)), Fact("Car", (y, b)), Fact("Key", (a,))])
+
+        assert canonicalize(cars(v1, v2), vehicles=both) == canonicalize(cars(v2, v1), vehicles=both)
+        assert canonicalize(cars(v1, v2)) != canonicalize(cars(v2, v1))
+        # a vehicle never stands in for a fresh name, nor a fresh name for it
+        owned = make_state(linear=[Fact("Car", (v1, a))])
+        paired = make_state(linear=[Fact("Car", (b, a))])
+        assert canonicalize(owned, vehicles=both) != canonicalize(paired, vehicles=both)
+        assert canonicalize(TWINS, vehicles=both) == canonicalize(_owned(2, (1, 0)), vehicles=both)
+        assert canonicalize(TWINS, vehicles=both) != canonicalize(_owned(2, (0, 0)), vehicles=both)
+
+    def test_orbit_pruning_keeps_the_key_canonical(self):
+        # In 2+2+3 cycles refinement leaves all seven names in one cell, and
+        # once one 2-cycle is fixed, the other 2-cycle's names and the
+        # 3-cycle's stay tied: two leaves that differ only in how that
+        # 2-cycle was entered are equal, and the search must go back only to
+        # where their paths part, where the 3-cycle's names are still to try.
+        rng = random.Random(7)
+        for state in (TWINS, TRIPLETS, _cycles(2, 2, 3)):
+            key = canonicalize(state, vehicles=VEHICLES)
+            for _ in range(20):
+                assert canonicalize(renamed_copy(state, rng, VEHICLES), vehicles=VEHICLES) == key
+
+    def test_only_two_or_more_vehicles_are_interchangeable(self):
+        spec = build_protocol("rtoken", change_enabled=True)
+        assert _interchangeable(initial_state(spec, 1)) == frozenset()
+        assert _interchangeable(initial_state(spec, 3)) == VEHICLES
+
     @settings(
         max_examples=400,
         deadline=None,
@@ -529,8 +606,16 @@ class TestCanonicalKey:
     @given(tied_states(), tied_states(), st.randoms(use_true_random=True))
     @example(RING, RING, random.Random(0))
     @example(_cycles(2, 3), _cycles(5), random.Random(0))
+    @example(TWINS, _owned(2, (0, 0)), random.Random(0))
+    @example(TRIPLETS, _owned(3, (0, 2, 1), vehicles=(1, 2, 3)), random.Random(0))
     def test_key_equality_is_isomorphism(self, s1, s2, rng):
-        copy = renamed_copy(s1, rng)
-        assert canonicalize(copy) == canonicalize(s1)
-        assert (canonicalize(s1) == canonicalize(s2)) == states_isomorphic(s1, s2)
-        assert (canonicalize(copy) == canonicalize(s2)) == states_isomorphic(copy, s2)
+        """Keys are equal exactly when a renaming of fresh names and
+        vehicles maps one state onto the other."""
+
+        def key(state):
+            return canonicalize(state, vehicles=VEHICLES)
+
+        copy = renamed_copy(s1, rng, VEHICLES)
+        assert key(copy) == key(s1)
+        assert (key(s1) == key(s2)) == states_isomorphic(s1, s2, VEHICLES)
+        assert (key(copy) == key(s2)) == states_isomorphic(copy, s2, VEHICLES)
