@@ -11,8 +11,8 @@ vehicles.  Vehicles are a scalarset (Ip & Dill, Better verification through
 symmetry, 1996): no rule names one, the initial state treats them alike and
 every monitor is symmetric in the vehicle, so a state with V1 and V2
 swapped has the mirrored futures.  explore decides once, from the initial
-state, which names are interchangeable: its vehicles, when there are two or
-more.
+state and the rules, which names are interchangeable: its vehicles, when
+there are two or more and no rule names one.
 
 Children are expanded in Step.key order, so DFS visits the paths of one
 depth in that order, and a merged prefix P' always has a kept prefix
@@ -26,13 +26,13 @@ downstream is a bounded-exhaustive statement, never a proof.
 
 Seen states are keyed by canonicalize, an exact canonical form made of
 integers (colour refinement, then individualization where names stay tied;
-McKay & Piperno, Practical graph isomorphism II, 2014).  Leaves of the
-individualization search with equal certificates give automorphisms, and
-the search skips the members of a cell that an automorphism fixing the
-path maps onto one already tried, so k interchangeable vehicles cost about
-k leaves, not k!.  The key's ints depend on the order in which shapes were
-first seen, so it decides equality only.  digest renders states as
-canonical text, modulo fresh names only, for the report and the tests.
+McKay & Piperno, Practical graph isomorphism II, 2014).  The search has
+no automorphism pruning: the cells it meets are nearly all pairs, which
+pruning cannot shrink (rtoken with three vehicles: 937 tied pairs and 11
+tied triples in one search).  The key's ints depend on the order in which
+shapes were first seen, so it decides equality only.  digest renders
+states as canonical text, modulo fresh names only, for the report and the
+tests.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from itertools import chain, count, permutations
 
 from . import monitors
 from .protocols import ProtocolSpec, is_vehicle
-from .rewriting import Fact, Instance, Rule, SystemState, enabled_instances, fire, instances
+from .rewriting import Fact, Instance, Rule, SystemState, enabled_instances, fire
 from .terms import App, Fresh, Name, Term, Var, sort_key, substitute, subterms
 
 
@@ -143,8 +143,8 @@ def explore(
     flagged.  The result is sorted, so it is a pure function of the inputs.
     """
     init = _start_state(init, bounds)
-    vehicles = _interchangeable(init)
     rules = sorted(spec.rules, key=lambda r: r.id)
+    vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
     seen: set[tuple] = set()
     memo: dict = {}  # canonicalize's item rows, kept for this search only
@@ -217,15 +217,12 @@ def _children(state, usage, rules, bounds):
 
 
 def _any_enabled(state, usage, rules, bounds) -> bool:
-    """Whether some rule instance could still fire within the rule bounds.
-
-    Stops at the first such instance.
-    """
+    """Whether some rule instance could still fire within the rule bounds."""
     return any(
         _within_rule_bounds(rule, inst, usage, bounds)
         for rule in rules
         if _within_rule_bounds(rule, None, usage, bounds)
-        for inst in instances(state, rule, bounds.synthesis_depth)
+        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
     )
 
 
@@ -274,19 +271,34 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
     return state
 
 
-def _interchangeable(init: SystemState) -> frozenset:
-    """The vehicle names of the initial state when there are two or more.
+def _interchangeable(init: SystemState, rules) -> frozenset:
+    """The vehicle names of the initial state when dedup may permute them.
 
-    No rule names a vehicle, the initial state treats them alike and every
-    monitor is symmetric in the vehicle, so dedup may permute them.  One
-    vehicle has no symmetry to use, and then the set is empty.
+    Permuting is sound when no rule names a vehicle, the initial state
+    treats them alike and every monitor is symmetric in the vehicle.  The
+    monitors are, and the rules are checked here: a rule that names a
+    vehicle empties the set.  One vehicle has no symmetry to use, and then
+    the set is empty too.
     """
     terms = chain(
         (a for f in (*init.linear, *init.persistent) for a in f.args),
         init.knowledge.basis,
     )
     found = frozenset(s for t in terms for s in subterms(t) if is_vehicle(s))
-    return found if len(found) > 1 else frozenset()
+    if len(found) < 2 or any(
+        is_vehicle(s) for rule in rules for t in _rule_terms(rule) for s in subterms(t)
+    ):
+        return frozenset()
+    return found
+
+
+def _rule_terms(rule: Rule):
+    """Every term pattern a rule is written with."""
+    yield from (a for f in (*rule.premises, *rule.conclusions) for a in f.args)
+    yield from chain.from_iterable(rule.guards)
+    yield from (a for _, args in rule.events for a in args)
+    yield from rule.network_in
+    yield from rule.network_out
 
 
 def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
@@ -451,11 +463,12 @@ def canonicalize(
     compared, never printed.  With vehicles empty, vehicle names are
     literal text like any other name.
 
-    memo caches each item's row per vehicle class and section; a caller
-    that keys many states, as a search does, passes the same dict to every
-    call.
+    memo caches each item's row per section; a caller that keys many
+    states, as a search does, passes the same dict to every call with the
+    same vehicles.
     """
-    memo = {} if memo is None else memo.setdefault(vehicles, {})
+    if memo is None:
+        memo = {}
     ground = []
     rows = []
     for section, items in (
@@ -544,68 +557,22 @@ def _certificate(rows, colour) -> list:
 def _least_certificate(rows, links, colour: dict, classes: int) -> list:
     """The least certificate over every individualization below this colouring.
 
-    The search is depth-first: at each node the colouring is refined, and
-    each member of the least tied cell is individualized in turn (it alone
-    keeps the lower half of its cell's colour).  A leaf whose certificate
-    equals an earlier leaf's gives an automorphism, the map from each name
-    of the earlier leaf to the name with the same colour in this one.  It
-    fixes the names the two paths share and maps the subtree where they part
-    onto this leaf's, so the search goes back to where they part.  A member
-    is skipped where an automorphism that fixes the path so far (or a
-    product of such) maps it onto a member already tried.  A skipped subtree
-    is the image of a searched one and holds the same certificates, so the
-    least certificate is the full search's: k interchangeable names cost
-    about k leaves instead of k!.
+    At each node the colouring is refined, and each member of the least
+    tied cell is individualized in turn.
     """
-    leaves: dict = {}  # certificate -> (path, colouring) of the first leaf with it
-    automorphisms: list = []
-    least = None
-
-    def search(colour, classes, path) -> int:
-        """Search below one node; returns the depth of the node to go on at."""
-        nonlocal least
-        colour, classes = _refined(links, colour, classes)
-        if classes == len(colour):
-            cert = _certificate(rows, colour)
-            if least is None or cert < least:
-                least = cert
-            earlier = leaves.setdefault(tuple(cert), (path, colour))
-            if earlier[1] is colour:
-                return len(path)
-            named = {c: x for x, c in colour.items()}
-            automorphisms.append({x: named[c] for x, c in earlier[1].items()})
-            return next(i for i, (a, b) in enumerate(zip(earlier[0], path)) if a != b)
-        sizes = Counter(colour.values())
-        cell = min(c for c, n in sizes.items() if n > 1)
-        tried: list = []
-        for x in [x for x, c in colour.items() if c == cell]:
-            if tried and x in _orbit(tried, path, automorphisms):
-                continue
-            tried.append(x)
-            back = search(
-                {f: 2 * k + (f != x) for f, k in colour.items()}, classes + 1, (*path, x)
-            )
-            if back < len(path):
-                return back
-        return len(path)
-
-    search(colour, classes, ())
-    return least
-
-
-def _orbit(names: list, path: tuple, automorphisms: list) -> set:
-    """The orbit of names under the automorphisms that fix every name of path."""
-    fixing = [g for g in automorphisms if all(g[x] == x for x in path)]
-    orbit = set(names)
-    todo = list(names)
-    while todo:
-        x = todo.pop()
-        for g in fixing:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
+    colour, classes = _refined(links, colour, classes)
+    if classes == len(colour):
+        return _certificate(rows, colour)
+    sizes = Counter(colour.values())
+    cell = min(c for c, n in sizes.items() if n > 1)
+    # individualizing x: it alone keeps the lower half of its cell's colour
+    return min(
+        _least_certificate(
+            rows, links, {f: 2 * k + (f != x) for f, k in colour.items()}, classes + 1
+        )
+        for x, c in colour.items()
+        if c == cell
+    )
 
 
 def _dedup_key(

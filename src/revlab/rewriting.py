@@ -169,20 +169,16 @@ class Instance:
 
 
 def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> list:
-    """Every complete instantiation of rule enabled in state, sorted by key."""
-    return sorted(instances(state, rule, synthesis_budget), key=Instance.key)
-
-
-def instances(state: SystemState, rule: Rule, synthesis_budget: int):
-    """Yield the complete instantiations of rule enabled in state, unsorted.
+    """Every complete instantiation of rule enabled in state.
 
     Premises match distinct available facts (linear multiplicity respected),
     network inputs are instantiated with adversary-derivable terms within
     the synthesis budget, and all guards must normalize to equal terms.
     Signer guards are solved between premise matching and synthesis, so
     synthesis never enumerates signing keys that a guard would reject.
-    The order is deterministic; enabled_instances sorts it by key.
+    Deterministic order: sorted by instance key.
     """
+    out = []
     fresh_alloc = tuple(
         (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
         for i, ident in enumerate(rule.fresh_vars)
@@ -201,16 +197,20 @@ def instances(state: SystemState, rule: Rule, synthesis_budget: int):
             full, inputs, costs, derivs, new_names = filled
             if not _guards_hold(rule.guards, full):
                 continue
-            yield Instance(
-                rule_id=rule.id,
-                binding=tuple(sorted(full.items())),
-                consumed=consumed,
-                inputs=inputs,
-                input_costs=costs,
-                input_derivations=derivs,
-                new_names=new_names,
-                fresh_alloc=fresh_alloc,
+            out.append(
+                Instance(
+                    rule_id=rule.id,
+                    binding=tuple(sorted(full.items())),
+                    consumed=consumed,
+                    inputs=inputs,
+                    input_costs=costs,
+                    input_derivations=derivs,
+                    new_names=new_names,
+                    fresh_alloc=fresh_alloc,
+                )
             )
+    out.sort(key=Instance.key)
+    return out
 
 
 def _match_premises(state: SystemState, premises, subst=None, used=None):

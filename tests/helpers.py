@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable
 
 from revlab import Bounds, build_protocol, run_all
-from revlab.explorer import canonical_events
+from revlab.explorer import _certificate, _ranked, canonical_events
 from revlab.knowledge import Knowledge
 from revlab.protocols import initial_state
 from revlab.rewriting import Fact, enabled_instances
@@ -271,6 +272,36 @@ def _state_shape(state, mapping: dict, swap=None):
         basis,
         gen,
         state.knowledge.budget,
+    )
+
+
+def reference_least_certificate(rows, links, colour: dict, classes: int) -> list:
+    """explorer._least_certificate without shortcuts, as a reference.
+
+    Every name, alone in its colour or not, is refined by its neighbours'
+    colours each round, and every member of the least tied cell is
+    individualized.
+    """
+    while True:
+        colour, refined = _ranked({
+            x: (colour[x], tuple(sorted(
+                (slot, tuple(map(colour.__getitem__, names))) for slot, names in occ
+            )))
+            for x, occ in links.items()
+        })
+        if refined == classes:
+            break
+        classes = refined
+    if classes == len(colour):
+        return _certificate(rows, colour)
+    sizes = Counter(colour.values())
+    cell = min(c for c, n in sizes.items() if n > 1)
+    return min(
+        reference_least_certificate(
+            rows, links, {f: 2 * k + (f != x) for f, k in colour.items()}, classes + 1
+        )
+        for x, c in colour.items()
+        if c == cell
     )
 
 

@@ -16,6 +16,7 @@ from helpers import (
     enumerate_event_seqs,
     outcomes,
     random_small_state,
+    reference_least_certificate,
     renamed_copy,
     scenario,
     states_isomorphic,
@@ -38,7 +39,7 @@ from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
 from revlab.protocols import agent_names, vehicle_name
 from revlab.report import render_msc
-from revlab.rewriting import Event, Fact, make_state
+from revlab.rewriting import Event, Fact, Rule, make_state
 from revlab.terms import fresh, name, pk, sign, tup
 
 
@@ -163,9 +164,8 @@ class TestExplore:
 # counterexample of the default-bound matrices is found, with one vehicle or
 # two.  Two vehicles with reveals stop at 6 steps (rtoken's forgeries are
 # found there already): at 7 the unpruned search alone visits ~25,000 states.
-# Three vehicles, where orbit pruning has cells of three to work on, stop at
-# 7 steps too: the unpruned search visits ~18,000 states there and ~98,000
-# at 8.
+# Three vehicles, where the key may permute three names, stop at 7 steps
+# too: the unpruned search visits ~18,000 states there and ~98,000 at 8.
 GATE = [
     (protocol, reveals, vehicles, 6 if reveals and vehicles == 2 else 7)
     for protocol in ("plain", "rtoken", "otoken")
@@ -535,8 +535,8 @@ def _owned(cycle: int, owners, vehicles=(1, 2)):
 # own the two names of a 2-cycle.
 TWINS = _owned(2, (0, 1))
 # Three vehicles own one name each of a 3-cycle: only the rotations are
-# automorphisms, so orbit pruning must not take the cell for one orbit
-# under S3.
+# automorphisms, so the three vehicles are tied without being one orbit
+# under every permutation.
 TRIPLETS = _owned(3, (0, 1, 2), vehicles=(1, 2, 3))
 
 class TestCanonicalKey:
@@ -580,22 +580,47 @@ class TestCanonicalKey:
         assert canonicalize(TWINS, vehicles=both) == canonicalize(_owned(2, (1, 0)), vehicles=both)
         assert canonicalize(TWINS, vehicles=both) != canonicalize(_owned(2, (0, 0)), vehicles=both)
 
-    def test_orbit_pruning_keeps_the_key_canonical(self):
+    def test_tied_vehicles_and_names_keep_the_key_canonical(self):
         # In 2+2+3 cycles refinement leaves all seven names in one cell, and
         # once one 2-cycle is fixed, the other 2-cycle's names and the
-        # 3-cycle's stay tied: two leaves that differ only in how that
-        # 2-cycle was entered are equal, and the search must go back only to
-        # where their paths part, where the 3-cycle's names are still to try.
+        # 3-cycle's stay tied, so the search individualizes at three levels.
         rng = random.Random(7)
         for state in (TWINS, TRIPLETS, _cycles(2, 2, 3)):
             key = canonicalize(state, vehicles=VEHICLES)
             for _ in range(20):
                 assert canonicalize(renamed_copy(state, rng, VEHICLES), vehicles=VEHICLES) == key
 
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tied_states())
+    @example(RING)
+    @example(TWINS)
+    @example(TRIPLETS)
+    @example(_cycles(2, 3))
+    @example(_cycles(5))
+    @example(_cycles(3, 3))
+    @example(_cycles(2, 2, 3))
+    def test_search_equals_the_reference_search(self, state):
+        import revlab.explorer as ex
+
+        key = canonicalize(state, vehicles=VEHICLES)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "_least_certificate", reference_least_certificate)
+            assert canonicalize(state, vehicles=VEHICLES) == key
+
     def test_only_two_or_more_vehicles_are_interchangeable(self):
         spec = build_protocol("rtoken", change_enabled=True)
-        assert _interchangeable(initial_state(spec, 1)) == frozenset()
-        assert _interchangeable(initial_state(spec, 3)) == VEHICLES
+        assert _interchangeable(initial_state(spec, 1), spec.rules) == frozenset()
+        assert _interchangeable(initial_state(spec, 3), spec.rules) == VEHICLES
+
+    def test_a_rule_naming_a_vehicle_keeps_the_vehicles_apart(self):
+        spec = build_protocol("rtoken", change_enabled=True)
+        named = Rule("RevokeV1", conclusions=(Fact("Revoked", (vehicle_name(1),)),))
+        assert _interchangeable(initial_state(spec, 3), (*spec.rules, named)) == frozenset()
 
     @settings(
         max_examples=400,
