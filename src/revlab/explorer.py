@@ -24,6 +24,38 @@ first trace in which goals._explain_g5_failure finds an unanswered change,
 so its diagnosis names the same vehicle.  Every all-traces verdict
 downstream is a bounded-exhaustive statement, never a proof.
 
+Dedup mode also leaves out children that cannot reach a key first.  A twin
+is a child equal to an earlier sibling's child, in state, monitor states and
+budget usage alike: it is fired but not pushed.  An instance in the node's
+sleep set is not fired at all (Godefroid, Partial-order methods for the
+verification of concurrent systems, LNCS 1032, 1996).  Siblings are visited
+in Step.key order, and child i inherits the entries of the node's sleep set
+and of its earlier siblings, slept and twin ones included, that are
+independent of its own instance (_independent).  An instance is known across
+states by its rule, consumed facts, inputs and binding without the rule's
+fresh variables.  Two instances are independent when their consumed facts
+are disjoint, neither mints adversary names, neither has a network output
+while the other has a network input (synthesis is not known to be monotone
+in the knowledge), they do not share a budget key and not both are visible.
+A step is visible when it emits a label that some monitor reads
+(monitors.LABELS).  Monitor.advance skips a step with no label it reads and
+monitor facts carry no times, so moving an invisible step never reorders
+visible events: independent steps commute up to the dedup key.
+
+Invariant: explore returns the same traces and states_explored with these
+cuts as without them; only dedup_hits falls.  The search without them first
+reaches each key by the path that is least in Trace.key order: a path cut
+by dedup at a prefix has a kept smaller prefix, and the renamed rest of the
+path from there reaches the same key by a smaller path.  A slept or twin
+transition on a least path would likewise give a smaller path to the same
+key.  A slept instance was an earlier sibling, and so less in Step.key
+order, at an ancestor, and commutes with every step taken since; taking it
+there and the steps since after it reaches the same key.  A twin's earlier
+sibling reaches the very same child.  So no least path is cut, every key is
+first visited by the same path as before, and the leaves, truncation flags
+and evidence are all unchanged.  A node whose enabled instances are all
+slept is not a leaf: it records no trace and pushes no child.
+
 Seen states are keyed by canonicalize, an exact canonical form made of
 integers (colour refinement, then individualization where names stay tied;
 McKay & Piperno, Practical graph isomorphism II, 2014).  The search has
@@ -41,10 +73,23 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, count, permutations
 
+from . import knowledge as kn
 from . import monitors
 from .protocols import ProtocolSpec, is_vehicle
-from .rewriting import Fact, Instance, Rule, SystemState, enabled_instances, fire
-from .terms import App, Fresh, Name, Term, Var, sort_key, substitute, subterms
+from .rewriting import Fact, Instance, Rule, SystemState, _guards_hold, enabled_instances, fire
+from .terms import (
+    App,
+    Fresh,
+    Name,
+    Term,
+    Var,
+    fresh,
+    render,
+    sort_key,
+    substitute,
+    subterms,
+    variables,
+)
 
 
 class ReplayMismatchError(ValueError):
@@ -141,18 +186,23 @@ def explore(
 
     Traces hitting max_steps with enabled rules remaining are truncated and
     flagged.  The result is sorted, so it is a pure function of the inputs.
+    Without dedup, every child is pushed: the plain, unpruned search.
     """
     init = _start_state(init, bounds)
     rules = sorted(spec.rules, key=lambda r: r.id)
+    # the step-bound check asks only whether any instance exists, so rules
+    # without input synthesis go first; the answer does not depend on order
+    leaf_rules = sorted(rules, key=lambda r: bool(r.network_in))
+    flags = {rule.id: _flags(rule) for rule in rules}
     vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
     seen: set[tuple] = set()
     memo: dict = {}  # canonicalize's item rows, kept for this search only
     explored = 0
     dedup_hits = 0
-    stack: list[tuple] = [(init, (), monitors.start(), {})]
+    stack: list[tuple] = [(init, (), monitors.start(), {}, ())]
     while stack:
-        state, steps, watch, usage = stack.pop()
+        state, steps, watch, usage, sleep = stack.pop()
         if dedup:
             key = _dedup_key(state, watch, usage, memo, vehicles)
             if key in seen:
@@ -161,22 +211,27 @@ def explore(
             seen.add(key)
         explored += 1
         if len(steps) < bounds.max_steps:
-            children = _children(state, usage, rules, bounds)
+            enabled = _enabled(state, usage, rules, bounds)
             truncated = False
         else:
-            children = []
+            enabled = []
             # at the step bound: flag the leaf when rules could still fire
-            truncated = _any_enabled(state, usage, rules, bounds)
-        if not children:
+            truncated = _any_enabled(state, usage, leaf_rules, bounds)
+        if not enabled:
             traces.append(
                 Trace(steps=steps, terminal_state=state, truncated=truncated)
             )
             continue
+        if dedup:
+            children = _pruned(state, watch, usage, enabled, sleep, flags)
+        else:
+            children = [
+                (child, step, monitors.advance_all(watch, step), child_usage, ())
+                for child, step, child_usage in _children(state, usage, enabled)
+            ]
         # reversed so the lexicographically least child is expanded first
-        for child_state, step, child_usage in reversed(children):
-            stack.append(
-                (child_state, steps + (step,), monitors.advance_all(watch, step), child_usage)
-            )
+        for child, step, child_watch, child_usage, child_sleep in reversed(children):
+            stack.append((child, steps + (step,), child_watch, child_usage, child_sleep))
     traces.sort(key=Trace.key)
     return TraceSet(
         traces=tuple(traces),
@@ -186,34 +241,107 @@ def explore(
     )
 
 
-def _children(state, usage, rules, bounds):
-    """(child state, step, budget usage after it) for every instance in bounds."""
+def _enabled(state, usage, rules, bounds) -> list:
+    """(rule, instance) for every instance within the rule bounds, in Step.key order."""
+    return [
+        (rule, inst)
+        for rule in rules
+        if _within_rule_bounds(rule, None, usage, bounds)
+        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+        if _within_rule_bounds(rule, inst, usage, bounds)
+    ]
+
+
+def _child(state, usage, rule, inst) -> tuple:
+    """(child state, step, budget usage after it) of firing one instance."""
+    child, events = fire(state, rule, inst)
+    subst = inst.subst
+    step = Step(
+        rule_id=rule.id,
+        binding=inst.binding,
+        inputs=inst.inputs,
+        input_synthesized=inst.synthesized,
+        input_derivations=inst.input_derivations,
+        generated=inst.new_names,
+        events=events,
+        outputs=tuple(substitute(subst, t) for t in rule.network_out),
+        fresh_idents=tuple(ident for ident, _ in inst.fresh_alloc),
+    )
+    child_usage = usage
+    if rule.budget:
+        key = _budget_key(rule, inst)
+        child_usage = {**usage, key: usage.get(key, 0) + 1}
+    return child, step, child_usage
+
+
+def _children(state, usage, enabled) -> list:
+    """(child state, step, budget usage after it) for every (rule, instance) enabled."""
+    return [_child(state, usage, rule, inst) for rule, inst in enabled]
+
+
+def _pruned(state, watch, usage, enabled, sleep, flags) -> list:
+    """The children worth pushing: (state, step, monitor states, usage, sleep set).
+
+    Instances in the sleep set are not fired, and a twin of an earlier
+    sibling is fired but not pushed.  Each child's sleep set holds the
+    entries of sleep and of its earlier siblings, slept and twin ones
+    included, that are independent of its own instance.
+    """
+    asleep = {move.ident for move in sleep}
+    done = list(sleep)
+    twins = set()
     out = []
-    for rule in rules:
-        if not _within_rule_bounds(rule, None, usage, bounds):
+    for rule, inst in enabled:
+        move = Move(rule, inst, flags[rule.id])
+        if move.ident in asleep:
             continue
-        for inst in enabled_instances(state, rule, bounds.synthesis_depth):
-            if not _within_rule_bounds(rule, inst, usage, bounds):
-                continue
-            child, events = fire(state, rule, inst)
-            subst = inst.subst
-            step = Step(
-                rule_id=rule.id,
-                binding=inst.binding,
-                inputs=inst.inputs,
-                input_synthesized=inst.synthesized,
-                input_derivations=inst.input_derivations,
-                generated=inst.new_names,
-                events=events,
-                outputs=tuple(substitute(subst, t) for t in rule.network_out),
-                fresh_idents=tuple(ident for ident, _ in inst.fresh_alloc),
-            )
-            child_usage = usage
-            if rule.budget:
-                key = _budget_key(rule, inst)
-                child_usage = {**usage, key: usage.get(key, 0) + 1}
-            out.append((child, step, child_usage))
+        child, step, child_usage = _child(state, usage, rule, inst)
+        child_watch = monitors.advance_all(watch, step)
+        child_sleep = tuple(m for m in done if _independent(m, move))
+        done.append(move)
+        twin = (child, child_watch, frozenset(child_usage.items()))
+        if twin in twins:
+            continue
+        twins.add(twin)
+        out.append((child, step, child_watch, child_usage, child_sleep))
     return out
+
+
+class Move:
+    """An enabled instance as sleep sets see it.
+
+    ident names the instance across states: its rule, consumed facts,
+    binding without the rule's fresh variables, and inputs.  flags are the
+    rule's (receives, sends, visible), from _flags.
+    """
+
+    __slots__ = ("ident", "consumed", "budget", "mints", "receives", "sends", "visible")
+
+    def __init__(self, rule: Rule, inst: Instance, flags: tuple):
+        binding = tuple(pair for pair in inst.binding if pair[0] not in rule.fresh_vars)
+        self.ident = (rule.id, inst.consumed, binding, inst.inputs)
+        self.consumed = frozenset(inst.consumed)
+        self.budget = _budget_key(rule, inst) if rule.budget else None
+        self.mints = bool(inst.new_names)  # mints adversary names
+        self.receives, self.sends, self.visible = flags
+
+
+def _flags(rule: Rule) -> tuple:
+    """Whether a rule has a network input, has a network output, and emits
+    a label that some monitor reads."""
+    visible = any(label in monitors.LABELS for label, _ in rule.events)
+    return bool(rule.network_in), bool(rule.network_out), visible
+
+
+def _independent(a: Move, b: Move) -> bool:
+    """Whether firing a and b in either order reaches the same dedup key."""
+    return (
+        a.consumed.isdisjoint(b.consumed)
+        and not (a.mints or b.mints)
+        and not (a.sends and b.receives or a.receives and b.sends)
+        and (a.budget is None or a.budget != b.budget)
+        and not (a.visible and b.visible)
+    )
 
 
 def _any_enabled(state, usage, rules, bounds) -> bool:
@@ -249,26 +377,85 @@ def _budget_key(rule: Rule, inst: Instance | None) -> tuple:
 def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
     """Re-fire a trace's steps from the initial state; returns the final state.
 
+    Each step's instance is rebuilt from its binding and checked against
+    the state (_rebuilt), not looked up among the enabled instances.
     Raises ReplayMismatchError when any step is not reproducible, so a
     successful replay certifies the recorded steps are a valid execution.
     """
     state = _start_state(init, bounds)
     for i, step in enumerate(trace.steps):
         rule = spec.rule(step.rule_id)
-        found = next(
-            (
-                inst
-                for inst in enabled_instances(state, rule, bounds.synthesis_depth)
-                if inst.binding == step.binding and inst.inputs == step.inputs
-            ),
-            None,
-        )
-        if found is None:
-            raise ReplayMismatchError(f"step {i} ({step.rule_id}) is not enabled on replay")
-        state, events = fire(state, rule, found)
+        try:
+            inst = _rebuilt(state, rule, step, bounds.synthesis_depth)
+        except ReplayMismatchError as why:
+            raise ReplayMismatchError(
+                f"step {i} ({step.rule_id}) is not enabled on replay: {why}"
+            ) from None
+        state, events = fire(state, rule, inst)
         if tuple(e.key() for e in events) != tuple(e.key() for e in step.events):
             raise ReplayMismatchError(f"step {i} ({step.rule_id}) emitted different events")
     return state
+
+
+def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
+    """The step's instance of rule in state; ReplayMismatchError says why there is none.
+
+    The binding must bind exactly the rule's variables, its fresh ones to
+    the next fresh ids; the premises under it must be in the state, linear
+    ones as a multiset; the adversary names the step minted must be the
+    next ids; each input must be its network-input pattern under the
+    binding and derivable within depth once those names are minted; and
+    the guards must hold.
+    """
+    subst = dict(step.binding)
+    wanted = set(rule.fresh_vars)
+    for t in (*(a for p in rule.premises for a in p.args), *rule.network_in):
+        wanted |= variables(t)
+    if subst.keys() != wanted or len(subst) != len(step.binding):
+        raise ReplayMismatchError("the binding does not bind the rule's variables")
+    fresh_alloc = tuple(
+        (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
+        for i, ident in enumerate(rule.fresh_vars)
+    )
+    if any(subst[ident] is not f for ident, f in fresh_alloc):
+        raise ReplayMismatchError("fresh names drifted")
+    consumed = []
+    for p in rule.premises:
+        f = Fact(p.name, tuple(substitute(subst, a) for a in p.args), p.persistent)
+        if f.persistent and f not in state.persistent:
+            raise ReplayMismatchError(f"{f.render()} is not in the state")
+        if not f.persistent:
+            consumed.append(f)
+    if Counter(consumed) - Counter(state.linear):
+        raise ReplayMismatchError("a consumed fact is not in the state")
+    k = state.knowledge
+    for fid, f in enumerate(step.generated, state.next_fresh + len(fresh_alloc)):
+        minted = kn.gen_fresh(k, fid)
+        if minted is None or minted[1] is not f:
+            raise ReplayMismatchError("adversary names drifted")
+        k = minted[0]
+    if len(step.inputs) != len(rule.network_in):
+        raise ReplayMismatchError("wrong number of inputs")
+    derivations = []
+    for pattern, term in zip(rule.network_in, step.inputs):
+        if substitute(subst, pattern) is not term:
+            raise ReplayMismatchError(f"input {render(term)} does not match its pattern")
+        derivation = kn.can_derive(k, term, depth)
+        if derivation is None:
+            raise ReplayMismatchError(f"input {render(term)} is not derivable")
+        derivations.append(derivation)
+    if not _guards_hold(rule.guards, subst):
+        raise ReplayMismatchError("a guard fails")
+    return Instance(
+        rule_id=rule.id,
+        binding=step.binding,
+        consumed=tuple(consumed),
+        inputs=step.inputs,
+        input_costs=tuple(d.cost for d in derivations),
+        input_derivations=step.input_derivations,
+        new_names=step.generated,
+        fresh_alloc=fresh_alloc,
+    )
 
 
 def _interchangeable(init: SystemState, rules) -> frozenset:

@@ -70,7 +70,8 @@ class Knowledge:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def with_budget(self, budget: int) -> "Knowledge":
-        return replace(self, budget=budget)
+        # a fresh memo: synthesis offers a minted name only while budget is left
+        return replace(self, budget=budget, _memo={})
 
 
 def observe(k: Knowledge, t: Term) -> Knowledge:

@@ -217,6 +217,10 @@ MONITORS = {
     )
 }
 
+# Every event label some monitor reads.  A step emitting none of them
+# leaves every monitor state as it was.
+LABELS = frozenset().union(*(m.labels for m in MONITORS.values()))
+
 # G4 (agreement plus message order) holds when G3 or G2 does.
 _PARTS = {"g4": ("g3", "g2")}
 

@@ -371,6 +371,53 @@ def enumerate_event_seqs(spec, init, bounds: Bounds) -> set:
     return out
 
 
+# --- the dedup search without sleep sets or twin collapse ------------------------
+
+
+def reference_dedup_search(spec, init, bounds: Bounds) -> tuple:
+    """explore's dedup loop with every enabled child fired and pushed.
+
+    Only the dedup key prunes: no sleep set, no twin collapse.  Returns the
+    traces sorted by Trace.key, the states explored and the dedup hits.
+    """
+    from revlab import monitors
+    from revlab.explorer import (
+        Trace,
+        _any_enabled,
+        _children,
+        _dedup_key,
+        _enabled,
+        _interchangeable,
+        _start_state,
+    )
+
+    init = _start_state(init, bounds)
+    rules = sorted(spec.rules, key=lambda r: r.id)
+    vehicles = _interchangeable(init, rules)
+    traces, seen, memo = [], set(), {}
+    explored = hits = 0
+    stack = [(init, (), monitors.start(), {})]
+    while stack:
+        state, steps, watch, usage = stack.pop()
+        key = _dedup_key(state, watch, usage, memo, vehicles)
+        if key in seen:
+            hits += 1
+            continue
+        seen.add(key)
+        explored += 1
+        children, truncated = [], False
+        if len(steps) < bounds.max_steps:
+            children = _children(state, usage, _enabled(state, usage, rules, bounds))
+        else:
+            truncated = _any_enabled(state, usage, rules, bounds)
+        if not children:
+            traces.append(Trace(steps=steps, terminal_state=state, truncated=truncated))
+        for child, step, used in reversed(children):
+            stack.append((child, steps + (step,), monitors.advance_all(watch, step), used))
+    traces.sort(key=Trace.key)
+    return tuple(traces), explored, hits
+
+
 # --- random states for canonicalization checks --------------------------------
 
 
@@ -591,7 +638,7 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     States merge only when their event histories match too, so this walks
     more states than explore does, which merges on monitor states instead.
     """
-    from revlab.explorer import _children, digest
+    from revlab.explorer import _children, _enabled, digest
 
     init = initial_state(spec, n_vehicles)
     init = type(init)(
@@ -612,7 +659,8 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
         seen.add(key)
         yield state
         if state.step < bounds.max_steps:
-            for child, step, used in reversed(_children(state, usage, rules, bounds)):
+            enabled = _enabled(state, usage, rules, bounds)
+            for child, step, used in reversed(_children(state, usage, enabled)):
                 stack.append((child, history + step.events, used))
 
 

@@ -16,6 +16,7 @@ from helpers import (
     enumerate_event_seqs,
     outcomes,
     random_small_state,
+    reference_dedup_search,
     reference_least_certificate,
     renamed_copy,
     scenario,
@@ -25,11 +26,15 @@ from helpers import (
 )
 from revlab import Bounds, build_protocol, explore, initial_state, monitors, recheck, replay, run_all
 from revlab.explorer import (
+    Move,
     ReplayMismatchError,
     Step,
     Trace,
     _children,
     _dedup_key,
+    _enabled,
+    _flags,
+    _independent,
     _interchangeable,
     canonical_events,
     canonicalize,
@@ -37,10 +42,10 @@ from revlab.explorer import (
 )
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
-from revlab.protocols import agent_names, vehicle_name
+from revlab.protocols import ProtocolSpec, agent_names, vehicle_name
 from revlab.report import render_msc
-from revlab.rewriting import Event, Fact, Rule, make_state
-from revlab.terms import fresh, name, pk, sign, tup
+from revlab.rewriting import Event, Fact, Rule, enabled_instances, make_state
+from revlab.terms import fresh, name, pk, sign, tup, var
 
 
 class TestExplore:
@@ -283,7 +288,7 @@ def _follow(spec, picks):
     for rule_id, vehicle in picks:
         state, step, usage = next(
             c
-            for c in _children(state, usage, rules, bounds)
+            for c in _children(state, usage, _enabled(state, usage, rules, bounds))
             if c[1].rule_id == rule_id and dict(c[1].binding)["Vj"] is name(vehicle)
         )
         watch = monitors.advance_all(watch, step)
@@ -306,6 +311,196 @@ def _event_step(event):
 def _reference(protocol):
     path = Path(__file__).resolve().parent.parent / "reference" / f"{protocol}.json"
     return json.loads(path.read_text(encoding="utf-8"))["verdicts"]
+
+
+# The gate rows, plus two vehicles with reveals at 8 steps.
+SAME_SEARCH = GATE + [(protocol, True, 2, 8) for protocol in ("plain", "rtoken", "otoken")]
+
+
+class TestSleepSets:
+    """Sleep sets and twin collapse fire and push fewer children; the search
+    still visits every key first by the same path."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", SAME_SEARCH)
+    def test_same_search_as_without_them(self, protocol, reveals, vehicles, steps):
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        bounds = Bounds(max_steps=steps)
+        init = initial_state(spec, vehicles)
+        got = explore(spec, init, bounds)
+        traces, explored, hits = reference_dedup_search(spec, init, bounds)
+        assert got.traces == traces
+        assert got.states_explored == explored
+        assert got.dedup_hits <= hits
+
+    def test_fewer_children_reach_the_dedup_key(self):
+        spec = build_protocol("rtoken", change_enabled=True)
+        bounds = Bounds(max_steps=7)
+        init = initial_state(spec, 2)
+        _, _, hits = reference_dedup_search(spec, init, bounds)
+        assert explore(spec, init, bounds).dedup_hits < hits / 2
+
+
+def _moves(*rules, linear=(), budget=0):
+    """The Move of every instance of the rules in a state with the facts."""
+    state = make_state(
+        linear=linear, knowledge=observe(Knowledge(), name("K")).with_budget(budget)
+    )
+    return [
+        Move(rule, inst, _flags(rule))
+        for rule in rules
+        for inst in enabled_instances(state, rule, 2)
+    ]
+
+
+def _consumer(rule_id, fact="A", **fields):
+    return Rule(id=rule_id, premises=(Fact(fact, ()),), **fields)
+
+
+A, B = Fact("A", ()), Fact("B", ())
+
+
+class TestIndependence:
+    """Each clause of _independent, on hand-built rule pairs.  Each pair
+    differs from an independent pair in that clause alone."""
+
+    def test_disjoint_invisible_steps_are_independent(self):
+        a, b = _moves(_consumer("R1", "A"), _consumer("R2", "B"), linear=(A, B))
+        assert _independent(a, b) and _independent(b, a)
+
+    def test_shared_consumed_fact(self):
+        a, b = _moves(_consumer("R1", "A"), _consumer("R2", "A"), linear=(A,))
+        assert not _independent(a, b) and not _independent(b, a)
+
+    def test_minting_adversary_names(self):
+        x = var("x")
+        recv = _consumer("R2", "B", network_in=(x,), conclusions=(Fact("Got", (x,)),))
+        other, *received = _moves(_consumer("R1", "A"), recv, linear=(A, B), budget=1)
+        minted = [m for m in received if m.mints]
+        replayed = [m for m in received if not m.mints]
+        assert minted and replayed
+        assert all(_independent(other, m) for m in replayed)
+        assert not any(_independent(other, m) or _independent(m, other) for m in minted)
+
+    def test_output_against_input(self):
+        x = var("x")
+        send = _consumer("R1", "A", network_out=(name("M"),))
+        recv = _consumer("R2", "B", network_in=(x,), conclusions=(Fact("Got", (x,)),))
+        also_send = _consumer("R2", "B", network_out=(name("N"),))
+        also_recv = _consumer("R1", "A", network_in=(x,), conclusions=(Fact("Got", (x,)),))
+        s, r = _moves(send, recv, linear=(A, B))
+        assert not _independent(s, r) and not _independent(r, s)
+        s1, s2 = _moves(send, also_send, linear=(A, B))
+        assert _independent(s1, s2)
+        r1, r2 = _moves(also_recv, recv, linear=(A, B))
+        assert _independent(r1, r2)
+
+    def test_shared_budget_key(self):
+        v = var("v")
+        token = (Fact("T", (name("a"),)), Fact("T", (name("b"),)))
+
+        def budgeted(**fields):
+            return Rule(id="R", premises=(Fact("T", (v,)),), budget="max_sessions", **fields)
+
+        a, b = _moves(budgeted(), linear=token)
+        assert a.consumed.isdisjoint(b.consumed)
+        assert not _independent(a, b)
+        a, b = _moves(budgeted(budget_per="v"), linear=token)
+        assert _independent(a, b)
+        a, b = _moves(budgeted(), _consumer("R2", "A"), linear=(*token[:1], A))
+        assert _independent(a, b)
+
+    def test_two_visible_steps(self):
+        seen = sorted(monitors.LABELS)[:2]
+        unseen = "NoMonitorReadsThis"
+        assert unseen not in monitors.LABELS
+
+        def pair(first, second):
+            return _moves(
+                _consumer("R1", "A", events=((first, ()),)),
+                _consumer("R2", "B", events=((second, ()),)),
+                linear=(A, B),
+            )
+
+        a, b = pair(*seen)
+        assert not _independent(a, b) and not _independent(b, a)
+        a, b = pair(seen[0], unseen)
+        assert _independent(a, b) and _independent(b, a)
+
+    def test_identity_ignores_fresh_variables(self):
+        rule = _consumer("R1", "A", fresh_vars=("n",), conclusions=(Fact("N", (var("n"),)),))
+        one, two = (
+            Move(rule, enabled_instances(make_state(linear=(A,), next_fresh=k), rule, 2)[0],
+                 _flags(rule))
+            for k in (0, 5)
+        )
+        assert one.ident == two.ident
+
+
+class TestReplay:
+    """replay rebuilds each step's instance from its binding and rejects
+    what is not a valid execution."""
+
+    X, N = var("x"), var("n")
+    RECV = Rule(
+        id="RECV",
+        premises=(Fact("Wait", ()),),
+        fresh_vars=("n",),
+        network_in=(X,),
+        events=(("Got", (X,)),),
+        conclusions=(Fact("Got", (X, N)),),
+    )
+    SPEC = ProtocolSpec(name="toy", rules=(RECV,))
+    INIT = make_state(linear=(Fact("Wait", ()),), knowledge=observe(Knowledge(), name("K")))
+
+    def _trace(self, budget=0):
+        bounds = Bounds(max_steps=1, adversary_fresh_budget=budget)
+        traces = explore(self.SPEC, self.INIT, bounds)
+        return bounds, traces
+
+    def _tampered(self, trace, **fields):
+        step = dataclasses.replace(trace.steps[0], **fields)
+        return dataclasses.replace(trace, steps=(step,))
+
+    def test_recorded_traces_replay(self):
+        bounds, traces = self._trace(budget=1)
+        assert len(traces) == 2  # x is K, or a name the adversary mints
+        for trace in traces:
+            assert replay(self.SPEC, self.INIT, trace, bounds) == trace.terminal_state
+
+    def test_input_other_than_the_binding_gives(self):
+        bounds, (trace,) = self._trace()
+        forged = self._tampered(trace, inputs=(name("M"),))
+        with pytest.raises(ReplayMismatchError, match="does not match"):
+            replay(self.SPEC, self.INIT, forged, bounds)
+
+    def test_input_the_adversary_cannot_derive(self):
+        bounds, (trace,) = self._trace()
+        secret = fresh(777)
+        binding = tuple((i, secret if i == "x" else t) for i, t in trace.steps[0].binding)
+        forged = self._tampered(trace, binding=binding, inputs=(secret,))
+        with pytest.raises(ReplayMismatchError, match="not derivable"):
+            replay(self.SPEC, self.INIT, forged, bounds)
+
+    def test_missing_consumed_fact(self):
+        bounds, (trace,) = self._trace()
+        with pytest.raises(ReplayMismatchError, match="consumed fact"):
+            replay(self.SPEC, make_state(knowledge=self.INIT.knowledge), trace, bounds)
+
+    def test_drifted_fresh_id(self):
+        bounds, (trace,) = self._trace()
+        binding = tuple((i, fresh(5) if i == "n" else t) for i, t in trace.steps[0].binding)
+        with pytest.raises(ReplayMismatchError, match="fresh names drifted"):
+            replay(self.SPEC, self.INIT, self._tampered(trace, binding=binding), bounds)
+
+    def test_drifted_adversary_name(self):
+        bounds, traces = self._trace(budget=1)
+        (trace,) = [t for t in traces if t.steps[0].generated]
+        (minted,) = trace.steps[0].generated
+        other = fresh(minted.fid + 1)
+        binding = tuple((i, other if t is minted else t) for i, t in trace.steps[0].binding)
+        forged = self._tampered(trace, binding=binding, inputs=(other,), generated=(other,))
+        with pytest.raises(ReplayMismatchError, match="adversary names drifted"):
+            replay(self.SPEC, self.INIT, forged, bounds)
 
 
 class TestBounds:
