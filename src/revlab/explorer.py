@@ -49,8 +49,8 @@ by dedup at a prefix has a kept smaller prefix, and the renamed rest of the
 path from there reaches the same key by a smaller path.  A slept or twin
 transition on a least path would likewise give a smaller path to the same
 key.  A slept instance was an earlier sibling, and so less in Step.key
-order, at an ancestor, and commutes with every step taken since; taking it
-there and the steps since after it reaches the same key.  A twin's earlier
+order, at an ancestor, and commutes with every step taken since: taking it
+at the ancestor, then those steps, reaches the same key.  A twin's earlier
 sibling reaches the very same child.  So no least path is cut, every key is
 first visited by the same path as before, and the leaves, truncation flags
 and evidence are all unchanged.  A node whose enabled instances are all
