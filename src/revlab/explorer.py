@@ -56,6 +56,20 @@ first visited by the same path as before, and the leaves, truncation flags
 and evidence are all unchanged.  A node whose enabled instances are all
 slept is not a leaf: it records no trace and pushes no child.
 
+Two savings in dedup mode change nothing that is pushed.  Enabled lists are
+cached for one search (InstanceCache), keyed on what enabled_instances
+reads: the rule, the linear and persistent facts its premises name, the
+adversary knowledge for a rule with a network input, and next_fresh for a
+rule with fresh variables or a network input.  States that agree on these
+have equal lists.  And the instances of a node that share their rule,
+consumed facts, minted names and the values of the variables in the rule's
+conclusions, network outputs and per-binding budget form a twin group:
+these fix the child state and the budget usage, so only the group's first
+instance is fired.  Each of the others builds its own step, whose events may
+differ (rtoken's Commit carries the whole signed confirmation), and advances
+the monitors on it, so the twin test stays exact: a group member whose
+monitor states differ from every earlier sibling's is pushed.
+
 Seen states are keyed by canonicalize, an exact canonical form made of
 integers (colour refinement, then individualization where names stay tied;
 McKay & Piperno, Practical graph isomorphism II, 2014).  The search has
@@ -76,7 +90,16 @@ from itertools import chain, count, permutations
 from . import knowledge as kn
 from . import monitors
 from .protocols import ProtocolSpec, is_vehicle
-from .rewriting import Fact, Instance, Rule, SystemState, _guards_hold, enabled_instances, fire
+from .rewriting import (
+    Fact,
+    Instance,
+    Rule,
+    SystemState,
+    _guards_hold,
+    emitted,
+    enabled_instances,
+    fire,
+)
 from .terms import (
     App,
     Fresh,
@@ -194,6 +217,8 @@ def explore(
     # without input synthesis go first; the answer does not depend on order
     leaf_rules = sorted(rules, key=lambda r: bool(r.network_in))
     flags = {rule.id: _flags(rule) for rule in rules}
+    fixes = {rule.id: _fixing_vars(rule) for rule in rules}
+    cache = InstanceCache(rules, bounds.synthesis_depth) if dedup else None
     vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
     seen: set[tuple] = set()
@@ -211,19 +236,19 @@ def explore(
             seen.add(key)
         explored += 1
         if len(steps) < bounds.max_steps:
-            enabled = _enabled(state, usage, rules, bounds)
+            enabled = _enabled(state, usage, rules, bounds, cache)
             truncated = False
         else:
             enabled = []
             # at the step bound: flag the leaf when rules could still fire
-            truncated = _any_enabled(state, usage, leaf_rules, bounds)
+            truncated = _any_enabled(state, usage, leaf_rules, bounds, cache)
         if not enabled:
             traces.append(
                 Trace(steps=steps, terminal_state=state, truncated=truncated)
             )
             continue
         if dedup:
-            children = _pruned(state, watch, usage, enabled, sleep, flags)
+            children = _pruned(state, watch, usage, enabled, sleep, flags, fixes)
         else:
             children = [
                 (child, step, monitors.advance_all(watch, step), child_usage, ())
@@ -241,32 +266,70 @@ def explore(
     )
 
 
-def _enabled(state, usage, rules, bounds) -> list:
+def _enabled(state, usage, rules, bounds, cache=None) -> list:
     """(rule, instance) for every instance within the rule bounds, in Step.key order."""
     return [
         (rule, inst)
         for rule in rules
         if _within_rule_bounds(rule, None, usage, bounds)
-        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+        for inst in _instances(state, rule, bounds, cache)
         if _within_rule_bounds(rule, inst, usage, bounds)
     ]
+
+
+def _instances(state, rule, bounds, cache) -> list:
+    """enabled_instances of rule in state, from the cache when one is given."""
+    if cache is None:
+        return enabled_instances(state, rule, bounds.synthesis_depth)
+    return cache.instances(state, rule)
+
+
+class InstanceCache:
+    """enabled_instances results of one search, keyed on what a call reads.
+
+    A call reads the rule, the linear facts its premises name (in state
+    order, so multiplicities count), the persistent facts they name, the
+    adversary knowledge when the rule has a network input, and next_fresh
+    when the rule has fresh variables or a network input.  States that
+    agree on these get equal lists.  A miss calls enabled_instances.
+    """
+
+    def __init__(self, rules, depth: int):
+        self.depth = depth
+        self.reads = {rule.id: _reads(rule) for rule in rules}
+        self.lists: dict = {}
+
+    def instances(self, state: SystemState, rule: Rule) -> list:
+        linear, persistent, receives, numbered = self.reads[rule.id]
+        k = state.knowledge
+        key = (
+            rule.id,
+            tuple(f for f in state.linear if f.name in linear),
+            frozenset(f for f in state.persistent if f.name in persistent) if persistent else None,
+            (k.basis, k.generated, k.budget) if receives else None,
+            state.next_fresh if numbered else None,
+        )
+        got = self.lists.get(key)
+        if got is None:
+            got = self.lists[key] = enabled_instances(state, rule, self.depth)
+        return got
+
+
+def _reads(rule: Rule) -> tuple:
+    """What enabled_instances reads of a state for rule: the names of its
+    linear and of its persistent premises, whether it reads the knowledge,
+    and whether it reads next_fresh."""
+    linear = frozenset(p.name for p in rule.premises if not p.persistent)
+    persistent = frozenset(p.name for p in rule.premises if p.persistent)
+    receives = bool(rule.network_in)
+    return linear, persistent, receives, receives or bool(rule.fresh_vars)
 
 
 def _child(state, usage, rule, inst) -> tuple:
     """(child state, step, budget usage after it) of firing one instance."""
     child, events = fire(state, rule, inst)
-    subst = inst.subst
-    step = Step(
-        rule_id=rule.id,
-        binding=inst.binding,
-        inputs=inst.inputs,
-        input_synthesized=inst.synthesized,
-        input_derivations=inst.input_derivations,
-        generated=inst.new_names,
-        events=events,
-        outputs=tuple(substitute(subst, t) for t in rule.network_out),
-        fresh_idents=tuple(ident for ident, _ in inst.fresh_alloc),
-    )
+    outputs = tuple(substitute(inst.subst, t) for t in rule.network_out)
+    step = _step(rule, inst, events, outputs)
     child_usage = usage
     if rule.budget:
         key = _budget_key(rule, inst)
@@ -274,37 +337,76 @@ def _child(state, usage, rule, inst) -> tuple:
     return child, step, child_usage
 
 
+def _step(rule: Rule, inst: Instance, events: tuple, outputs: tuple) -> Step:
+    """The step that records firing inst, with its events and outputs."""
+    return Step(
+        rule_id=rule.id,
+        binding=inst.binding,
+        inputs=inst.inputs,
+        input_synthesized=inst.synthesized,
+        input_derivations=inst.input_derivations,
+        generated=inst.new_names,
+        events=events,
+        outputs=outputs,
+        fresh_idents=tuple(ident for ident, _ in inst.fresh_alloc),
+    )
+
+
 def _children(state, usage, enabled) -> list:
     """(child state, step, budget usage after it) for every (rule, instance) enabled."""
     return [_child(state, usage, rule, inst) for rule, inst in enabled]
 
 
-def _pruned(state, watch, usage, enabled, sleep, flags) -> list:
+def _pruned(state, watch, usage, enabled, sleep, flags, fixes) -> list:
     """The children worth pushing: (state, step, monitor states, usage, sleep set).
 
     Instances in the sleep set are not fired, and a twin of an earlier
-    sibling is fired but not pushed.  Each child's sleep set holds the
-    entries of sleep and of its earlier siblings, slept and twin ones
-    included, that are independent of its own instance.
+    sibling is not pushed.  Only the first instance of each twin group is
+    fired; the others take its child state and usage and build only their
+    own steps.  Each child's sleep set holds the entries of sleep and of its
+    earlier siblings, slept and twin ones included, that are independent of
+    its own instance.
     """
     asleep = {move.ident for move in sleep}
     done = list(sleep)
+    made = {}  # twin group -> (child state, usage, outputs) of its first instance
     twins = set()
     out = []
     for rule, inst in enabled:
         move = Move(rule, inst, flags[rule.id])
         if move.ident in asleep:
             continue
-        child, step, child_usage = _child(state, usage, rule, inst)
+        fixed = fixes[rule.id]
+        group = (
+            rule.id,
+            inst.consumed,
+            inst.new_names,
+            tuple(pair for pair in inst.binding if pair[0] in fixed),
+        )
+        if group in made:
+            child, child_usage, outputs = made[group]
+            step = _step(rule, inst, emitted(rule, inst.subst, state.step), outputs)
+        else:
+            child, step, child_usage = _child(state, usage, rule, inst)
+            made[group] = child, child_usage, step.outputs
         child_watch = monitors.advance_all(watch, step)
-        child_sleep = tuple(m for m in done if _independent(m, move))
-        done.append(move)
         twin = (child, child_watch, frozenset(child_usage.items()))
-        if twin in twins:
-            continue
-        twins.add(twin)
-        out.append((child, step, child_watch, child_usage, child_sleep))
+        if twin not in twins:
+            twins.add(twin)
+            child_sleep = tuple(m for m in done if _independent(m, move))
+            out.append((child, step, child_watch, child_usage, child_sleep))
+        done.append(move)
     return out
+
+
+def _fixing_vars(rule: Rule) -> frozenset:
+    """The variables that, with the consumed facts and the minted names, fix
+    an instance's child state and budget usage: those of the conclusions,
+    the network outputs and the per-binding budget."""
+    found = {rule.budget_per} if rule.budget_per else set()
+    for t in (*(a for f in rule.conclusions for a in f.args), *rule.network_out):
+        found |= variables(t)
+    return frozenset(found)
 
 
 class Move:
@@ -344,13 +446,13 @@ def _independent(a: Move, b: Move) -> bool:
     )
 
 
-def _any_enabled(state, usage, rules, bounds) -> bool:
+def _any_enabled(state, usage, rules, bounds, cache=None) -> bool:
     """Whether some rule instance could still fire within the rule bounds."""
     return any(
         _within_rule_bounds(rule, inst, usage, bounds)
         for rule in rules
         if _within_rule_bounds(rule, None, usage, bounds)
-        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+        for inst in _instances(state, rule, bounds, cache)
     )
 
 
@@ -505,48 +607,38 @@ def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
 _GROUP_LIMIT = 6
 
 
-def digest(state: SystemState, history: tuple = (), monitor=()) -> str:
-    """Canonical text digest of a state, optionally with its event history
-    and monitor facts.
+def digest(state: SystemState) -> str:
+    """Canonical text digest of a state.
 
     Fresh names are renamed so that two states equal modulo a fresh-name
     bijection yield the same digest; equal digests reconstruct the same
-    state up to renaming.  History events are position-fixed, so their
-    names canonicalize by first occurrence.  Monitor facts are one more
-    section of the state, renamed together with it.  The leftover names
-    are ordered by iterative signature refinement: at each round the
-    pending name with the least occurrence signature is fixed next, and
-    names whose signatures tie are ordered by exhaustively minimizing the
-    loosely rendered digest.  The report prints it as a trace's terminal
-    digest; dedup keys on canonicalize instead.
+    state up to renaming.  The names are ordered by iterative signature
+    refinement: at each round the pending name with the least occurrence
+    signature is fixed next, and names whose signatures tie are ordered by
+    exhaustively minimizing the loosely rendered digest.  The report prints
+    it as a trace's terminal digest; dedup keys on canonicalize instead.
     """
-    events, base = _compile_history(history)
     sections = [
         ("lin", [_compile_fact(f) for f in state.linear]),
         ("per", [_compile_fact(f) for f in state.persistent]),
         ("kn", [_compile(t) for t in state.knowledge.basis]),
         ("gen", [_compile(t) for t in state.knowledge.generated]),
     ]
-    if monitor:
-        sections.append(("mon", [_compile_fact(f) for f in monitor]))
     tagged_items = [(key, c) for key, items in sections for c in items]
 
     def full_render(slot) -> str:
         parts = [f"budget:{state.knowledge.budget}"]
-        parts += ["ev " + _assemble(c, slot) for c in events]
         for key, items in sections:
             rendered = sorted(_assemble(c, slot) for c in items)
             parts.append(key + "{" + ";".join(rendered) + "}")
         return "|".join(parts)
 
-    renaming = dict(base)
-    pending = list(dict.fromkeys(
-        fid for _, (_, fids) in tagged_items for fid in fids if fid not in base
-    ))
+    renaming: dict = {}
+    pending = list(dict.fromkeys(fid for _, (_, fids) in tagged_items for fid in fids))
     # a signature only changes when a name it sits next to gets renamed
     occurs = {fid: [] for fid in pending}
     for item in tagged_items:
-        for fid in set(item[1][1]) & occurs.keys():
+        for fid in set(item[1][1]):
             occurs[fid].append(item)
     sigs: dict = {}
     stale = pending
@@ -567,22 +659,6 @@ def digest(state: SystemState, history: tuple = (), monitor=()) -> str:
         fixed = set(chosen)
         stale = [f for f in pending if any(not fixed.isdisjoint(c[1]) for _, c in occurs[f])]
     return full_render(renaming.__getitem__)
-
-
-def canonical_events(events) -> tuple:
-    """Event sequence rendered with per-trace canonical fresh renaming."""
-    compiled, renaming = _compile_history(events)
-    return tuple(_assemble(c, renaming.__getitem__) for c in compiled)
-
-
-def _compile_history(events):
-    """Compiled events and their fresh names' slot texts, by first occurrence."""
-    compiled = [_compile_event(e) for e in events]
-    renaming: dict[int, str] = {}
-    for _, fids in compiled:
-        for fid in fids:
-            renaming.setdefault(fid, f"~c{len(renaming)}")
-    return compiled, renaming
 
 
 def _extended(renaming: dict, perm) -> dict:
@@ -650,30 +726,28 @@ def canonicalize(
     compared, never printed.  With vehicles empty, vehicle names are
     literal text like any other name.
 
-    memo caches each item's row per section; a caller that keys many
-    states, as a search does, passes the same dict to every call with the
-    same vehicles.
+    memo caches each item's row per section, the rows of the per section
+    per persistent set, and those of the kn and gen sections per knowledge;
+    a caller that keys many states, as a search does, passes the same dict
+    to every call with the same vehicles.
     """
     if memo is None:
         memo = {}
-    ground = []
-    rows = []
-    for section, items in (
-        ("lin", state.linear),
-        ("per", state.persistent),
-        ("kn", state.knowledge.basis),
-        ("gen", state.knowledge.generated),
-        ("mon", monitor),
-    ):
-        known = memo.setdefault(section, {})
-        for item in items:
-            row = known.get(item)
-            if row is None:
-                row = known[item] = _item(section, item, vehicles)
-            if row[1]:
-                rows.append(row)
-            else:
-                ground.append(row[0])
+    k = state.knowledge
+    pers = memo.setdefault("per sets", {})
+    per = pers.get(state.persistent)
+    if per is None:
+        per = pers[state.persistent] = _rows(memo, "per", state.persistent, vehicles)
+    kns = memo.setdefault("kn sets", {})
+    kn = kns.get((k.basis, k.generated))
+    if kn is None:
+        basis = _rows(memo, "kn", k.basis, vehicles)
+        generated = _rows(memo, "gen", k.generated, vehicles)
+        kn = kns[k.basis, k.generated] = basis[0] + generated[0], basis[1] + generated[1]
+    lin = _rows(memo, "lin", state.linear, vehicles)
+    mon = _rows(memo, "mon", monitor, vehicles)
+    ground = lin[0] + per[0] + kn[0] + mon[0]
+    rows = lin[1] + per[1] + kn[1] + mon[1]
     filled: dict = {}
     for shape, names in rows:
         for slot, x in enumerate(names, shape + 1):
@@ -688,7 +762,22 @@ def canonicalize(
                 links[x].append((slot, names))
         cert = _least_certificate(rows, links, colour, classes)
     ground.sort()
-    return (state.step, state.knowledge.budget, *ground, *chain.from_iterable(cert))
+    return (state.step, k.budget, *ground, *chain.from_iterable(cert))
+
+
+def _rows(memo: dict, section: str, items, vehicles: frozenset) -> tuple:
+    """The shapes of a section's ground items and the rows of the others."""
+    known = memo.setdefault(section, {})
+    ground, rows = [], []
+    for item in items:
+        row = known.get(item)
+        if row is None:
+            row = known[item] = _item(section, item, vehicles)
+        if row[1]:
+            rows.append(row)
+        else:
+            ground.append(row[0])
+    return ground, rows
 
 
 def _item(section: str, item, vehicles: frozenset) -> tuple:
@@ -774,7 +863,7 @@ def _dedup_key(
     return canonicalize(state, monitor=facts, memo=memo, vehicles=vehicles)
 
 
-_compiled: dict = {}  # interned term, Fact or Event -> its compiled rendering
+_compiled: dict = {}  # interned term or Fact -> its compiled rendering
 _slotted: dict = {}  # (term or Fact, names cut out as slots) -> its compiled rendering
 
 
@@ -810,13 +899,6 @@ def _compile_fact(f, slots: frozenset = frozenset()) -> tuple:
     if got is None:
         head = f"{'!' if f.persistent else ''}{f.name}("
         got = memo[key] = _compile_seq(head, f.args, ",", ")", slots)
-    return got
-
-
-def _compile_event(e) -> tuple:
-    got = _compiled.get(e)
-    if got is None:
-        got = _compiled[e] = _compile_seq(f"{e.label}(", e.args, ", ", f")@{e.time}")
     return got
 
 

@@ -284,7 +284,7 @@ def _synth_raw(k: Knowledge, pattern: Term, subst: dict, budget: int, next_fid: 
     # Structured pattern with open variables: replay a stored term that
     # matches, or build it constructor-by-constructor.
     assert isinstance(p, App)
-    for stored in sorted(k.basis, key=sort_key):
+    for stored in _sorted_basis(k):
         m = match(p, stored, subst)
         if m is not None:
             yield m, stored, 0, (), f"{render(stored)}[known]"
@@ -293,6 +293,14 @@ def _synth_raw(k: Knowledge, pattern: Term, subst: dict, budget: int, next_fid: 
             sub2, args, cost, new_names, derivs = combo
             g = normalize(app(p.sym, args))
             yield sub2, g, cost + 1, new_names, f"(build:{p.sym} {' '.join(derivs)})"
+
+
+def _sorted_basis(k: Knowledge) -> list:
+    """The basis in structural term order, sorted once per knowledge."""
+    got = k._memo.get("sorted basis")
+    if got is None:
+        got = k._memo["sorted basis"] = sorted(k.basis, key=sort_key)
+    return got
 
 
 def _rigid(k: Knowledge, p: App) -> bool:

@@ -247,4 +247,12 @@ def start() -> tuple:
 
 
 def advance_all(states: tuple, step) -> tuple:
-    return tuple(m.advance(s, step) for m, s in zip(MONITORS.values(), states))
+    """Every monitor's state advanced by one step; a monitor that reads none
+    of the step's labels keeps its state without looking at the step."""
+    labels = {e.label for e in step.events}
+    if labels.isdisjoint(LABELS):
+        return states
+    return tuple(
+        s if labels.isdisjoint(m.labels) else m.advance(s, step)
+        for m, s in zip(MONITORS.values(), states)
+    )

@@ -58,7 +58,12 @@ def build_document(
     deterministic: bool = False,
     trace_render: str = "none",
 ) -> dict:
-    """Assemble the report; evidence traces are replay-checked first."""
+    """Assemble the report; evidence traces are replay-checked first.
+
+    Goals often share an evidence trace; each distinct one is replay-checked
+    and serialized once, and its entries share the result.
+    """
+    serialized: dict = {}  # evidence trace -> its replay-checked serialization
     goals_out = []
     for goal in sorted(result.verdicts):
         v = result.verdicts[goal]
@@ -73,7 +78,9 @@ def build_document(
         if v.mode == "all-traces" and v.outcome == NO_COUNTEREXAMPLE:
             entry["disclaimer"] = BOUNDED_DISCLAIMER
         if v.evidence is not None:
-            entry["evidence"] = serialize_trace(_check_replay(result, v.evidence))
+            if v.evidence not in serialized:
+                serialized[v.evidence] = serialize_trace(_check_replay(result, v.evidence))
+            entry["evidence"] = serialized[v.evidence]
             if trace_render == "msc":
                 entry["msc"] = render_msc(
                     v.evidence, agent_names(result.n_vehicles), result.spec

@@ -213,7 +213,9 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
     return out
 
 
-def _match_premises(state: SystemState, premises, subst=None, used=None):
+def _match_premises(state: SystemState, premises, subst=None, used=None, persistent=None):
+    # persistent: the state's persistent facts in Fact.key order, sorted at
+    # the first persistent premise and handed down the recursion
     subst = {} if subst is None else subst
     used = frozenset() if used is None else used
     if not premises:
@@ -221,7 +223,9 @@ def _match_premises(state: SystemState, premises, subst=None, used=None):
         return
     head, tail = premises[0], premises[1:]
     if head.persistent:
-        pool = [(f, None) for f in sorted(state.persistent, key=Fact.key)]
+        if persistent is None:
+            persistent = sorted(state.persistent, key=Fact.key)
+        pool = [(f, None) for f in persistent]
     else:
         pool = [
             (f, i)
@@ -244,7 +248,7 @@ def _match_premises(state: SystemState, premises, subst=None, used=None):
         if not ok:
             continue
         used2 = used if idx is None else used | {idx}
-        for sub2, consumed in _match_premises(state, tail, binding, used2):
+        for sub2, consumed in _match_premises(state, tail, binding, used2, persistent):
             yield sub2, ((cand,) + consumed if idx is not None else consumed)
 
 
@@ -322,14 +326,14 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
                 f"rule {rule.id}: consumed fact {c.render()} not present"
             ) from None
     subst = instance.subst
-    persistent = set(state.persistent)
+    added = []
     for f in rule.conclusions:
         args = tuple(substitute(subst, a) for a in f.args)
         out_fact = Fact(f.name, args, f.persistent)
-        if f.persistent:
-            persistent.add(out_fact)
-        else:
+        if not f.persistent:
             linear.append(out_fact)
+        elif out_fact not in state.persistent:
+            added.append(out_fact)
     k = state.knowledge
     for f in instance.new_names:
         got = kn.gen_fresh(k, f.fid)
@@ -340,15 +344,20 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
             raise StaleInstanceError(f"rule {rule.id}: fresh allocation drifted")
     for t in rule.network_out:
         k = kn.observe(k, substitute(subst, t))
-    events = tuple(
-        Event(label, tuple(substitute(subst, a) for a in args), time=state.step)
-        for label, args in rule.events
-    )
     new_state = SystemState(
         linear=tuple(sorted(linear, key=Fact.key)),
-        persistent=frozenset(persistent),
+        # the parent's set itself when nothing is added
+        persistent=state.persistent.union(added) if added else state.persistent,
         knowledge=k,
         next_fresh=state.next_fresh + len(instance.fresh_alloc) + len(instance.new_names),
         step=state.step + 1,
     )
-    return new_state, events
+    return new_state, emitted(rule, subst, state.step)
+
+
+def emitted(rule: Rule, subst: dict, time: int) -> tuple:
+    """The events rule emits under subst at a timepoint."""
+    return tuple(
+        Event(label, tuple(substitute(subst, a) for a in args), time=time)
+        for label, args in rule.events
+    )

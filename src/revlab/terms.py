@@ -118,6 +118,13 @@ def var(ident: str) -> Var:
 
 def app(sym: str, args) -> App:
     args = tuple(args)
+    key = (sym, args)
+    try:
+        t = _apps.get(key)
+    except TypeError:  # an unhashable argument: not a Term, rejected below
+        t = None
+    if t is not None:
+        return t
     if sym == "tuple":
         if len(args) < 2:
             raise SignatureError("tuple takes at least 2 arguments")
@@ -130,13 +137,10 @@ def app(sym: str, args) -> App:
     for a in args:
         if not isinstance(a, Term):
             raise SignatureError(f"argument {a!r} is not a Term")
-    key = (sym, args)
-    t = _apps.get(key)
-    if t is None:
-        t = object.__new__(App)
-        object.__setattr__(t, "sym", sym)
-        object.__setattr__(t, "args", args)
-        _apps[key] = t
+    t = object.__new__(App)
+    object.__setattr__(t, "sym", sym)
+    object.__setattr__(t, "args", args)
+    _apps[key] = t
     return t
 
 

@@ -16,7 +16,19 @@ from functools import lru_cache
 from typing import Iterable
 
 from revlab import Bounds, build_protocol, run_all
-from revlab.explorer import _certificate, _ranked, canonical_events
+from revlab import explorer
+from revlab.explorer import (
+    _GROUP_LIMIT,
+    _assemble,
+    _certificate,
+    _compile,
+    _compile_fact,
+    _compile_seq,
+    _extended,
+    _loose,
+    _ranked,
+    _signature,
+)
 from revlab.knowledge import Knowledge
 from revlab.protocols import initial_state
 from revlab.rewriting import Fact, enabled_instances
@@ -216,6 +228,91 @@ def derivable_forward(universe: frozenset, goal: Term) -> bool:
     if isinstance(goal, App) and goal.sym in ("pk", "sign", "renc", "oenc", "verify", "tuple"):
         return all(derivable_forward(universe, a) for a in goal.args)
     return False
+
+
+# --- digests with event histories and monitor facts -------------------------
+
+
+def digest(state, history: tuple = (), monitor=()) -> str:
+    """explorer.digest of a state, optionally with its event history and
+    monitor facts.
+
+    History events are position-fixed, so their names canonicalize by first
+    occurrence.  Monitor facts are one more section of the state, renamed
+    together with it.  With neither, this is explorer.digest itself.
+    """
+    if not history and not monitor:
+        return explorer.digest(state)
+    events, base = _compile_history(history)
+    sections = [
+        ("lin", [_compile_fact(f) for f in state.linear]),
+        ("per", [_compile_fact(f) for f in state.persistent]),
+        ("kn", [_compile(t) for t in state.knowledge.basis]),
+        ("gen", [_compile(t) for t in state.knowledge.generated]),
+    ]
+    if monitor:
+        sections.append(("mon", [_compile_fact(f) for f in monitor]))
+    tagged_items = [(key, c) for key, items in sections for c in items]
+
+    def full_render(slot) -> str:
+        parts = [f"budget:{state.knowledge.budget}"]
+        parts += ["ev " + _assemble(c, slot) for c in events]
+        for key, items in sections:
+            rendered = sorted(_assemble(c, slot) for c in items)
+            parts.append(key + "{" + ";".join(rendered) + "}")
+        return "|".join(parts)
+
+    renaming = dict(base)
+    pending = list(dict.fromkeys(
+        fid for _, (_, fids) in tagged_items for fid in fids if fid not in base
+    ))
+    occurs = {fid: [] for fid in pending}
+    for item in tagged_items:
+        for fid in set(item[1][1]) & occurs.keys():
+            occurs[fid].append(item)
+    sigs: dict = {}
+    stale = pending
+    while pending:
+        for fid in stale:
+            sigs[fid] = _signature(fid, occurs[fid], renaming)
+        least = min(sigs[fid] for fid in pending)
+        group = [fid for fid in pending if sigs[fid] == least]
+        if len(group) == 1 or len(group) > _GROUP_LIMIT:
+            chosen = tuple(sorted(group))
+        else:
+            chosen = min(
+                itertools.permutations(group),
+                key=lambda perm: full_render(_loose(_extended(renaming, perm))),
+            )
+        renaming = _extended(renaming, chosen)
+        pending = [f for f in pending if f not in renaming]
+        fixed = set(chosen)
+        stale = [f for f in pending if any(not fixed.isdisjoint(c[1]) for _, c in occurs[f])]
+    return full_render(renaming.__getitem__)
+
+
+def canonical_events(events) -> tuple:
+    """Event sequence rendered with per-trace canonical fresh renaming."""
+    compiled, renaming = _compile_history(events)
+    return tuple(_assemble(c, renaming.__getitem__) for c in compiled)
+
+
+_compiled_events: dict = {}
+
+
+def _compile_history(events):
+    """Compiled events and their fresh names' slot texts, by first occurrence."""
+    compiled = []
+    for e in events:
+        got = _compiled_events.get(e)
+        if got is None:
+            got = _compiled_events[e] = _compile_seq(f"{e.label}(", e.args, ", ", f")@{e.time}")
+        compiled.append(got)
+    renaming: dict[int, str] = {}
+    for _, fids in compiled:
+        for fid in fids:
+            renaming.setdefault(fid, f"~c{len(renaming)}")
+    return compiled, renaming
 
 
 # --- state isomorphism oracle -------------------------------------------------
@@ -638,7 +735,7 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     States merge only when their event histories match too, so this walks
     more states than explore does, which merges on monitor states instead.
     """
-    from revlab.explorer import _children, _enabled, digest
+    from revlab.explorer import _children, _enabled
 
     init = initial_state(spec, n_vehicles)
     init = type(init)(

@@ -17,6 +17,7 @@ BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import harness  # noqa: E402
+from revlab import build_protocol  # noqa: E402
 
 # Needs an untraced run beside the traced one.
 UNTRACED_ONLY = {"trace.overhead_s"}
@@ -39,3 +40,8 @@ def test_traced_run_reports_every_per_layer_metric():
     assert values["explorer.canonicalize.calls"] == (
         stats["states_explored"] + stats["dedup_hits"]
     )
+    # Without the search's cache of enabled lists, each popped state asks
+    # every rule within its bounds: 148 calls for 20 states and 8 rules here.
+    # Most answers are reused, so fewer than half of that bound are left.
+    rules = len(build_protocol("plain", change_enabled=True).rules)
+    assert values["rewriting.enabled_instances.calls"] < stats["states_explored"] * rules / 2

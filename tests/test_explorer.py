@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    canonical_events,
+    digest,
     enumerate_event_seqs,
     outcomes,
     random_small_state,
@@ -26,6 +28,7 @@ from helpers import (
 )
 from revlab import Bounds, build_protocol, explore, initial_state, monitors, recheck, replay, run_all
 from revlab.explorer import (
+    InstanceCache,
     Move,
     ReplayMismatchError,
     Step,
@@ -33,12 +36,12 @@ from revlab.explorer import (
     _children,
     _dedup_key,
     _enabled,
+    _fixing_vars,
     _flags,
     _independent,
     _interchangeable,
-    canonical_events,
+    _pruned,
     canonicalize,
-    digest,
 )
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
@@ -338,6 +341,116 @@ class TestSleepSets:
         init = initial_state(spec, 2)
         _, _, hits = reference_dedup_search(spec, init, bounds)
         assert explore(spec, init, bounds).dedup_hits < hits / 2
+
+
+class TestReuse:
+    """The search reuses its own work: enabled lists per what a call reads,
+    one fire per twin group, and key sections per persistent set and
+    knowledge.  None of it changes what a call returns."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_cached_enabled_lists_equal_the_uncached(self, protocol, reveals, vehicles,
+                                                     steps, monkeypatch):
+        import revlab.explorer as ex
+
+        checked = []
+
+        def checking(fn):
+            def call(state, usage, rules, bounds, cache=None):
+                got = fn(state, usage, rules, bounds, cache)
+                assert cache is not None
+                assert got == fn(state, usage, rules, bounds)
+                checked.append(state)
+                return got
+
+            return call
+
+        monkeypatch.setattr(ex, "_enabled", checking(ex._enabled))
+        monkeypatch.setattr(ex, "_any_enabled", checking(ex._any_enabled))
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        assert len(checked) == got.states_explored  # one check per popped state
+
+    def test_each_twin_group_fires_once(self, monkeypatch):
+        import revlab.explorer as ex
+
+        fired = []
+        fire = ex.fire
+
+        def counting(state, rule, inst):
+            fired.append(rule.id)
+            return fire(state, rule, inst)
+
+        monkeypatch.setattr(ex, "fire", counting)
+        spec = build_protocol("rtoken", change_enabled=True)
+        got = explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
+        # Firing every instance outside the sleep sets took 141 fires, 68 of
+        # them twins.  One more instance shares its group's child but not
+        # its monitor states: it is pushed without a fire of its own.
+        assert len(fired) == 72
+        assert (got.states_explored, len(got), got.dedup_hits) == (61, 25, 13)
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_shared_memo_keys_partition_as_fresh_ones(self, protocol, reveals, vehicles,
+                                                       steps, monkeypatch):
+        import revlab.explorer as ex
+
+        keyed = []
+        canonical = ex.canonicalize
+
+        def recording(state, monitor=(), memo=None, vehicles=frozenset()):
+            key = canonical(state, monitor=monitor, memo=memo, vehicles=vehicles)
+            keyed.append((key, state, tuple(monitor), vehicles))
+            return key
+
+        monkeypatch.setattr(ex, "canonicalize", recording)
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        pairs = {
+            (key, canonical(state, monitor=monitor, vehicles=names))
+            for key, state, monitor, names in keyed
+        }
+        # the pairs are a bijection between the two sets of keys
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        assert len(pairs) < len(keyed)  # some states were merged
+
+    def test_cache_keys_on_what_a_rule_reads(self):
+        rule = Rule(id="PAIR", premises=(A, A), conclusions=(B,))
+        cache = InstanceCache([rule], 2)
+        assert cache.instances(make_state(linear=[A]), rule) == []
+        two = make_state(linear=[A, A])
+        got = cache.instances(two, rule)
+        assert got and got == enabled_instances(two, rule, 2)
+        # an unread fact and next_fresh, for a rule without fresh variables
+        # or input, leave the key as it is
+        assert cache.instances(make_state(linear=[A, A, B], next_fresh=5), rule) is got
+
+    @pytest.mark.parametrize("premise,budget_per,facts", [
+        (Fact("A", (var("x"),)), "", [Fact("A", (name("a"),)), Fact("A", (name("b"),))]),
+        (Fact("P", (var("x"),), True), "x",
+         [Fact("P", (name("a"),), True), Fact("P", (name("b"),), True)]),
+    ])
+    def test_twin_groups_keep_children_apart(self, premise, budget_per, facts):
+        # two instances whose x appears in no conclusion: one consumes a
+        # different fact, the other spends a different budget key
+        rule = Rule(id="R", premises=(premise,), conclusions=(B,),
+                    budget="max_sessions" if budget_per else "", budget_per=budget_per)
+        state = make_state(linear=[f for f in facts if not f.persistent],
+                           persistent=[f for f in facts if f.persistent])
+        enabled = _enabled(state, {}, [rule], Bounds())
+        children = _pruned(state, monitors.start(), {}, enabled, (),
+                           {rule.id: _flags(rule)}, {rule.id: _fixing_vars(rule)})
+        assert len(enabled) == len(children) == 2
+        assert children[0][0] != children[1][0] or children[0][3] != children[1][3]
+
+    def test_shared_memo_tells_generated_names_apart(self):
+        n = fresh(950)
+        known = observe(Knowledge(), n)
+        minted = dataclasses.replace(known, generated=(n,))
+        memo: dict = {}
+        for k in (known, minted):
+            state = make_state(knowledge=k)
+            assert canonicalize(state, memo=memo) == canonicalize(state)
 
 
 def _moves(*rules, linear=(), budget=0):

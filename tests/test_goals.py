@@ -297,6 +297,25 @@ class TestTiming:
         assert _explain_g5_failure(mk_traceset(same_time)) == "no witness within bounds"
 
 
+    def test_advance_all_skips_only_monitors_that_read_nothing(self):
+        from revlab import monitors
+
+        result, _ = scenario("rtoken", change=True)
+        skipped = 0
+        for trace in result.traces:
+            states = monitors.start()
+            for step in trace.steps:
+                got = monitors.advance_all(states, step)
+                assert got == tuple(
+                    m.advance(s, step) for m, s in zip(monitors.MONITORS.values(), states)
+                )
+                if {e.label for e in step.events}.isdisjoint(monitors.LABELS):
+                    assert got is states
+                    skipped += 1
+                states = got
+        assert skipped  # some steps emit no label a monitor reads
+
+
 class TestApplicability:
     def test_change_goals_require_change(self):
         spec = build_protocol("plain")

@@ -64,6 +64,24 @@ class TestDocument:
             result, elapsed = scenario(proto, change=change)
             build_document(result, elapsed, deterministic=True)
 
+    def test_each_distinct_evidence_trace_is_replayed_once(self, monkeypatch):
+        import revlab.report as report
+
+        replayed = []
+        check = report._check_replay
+
+        def counting(result, trace):
+            replayed.append(trace)
+            return check(result, trace)
+
+        monkeypatch.setattr(report, "_check_replay", counting)
+        result, elapsed = scenario("rtoken", change=True)
+        doc = build_document(result, elapsed, deterministic=True)
+        evidence = [v.evidence for v in result.verdicts.values() if v.evidence]
+        assert (len(evidence), len(set(evidence))) == (6, 4)
+        assert sorted(map(Trace.key, replayed)) == sorted(map(Trace.key, set(evidence)))
+        assert sum(1 for e in doc["results"] if e["evidence"]) == 6
+
     def test_swapped_terminal_state_is_rejected(self):
         result, elapsed = scenario("rtoken", change=True)
         goal, v = next(

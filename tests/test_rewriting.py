@@ -219,6 +219,17 @@ class TestFire:
         )
         assert all(f.name in ("IsRevoked",) for f in gained)
 
+    def test_persistent_set_is_shared_when_nothing_is_added(self):
+        spec, state = honest_prefix("plain", upto="REV_AUTH_OSR_REQ_SEND")
+        rule = spec.rule("OSR_REQ_RECV")
+        assert not any(f.persistent for f in rule.conclusions)
+        nxt, _ = fire(state, rule, enabled_instances(state, rule, 4)[0])
+        assert nxt.persistent is state.persistent
+        spec, state = honest_prefix("plain", upto="SETUP_VEHICLE")
+        rule = spec.rule("SETUP_PSEUDONYM")  # adds persistent facts
+        nxt, _ = fire(state, rule, enabled_instances(state, rule, 4)[0])
+        assert nxt.persistent > state.persistent
+
     def test_knowledge_grows_monotonically(self):
         spec, state = honest_prefix("plain", upto="REV_AUTH_OSR_REQ_SEND")
         rule = spec.rule("OSR_REQ_RECV")

@@ -139,6 +139,12 @@ class TestSignature:
         with pytest.raises(SignatureError):
             app("hash", (M,))
 
+    def test_non_term_arguments_rejected(self):
+        with pytest.raises(SignatureError):
+            app("pk", ("M",))
+        with pytest.raises(SignatureError):
+            app("pk", ([M],))  # unhashable, so not in the intern table either
+
     def test_tuple_needs_two_fields(self):
         with pytest.raises(SignatureError):
             app("tuple", (M,))
