@@ -19,10 +19,11 @@ depth in that order, and a merged prefix P' always has a kept prefix
 P < P'.  The continuation from P mirrored by the renaming gives a trace
 with the same goal profile, and Trace.key compares the prefix first, so
 that trace is smaller than the original.  So the least violating or
-witnessing trace in Trace.key order is never pruned, and neither is the
-first trace in which goals._explain_g5_failure finds an unanswered change,
-so its diagnosis names the same vehicle.  Every all-traces verdict
-downstream is a bounded-exhaustive statement, never a proof.
+witnessing trace in Trace.key order is never pruned.  Nor is the first
+trace whose G5 monitor state holds an unanswered change, which
+goals._explain_g5_failure reads from it, so its diagnosis names the same
+vehicle.  Every all-traces verdict downstream is a bounded-exhaustive
+statement, never a proof.
 
 Dedup mode also leaves out children that cannot reach a key first.  A twin
 is a child equal to an earlier sibling's child, in state, monitor states and
@@ -165,13 +166,16 @@ class Step:
 class Trace:
     """Maximal (or bound-truncated) execution with its terminal state.
 
-    A minimized evidence prefix has no recorded terminal state (None); the
-    report's replay supplies it.
+    watch holds every goal monitor's state after the steps, in
+    monitors.advance_all order; the goal verdicts are read from it.  A
+    minimized evidence prefix has neither (None); the report's replay
+    supplies its terminal state.
     """
 
     steps: tuple
     terminal_state: SystemState | None
     truncated: bool = False
+    watch: tuple | None = None
 
     @property
     def events(self) -> tuple:
@@ -243,9 +247,7 @@ def explore(
             # at the step bound: flag the leaf when rules could still fire
             truncated = _any_enabled(state, usage, leaf_rules, bounds, cache)
         if not enabled:
-            traces.append(
-                Trace(steps=steps, terminal_state=state, truncated=truncated)
-            )
+            traces.append(Trace(steps, state, truncated, watch))
             continue
         if dedup:
             children = _pruned(state, watch, usage, enabled, sleep, flags, fixes)

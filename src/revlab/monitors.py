@@ -62,12 +62,6 @@ class Monitor:
                     break
         return state
 
-    def fold(self, steps) -> frozenset:
-        state = START
-        for step in steps:
-            state = self.advance(state, step)
-        return state
-
     def holds(self, state: frozenset) -> bool:
         return state is self.hit
 
@@ -221,6 +215,9 @@ MONITORS = {
 # leaves every monitor state as it was.
 LABELS = frozenset().union(*(m.labels for m in MONITORS.values()))
 
+# Each monitor's position in the states of start and advance_all.
+INDEX = {g: i for i, g in enumerate(MONITORS)}
+
 # G4 (agreement plus message order) holds when G3 or G2 does.
 _PARTS = {"g4": ("g3", "g2")}
 
@@ -236,14 +233,16 @@ def hit_length(goal: str, steps):
     return None
 
 
-def holds(goal: str, steps) -> bool:
-    """Whether the goal's pattern occurs in the steps."""
-    return hit_length(goal, steps) is not None
-
-
 def start() -> tuple:
     """Every monitor's start state, in MONITORS order."""
     return (START,) * len(MONITORS)
+
+
+def holds_in(goal: str, states: tuple) -> bool:
+    """Whether the goal's pattern holds in advance_all's monitor states."""
+    return any(
+        states[INDEX[g]] is MONITORS[g].hit for g in _PARTS.get(goal, (goal,))
+    )
 
 
 def advance_all(states: tuple, step) -> tuple:

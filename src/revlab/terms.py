@@ -361,12 +361,6 @@ def _collect_vars(t: Term, out: set[str]) -> None:
             _collect_vars(a, out)
 
 
-def fresh_names(t: Term) -> Iterator[Fresh]:
-    for s in subterms(t):
-        if isinstance(s, Fresh):
-            yield s
-
-
 def term_size(t: Term) -> int:
     """Number of function applications in t (atoms are free)."""
     if isinstance(t, App):

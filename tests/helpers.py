@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from revlab import Bounds, build_protocol, run_all
-from revlab import explorer
+from revlab import explorer, monitors
 from revlab.explorer import (
     _GROUP_LIMIT,
     _assemble,
@@ -29,8 +29,8 @@ from revlab.explorer import (
     _ranked,
     _signature,
 )
-from revlab.knowledge import Knowledge
-from revlab.protocols import initial_state
+from revlab.knowledge import Knowledge, can_derive
+from revlab.protocols import SECRET_FRESH_VARS, initial_state
 from revlab.rewriting import Fact, enabled_instances
 from revlab.terms import (
     App,
@@ -65,6 +65,55 @@ def scenario(protocol: str, change: bool = False, reveals: bool = False, **bound
 
 def outcomes(result) -> dict:
     return {g: v.outcome for g, v in result.verdicts.items()}
+
+
+def watch_of(steps) -> tuple:
+    """Every monitor's state after the steps, folded from the start."""
+    return reduce(monitors.advance_all, steps, monitors.start())
+
+
+# --- goal-side checks that only the tests use ---------------------------------
+
+
+def reveal_guard_weak(events, vehicle, upto: int) -> bool:
+    """Whether the vehicle's keys were revealed (RevealLtk / RevealSKPSi).
+
+    Scoped to timepoints up to `upto`: every prefix of an explored trace is
+    itself a valid execution, so a compromise after the anchor event cannot
+    excuse a pattern that already occurred.
+    """
+    return any(
+        e.label in monitors.WEAK_REVEALS and e.args[0] is vehicle and e.time <= upto
+        for e in events
+    )
+
+
+def secrecy_violations(trace_set, depth: int = 4) -> list:
+    """Secret fresh values that became adversary-derivable, across all traces.
+
+    Knowledge grows monotonically along a trace, so checking each terminal
+    state covers every explored prefix.
+    """
+    bad = []
+    for trace in trace_set:
+        k = trace.terminal_state.knowledge
+        revealed = any(
+            e.label in ("RevealLtk", "RevealSKPSi", "VjSKPSiReveal")
+            for e in trace.events
+        )
+        if revealed:
+            continue
+        for step in trace.steps:
+            for ident, f in _fresh_allocations(step):
+                if ident in SECRET_FRESH_VARS and can_derive(k, f, depth) is not None:
+                    bad.append((trace, step.rule_id, ident, f))
+    return bad
+
+
+def _fresh_allocations(step):
+    for ident, t in step.binding:
+        if ident in step.fresh_idents and isinstance(t, Fresh):
+            yield ident, t
 
 
 # --- rewriting oracle: leftmost-outermost strategy ---------------------------
@@ -477,7 +526,6 @@ def reference_dedup_search(spec, init, bounds: Bounds) -> tuple:
     Only the dedup key prunes: no sleep set, no twin collapse.  Returns the
     traces sorted by Trace.key, the states explored and the dedup hits.
     """
-    from revlab import monitors
     from revlab.explorer import (
         Trace,
         _any_enabled,
@@ -508,7 +556,7 @@ def reference_dedup_search(spec, init, bounds: Bounds) -> tuple:
         else:
             truncated = _any_enabled(state, usage, rules, bounds)
         if not children:
-            traces.append(Trace(steps=steps, terminal_state=state, truncated=truncated))
+            traces.append(Trace(steps, state, truncated, watch))
         for child, step, used in reversed(children):
             stack.append((child, steps + (step,), monitors.advance_all(watch, step), used))
     traces.sort(key=Trace.key)

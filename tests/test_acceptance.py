@@ -8,12 +8,14 @@ import json
 import random
 
 from helpers import (
+    _fresh_allocations,
     oracle_agreement_cases,
     outcomes,
     random_small_state,
     random_term,
     renamed_copy,
     scenario,
+    secrecy_violations,
     states_isomorphic,
     normalize_outermost,
 )
@@ -24,7 +26,6 @@ from revlab.goals import (
     NO_COUNTEREXAMPLE,
     NO_WITNESS,
     WITNESS_FOUND,
-    secrecy_violations,
 )
 from revlab.terms import App, normalize
 
@@ -131,7 +132,6 @@ def test_criterion_7_secrets_stay_secret():
         bad = secrecy_violations(result.traces)
         assert bad == [], f"{protocol}: secrets leaked {bad}"
         # the check has teeth: every secret class the protocol mints is watched
-        from revlab.goals import _fresh_allocations
         from revlab.protocols import SECRET_FRESH_VARS
 
         watched = {

@@ -200,16 +200,20 @@ class TestMain:
 
         import revlab
 
-        argv = [sys.executable, "-m", "revlab", "--protocol", "rtoken",
-                "--goals", "g2", "--change", "--max-steps", "8",
-                "--output", "json", "--deterministic"]
         src = str(Path(revlab.__file__).resolve().parent.parent)
-        outs = []
-        for seed in ("1", "99991"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            got = subprocess.run(argv, capture_output=True, env=env, check=True)
-            outs.append(got.stdout)
-        assert outs[0] == outs[1]
+        for args in (
+            ["--goals", "g2", "--max-steps", "8"],
+            # two vehicles: the key permutes them, and every goal is judged
+            ["--goals", "all", "--vehicles", "2", "--max-steps", "7"],
+        ):
+            argv = [sys.executable, "-m", "revlab", "--protocol", "rtoken", "--change",
+                    *args, "--output", "json", "--deterministic"]
+            outs = []
+            for seed in ("1", "99991"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                got = subprocess.run(argv, capture_output=True, env=env, check=True)
+                outs.append(got.stdout)
+            assert outs[0] == outs[1], args
 
     def test_workers_env_does_not_change_output(self, capsys, monkeypatch):
         argv = ["--protocol", "rtoken", "--goals", "g2,g5", "--change",

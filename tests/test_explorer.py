@@ -25,6 +25,7 @@ from helpers import (
     states_isomorphic,
     vehicle_swapped,
     vehicle_swapped_facts,
+    watch_of,
 )
 from revlab import Bounds, build_protocol, explore, initial_state, monitors, recheck, replay, run_all
 from revlab.explorer import (
@@ -220,8 +221,10 @@ class TestMonitorDedup:
             assert _evidence_events(a[goal]) == _evidence_events(b[goal]), goal
             assert _uncounted(a[goal].explanation) == _uncounted(b[goal].explanation), goal
         assert {_profile(t) for t in full} <= {_profile(t) for t in kept}
+        for t in kept.traces + full.traces:
+            assert t.watch == watch_of(t.steps)
         for t in full:  # the monitors judge every trace as the evaluator does
-            monitored = tuple(monitors.holds(g, t.steps) for g in GOAL_IDS)
+            monitored = tuple(monitors.holds_in(g, t.watch) for g in GOAL_IDS)
             assert monitored == _profile(t)[0], canonical_events(t.events)
 
     def test_independent_steps_merge_in_either_order(self):
@@ -244,9 +247,8 @@ class TestMonitorDedup:
         assert _dedup_key(state, a, {}) != _dedup_key(state, b, {})
         # the futures differ: only the second history makes an acceptance a forgery
         accepted = _event_step(Event("OsrConfAcceptedBy", (ra, v1, token), 1))
-        g2 = monitors.MONITORS["g2"]
-        assert not g2.holds(g2.fold([received, accepted]))
-        assert g2.holds(g2.fold([other, accepted]))
+        assert not monitors.holds_in("g2", watch_of([received, accepted]))
+        assert monitors.holds_in("g2", watch_of([other, accepted]))
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
     def test_key_partition_equals_the_digest(self, protocol, reveals, vehicles, steps,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import outcomes, scenario
+from helpers import outcomes, reveal_guard_weak, scenario, watch_of
 from revlab import Bounds, build_protocol, run_all
 from revlab.explorer import Trace, TraceSet, Bounds as B
 from revlab.goals import (
@@ -14,13 +14,11 @@ from revlab.goals import (
     _evaluate,
     _explain_g5_failure,
     applicable_goals,
-    g2_violation,
-    g5_witness,
 )
 from revlab.explorer import Step
 from revlab.rewriting import Event
 from revlab.terms import fresh, name, pk, render
-from revlab import recheck
+from revlab import monitors, recheck
 
 
 RA = name("RA")
@@ -45,7 +43,7 @@ def mk_trace(*events) -> Trace:
     )
     from revlab.rewriting import make_state
 
-    return Trace(steps=(step,), terminal_state=make_state(), truncated=False)
+    return Trace((step,), make_state(), False, watch_of((step,)))
 
 
 def mk_traceset(*traces) -> TraceSet:
@@ -88,14 +86,14 @@ class TestFixtureTraces:
             ev("OsrConfAcceptedBy", RA, V1, T, time=0),
             ev("OsrReqMsgRecvBy", V1, RA, T, time=1),
         )
-        assert g2_violation(t)
+        assert monitors.holds_in("g2", t.watch)
 
     def test_reveal_guard_excludes_compromised_vehicle(self):
         t = mk_trace(
             ev("RevealLtk", V1, time=0),
             ev("OsrConfAcceptedBy", RA, V1, T, time=1),
         )
-        assert not g2_violation(t)
+        assert not monitors.holds_in("g2", t.watch)
         assert _evaluate("g2", mk_traceset(t)).outcome == NO_COUNTEREXAMPLE
 
     def test_reveal_after_the_accept_does_not_excuse(self):
@@ -104,7 +102,7 @@ class TestFixtureTraces:
             ev("OsrConfAcceptedBy", RA, V1, T, time=0),
             ev("RevealLtk", V1, time=1),
         )
-        assert g2_violation(t)
+        assert monitors.holds_in("g2", t.watch)
         assert _evaluate("g2", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
 
     def test_token_mismatch_is_a_violation(self):
@@ -112,7 +110,7 @@ class TestFixtureTraces:
             ev("OsrReqMsgRecvBy", V1, RA, T2, time=0),
             ev("OsrConfAcceptedBy", RA, V1, T, time=1),
         )
-        assert g2_violation(t)
+        assert monitors.holds_in("g2", t.watch)
 
     def test_g5_needs_report_change_confirm_in_order(self):
         good = mk_trace(
@@ -120,19 +118,19 @@ class TestFixtureTraces:
             ev("ChangePseudonymForVehicle", V1, T, T2, time=1),
             ev("OsrConfSentBy", V1, RA, T, time=2),
         )
-        assert g5_witness(good)
+        assert monitors.holds_in("g5", good.watch)
         wrong_order = mk_trace(
             ev("ChangePseudonymForVehicle", V1, T, T2, time=0),
             ev("Reported", V1, T, time=1),
             ev("OsrConfSentBy", V1, RA, T, time=2),
         )
-        assert not g5_witness(wrong_order)
+        assert not monitors.holds_in("g5", wrong_order.watch)
         confirm_before_change = mk_trace(
             ev("Reported", V1, T, time=0),
             ev("OsrConfSentBy", V1, RA, T, time=1),
             ev("ChangePseudonymForVehicle", V1, T, T2, time=2),
         )
-        assert not g5_witness(confirm_before_change)
+        assert not monitors.holds_in("g5", confirm_before_change.watch)
 
     def test_recheck_agrees_on_fixtures(self):
         cases = [
@@ -145,9 +143,7 @@ class TestFixtureTraces:
         ]
         for t in cases:
             for goal in ("g2", "g7"):
-                from revlab.goals import _PREDICATES
-
-                assert _PREDICATES[goal](t) == recheck.holds(goal, t.events)
+                assert monitors.holds_in(goal, t.watch) == recheck.holds(goal, t.events)
 
 
 V2 = name("V2")
@@ -273,11 +269,9 @@ TIMING_FIXTURES = {
 class TestTiming:
     @pytest.mark.parametrize("case", sorted(TIMING_FIXTURES))
     def test_monitors_keep_the_predicates_timing(self, case):
-        from revlab.goals import _PREDICATES
-
         expected, rows = TIMING_FIXTURES[case]
         t = mk_trace(*(ev(label, *args, time=time) for label, args, time in rows))
-        got = "".join(str(int(_PREDICATES[g](t))) for g in GOAL_IDS)
+        got = "".join(str(int(monitors.holds_in(g, t.watch))) for g in GOAL_IDS)
         assert got == expected
         assert got == "".join(str(int(recheck.holds(g, t.events))) for g in GOAL_IDS)
 
@@ -298,8 +292,6 @@ class TestTiming:
 
 
     def test_advance_all_skips_only_monitors_that_read_nothing(self):
-        from revlab import monitors
-
         result, _ = scenario("rtoken", change=True)
         skipped = 0
         for trace in result.traces:
@@ -314,6 +306,39 @@ class TestTiming:
                     skipped += 1
                 states = got
         assert skipped  # some steps emit no label a monitor reads
+
+
+class TestVerdictsReadTheWatch:
+    @pytest.mark.parametrize("protocol", ["rtoken", "plain"])
+    def test_only_minimization_advances_a_monitor(self, protocol, monkeypatch):
+        # plain has no G5 witness, so its run also makes the G5 diagnosis
+        from revlab import goals
+
+        explored = scenario(protocol, change=True)[0].traces
+        calls = {"minimal_prefix": 0, "elsewhere": 0}
+        minimizing = []
+        advance = monitors.Monitor.advance
+        minimal_prefix = goals._minimal_prefix
+
+        def counted(self, state, step):
+            calls["minimal_prefix" if minimizing else "elsewhere"] += 1
+            return advance(self, state, step)
+
+        def tracked(trace, goal):
+            minimizing.append(goal)
+            try:
+                return minimal_prefix(trace, goal)
+            finally:
+                minimizing.pop()
+
+        monkeypatch.setattr(monitors.Monitor, "advance", counted)
+        monkeypatch.setattr(goals, "_minimal_prefix", tracked)
+        result = run_all(
+            build_protocol(protocol, change_enabled=True), Bounds(), trace_set=explored
+        )
+        assert calls["elsewhere"] == 0
+        assert calls["minimal_prefix"] > 0
+        assert (result.verdicts["g5"].outcome == NO_WITNESS) == (protocol == "plain")
 
 
 class TestApplicability:
@@ -403,8 +428,6 @@ class TestProtocolMatrices:
             assert got[g] == NO_COUNTEREXAMPLE
         # the guard does real work: an accept with no prior receive exists,
         # excused because the vehicle's keys were revealed beforehand
-        from revlab.goals import reveal_guard_weak
-
         def excused_forgery(trace):
             for acc in trace.events:
                 if acc.label != "OsrConfAcceptedBy":
