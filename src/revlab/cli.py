@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .explorer import Bounds
 from .goals import CHANGE_GOALS, GOAL_IDS, EvidenceCheckError, run_all
@@ -32,8 +32,7 @@ class ExpectFileError(RuntimeError):
     """The --expect reference matrix cannot be read."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     protocol: str = "plain"
     goals: tuple = ()  # empty = all applicable
     change_enabled: bool = False

@@ -85,8 +85,8 @@ tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, count, permutations
+from typing import NamedTuple
 
 from . import knowledge as kn
 from . import monitors
@@ -120,28 +120,39 @@ class ReplayMismatchError(ValueError):
     """A recorded trace does not re-fire to the same steps and state."""
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Search bounds replacing unbounded proof search."""
-
+class _BoundsFields(NamedTuple):
     max_steps: int = 14
     max_changes: int = 1  # pseudonym changes per vehicle
     adversary_fresh_budget: int = 1
     synthesis_depth: int = 4
     max_sessions: int = 1  # misbehaviour reports per trace
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+
+class Bounds(_BoundsFields):
+    """Search bounds replacing unbounded proof search.
+
+    Construction, _replace included, rejects a bound that is not an
+    integer >= 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{f.name} must be an integer >= 0, got {value!r}")
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One fired rule instance inside a trace."""
 
     rule_id: str
@@ -162,8 +173,7 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Maximal (or bound-truncated) execution with its terminal state.
 
     watch holds every goal monitor's state after the steps, in
@@ -185,12 +195,43 @@ class Trace:
         return (len(self.steps), tuple(s.key() for s in self.steps))
 
 
-@dataclass(frozen=True)
 class TraceSet:
-    traces: tuple
-    bounds: Bounds
-    states_explored: int = 0
-    dedup_hits: int = 0
+    """The sorted traces of one search, with its bounds and counters.
+
+    Frozen, and equal by value.  Not a tuple: iterating it and its length
+    are over the traces.
+    """
+
+    __slots__ = ("traces", "bounds", "states_explored", "dedup_hits")
+
+    def __init__(
+        self, traces: tuple, bounds: Bounds, states_explored: int = 0, dedup_hits: int = 0
+    ):
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "states_explored", states_explored)
+        object.__setattr__(self, "dedup_hits", dedup_hits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return self.traces, self.bounds, self.states_explored, self.dedup_hits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"TraceSet({fields})"
 
     def __iter__(self):
         return iter(self.traces)
@@ -595,7 +636,7 @@ def _rule_terms(rule: Rule):
 def _start_state(init: SystemState, bounds: Bounds) -> SystemState:
     """The initial state with the adversary's fresh-name budget set."""
     budget = bounds.adversary_fresh_budget
-    return replace(init, knowledge=init.knowledge.with_budget(budget))
+    return init._replace(knowledge=init.knowledge.with_budget(budget))
 
 
 # ---------------------------------------------------------------------------

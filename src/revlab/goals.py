@@ -12,8 +12,7 @@ All-traces passes are bounded-exhaustive verdicts, never proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import monitors, recheck
 from .explorer import Bounds, Trace, TraceSet, explore
@@ -37,8 +36,7 @@ class EvidenceCheckError(RuntimeError):
     """The independent re-evaluation rejected an evidence trace."""
 
 
-@dataclass(frozen=True)
-class GoalVerdict:
+class GoalVerdict(NamedTuple):
     goal: str
     mode: str  # "exists-trace" | "all-traces"
     outcome: str
@@ -79,8 +77,7 @@ def applicable_goals(spec: ProtocolSpec) -> tuple:
     return tuple(g for g in GOAL_IDS if g not in CHANGE_GOALS)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     spec: ProtocolSpec
     bounds: Bounds
     n_vehicles: int
@@ -112,10 +109,10 @@ def run_all(
     for g in wanted:
         v = _evaluate(g, trace_set)
         if v.evidence is not None:
-            v = replace(v, evidence=_minimal_prefix(v.evidence, g))
+            v = v._replace(evidence=_minimal_prefix(v.evidence, g))
         if g == "g5" and v.outcome == NO_WITNESS:
-            v = replace(v, explanation=_explain_g5_failure(trace_set))
-        v = replace(v, bounds=bounds)
+            v = v._replace(explanation=_explain_g5_failure(trace_set))
+        v = v._replace(bounds=bounds)
         _recheck_verdict(v)
         verdicts[g] = v
     return RunResult(

@@ -19,8 +19,7 @@ basis term for every variable and filtering afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .terms import (
     CONSTRUCTORS,
@@ -40,8 +39,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """How the adversary obtains a term: leaf lookup or constructor step."""
 
     term: Term
@@ -56,22 +54,50 @@ class Derivation:
         return f"({self.via} {inner})"
 
 
-@dataclass(frozen=True)
 class Knowledge:
     """Immutable adversary state: observed closure plus self-generated names.
 
     basis is closed under analysis and normalization.  generated names are
     also members of basis; budget caps how many more gen_fresh may mint.
+    _memo caches synthesis answers for this value.  Equality, hashing and
+    repr read only (basis, generated, budget).  Every constructor call
+    starts an empty memo that no argument can pass in, so no two values
+    share one: answers cached under one fresh budget, which offer minted
+    names only while budget is left, are never served under another.
     """
 
-    basis: frozenset = frozenset()
-    generated: tuple = ()
-    budget: int = 0
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("basis", "generated", "budget", "_memo")
+
+    def __init__(self, basis: frozenset = frozenset(), generated: tuple = (), budget: int = 0):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "generated", generated)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.generated, self.budget) == (
+            other.basis, other.generated, other.budget
+        )
+
+    def __hash__(self):
+        return hash((self.basis, self.generated, self.budget))
+
+    def __repr__(self) -> str:
+        return (
+            f"Knowledge(basis={self.basis!r}, generated={self.generated!r}, "
+            f"budget={self.budget!r})"
+        )
 
     def with_budget(self, budget: int) -> "Knowledge":
-        # a fresh memo: synthesis offers a minted name only while budget is left
-        return replace(self, budget=budget, _memo={})
+        return Knowledge(self.basis, self.generated, budget)
 
 
 def observe(k: Knowledge, t: Term) -> Knowledge:
@@ -82,7 +108,7 @@ def observe(k: Knowledge, t: Term) -> Knowledge:
     closed = set(k.basis)
     closed.add(t)
     _close(closed)
-    return replace(k, basis=frozenset(closed), _memo={})
+    return Knowledge(frozenset(closed), k.generated, k.budget)
 
 
 def _close(closed: set) -> None:
@@ -164,18 +190,11 @@ def gen_fresh(k: Knowledge, fid: int) -> Optional[tuple[Knowledge, Fresh]]:
     if k.budget <= 0:
         return None
     f = fresh(fid, origin="adversary")
-    k2 = replace(
-        k,
-        basis=k.basis | {f},
-        generated=k.generated + (f,),
-        budget=k.budget - 1,
-        _memo={},
-    )
+    k2 = Knowledge(k.basis | {f}, k.generated + (f,), k.budget - 1)
     return k2, f
 
 
-@dataclass(frozen=True)
-class SynthResult:
+class SynthResult(NamedTuple):
     """One way to feed a network-input pattern from adversary material."""
 
     subst: tuple  # sorted (ident, Term) pairs added or confirmed

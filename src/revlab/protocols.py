@@ -10,7 +10,7 @@ the RA can verify about it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .knowledge import Knowledge
 from .rewriting import Fact, Rule, SystemState, make_state
@@ -28,8 +28,7 @@ REASON = name("reason")
 SECRET_FRESH_VARS = frozenset({"SKRA", "LTK", "SKPSi", "SKO"})
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedTuple):
     """Immutable protocol configuration: a named, fixed rule set."""
 
     name: str

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from . import __version__
 from .explorer import ReplayMismatchError, Trace, digest, replay
@@ -117,7 +116,7 @@ def _check_replay(result: RunResult, trace: Trace) -> Trace:
     init = initial_state(result.spec, result.n_vehicles)
     final = replay(result.spec, init, trace, result.bounds)
     if trace.terminal_state is None:
-        return replace(trace, terminal_state=final)
+        return trace._replace(terminal_state=final)
     if final != trace.terminal_state:
         raise ReplayMismatchError("replayed terminal state differs from recorded one")
     return trace

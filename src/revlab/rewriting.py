@@ -3,11 +3,14 @@
 The network is folded into the adversary: conclusions marked as outputs feed
 the knowledge base, network-input premises are instantiated by adversary
 synthesis.  States are immutable snapshots so exploration can branch freely.
+Records (here and in the other modules) are immutable tuples that compare
+by value and are copied with _replace; Knowledge and explorer.TraceSet,
+which cannot be tuples, are frozen slot classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import knowledge as kn
 from .knowledge import Knowledge
@@ -35,9 +38,16 @@ class RuleDefinitionError(ValueError):
     """A rule violates the variable-binding discipline."""
 
 
-@dataclass(frozen=True)
-class Fact:
-    """Predicate on terms; persistent facts survive consumption."""
+class Fact(NamedTuple):
+    """Predicate on terms; persistent facts survive consumption.
+
+    As tuples, Fact(n, a, False) and Event(n, a, 0) are equal, but no set,
+    dict or comparison holds both.  Events are made only by emitted() and
+    kept only in Step.events, where they meet only other events (replay
+    compares their keys, recheck their positions).  Facts sit in rules,
+    states, instances, monitor states and the explorer's keys and memos,
+    none of which holds an event.
+    """
 
     name: str
     args: tuple
@@ -51,8 +61,7 @@ class Fact:
         return f"{bang}{self.name}({', '.join(render(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Action label emitted by a fired rule at a trace timepoint."""
 
     label: str
@@ -66,18 +75,7 @@ class Event:
         return f"{self.label}({', '.join(render(a) for a in self.args)})@{self.time}"
 
 
-@dataclass(frozen=True)
-class Rule:
-    """Premises / event labels / conclusions triple with fresh names and guards.
-
-    guards are pairs compared for equality after substitution and
-    normalization.  network_in patterns are fed by the adversary;
-    network_out terms are released to it.  actor names the variable whose
-    binding is the agent performing the step.  budget, when set, names the
-    Bounds field capping how often the rule fires in one trace; with
-    budget_per set, the cap applies per value bound to that variable.
-    """
-
+class _RuleFields(NamedTuple):
     id: str
     premises: tuple = ()
     fresh_vars: tuple = ()
@@ -90,7 +88,24 @@ class Rule:
     budget: str = ""
     budget_per: str = ""
 
-    def __post_init__(self):
+
+class Rule(_RuleFields):
+    """Premises / event labels / conclusions triple with fresh names and guards.
+
+    guards are pairs compared for equality after substitution and
+    normalization.  network_in patterns are fed by the adversary;
+    network_out terms are released to it.  actor names the variable whose
+    binding is the agent performing the step.  budget, when set, names the
+    Bounds field capping how often the rule fires in one trace; with
+    budget_per set, the cap applies per value bound to that variable.
+    Construction, _replace included, rejects a variable that is used but
+    never bound.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         bound: set[str] = set(self.fresh_vars)
         for p in self.premises:
             for a in p.args:
@@ -113,15 +128,19 @@ class Rule:
             raise RuleDefinitionError(
                 f"rule {self.id}: unbound variables {sorted(loose)}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(NamedTuple):
     """Multiset of facts plus the adversary view; immutable snapshot."""
 
     linear: tuple = ()  # sorted, duplicates meaningful
     persistent: frozenset = frozenset()
-    knowledge: Knowledge = field(default_factory=Knowledge)
+    knowledge: Knowledge = Knowledge()
     next_fresh: int = 0
     step: int = 0
 
@@ -139,8 +158,7 @@ def make_state(linear=(), persistent=(), knowledge=None, next_fresh=0, step=0):
     )
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A complete, fireable instantiation of a rule in some state."""
 
     rule_id: str

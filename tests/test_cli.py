@@ -215,13 +215,21 @@ class TestMain:
                 outs.append(got.stdout)
             assert outs[0] == outs[1], args
 
-    def test_workers_env_does_not_change_output(self, capsys, monkeypatch):
-        argv = ["--protocol", "rtoken", "--goals", "g2,g5", "--change",
-                "--output", "json", "--deterministic"]
-        monkeypatch.setenv("REVLAB_WORKERS", "1")
-        main(argv)
-        one = capsys.readouterr().out
-        monkeypatch.setenv("REVLAB_WORKERS", "8")
-        main(argv)
-        eight = capsys.readouterr().out
-        assert one == eight
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up stays cheap: dataclasses imports inspect, which imports ast,
+    dis and tokenize, and a dataclass compiles its methods at import."""
+    import os
+    import subprocess
+    import sys
+
+    import revlab
+
+    src = str(Path(revlab.__file__).resolve().parent.parent)
+    probe = "import sys, revlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: .pth files of the installation may import modules of their own
+    got = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert got.stdout.strip() == "[]"

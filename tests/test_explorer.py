@@ -1,7 +1,6 @@
 """Exploration: monitor-keyed dedup vs the unpruned search and a dedup-free
 enumerator, canonical digests, replay, truncation, determinism."""
 
-import dataclasses
 import json
 import random
 import re
@@ -161,9 +160,9 @@ class TestExplore:
         trace = max(explore(spec, init, bounds), key=lambda t: len(t.steps))
         i = next(i for i, s in enumerate(trace.steps) if s.inputs)
         step = trace.steps[i]
-        forged = dataclasses.replace(step, inputs=(name("M"),) + step.inputs[1:])
-        tampered = dataclasses.replace(
-            trace, steps=trace.steps[:i] + (forged,) + trace.steps[i + 1 :]
+        forged = step._replace(inputs=(name("M"),) + step.inputs[1:])
+        tampered = trace._replace(
+            steps=trace.steps[:i] + (forged,) + trace.steps[i + 1 :]
         )
         with pytest.raises(ReplayMismatchError):
             replay(spec, init, tampered, bounds)
@@ -448,7 +447,7 @@ class TestReuse:
     def test_shared_memo_tells_generated_names_apart(self):
         n = fresh(950)
         known = observe(Knowledge(), n)
-        minted = dataclasses.replace(known, generated=(n,))
+        minted = Knowledge(known.basis, (n,), known.budget)
         memo: dict = {}
         for k in (known, minted):
             state = make_state(knowledge=k)
@@ -573,8 +572,8 @@ class TestReplay:
         return bounds, traces
 
     def _tampered(self, trace, **fields):
-        step = dataclasses.replace(trace.steps[0], **fields)
-        return dataclasses.replace(trace, steps=(step,))
+        step = trace.steps[0]._replace(**fields)
+        return trace._replace(steps=(step,))
 
     def test_recorded_traces_replay(self):
         bounds, traces = self._trace(budget=1)
@@ -652,10 +651,9 @@ class TestBounds:
         import revlab.explorer as ex
 
         spec = build_protocol("plain")
-        spec = dataclasses.replace(
-            spec,
+        spec = spec._replace(
             rules=tuple(
-                dataclasses.replace(r, id="REPORT_RENAMED") if r.id == "REPORT" else r
+                r._replace(id="REPORT_RENAMED") if r.id == "REPORT" else r
                 for r in spec.rules
             ),
         )
@@ -859,7 +857,7 @@ class TestCanonicalKey:
         one = make_state(linear=[Fact("F", (a,))])
         two = make_state(linear=[Fact("F", (a,)), Fact("F", (a,))])
         assert canonicalize(one) != canonicalize(two)
-        later = dataclasses.replace(one, step=one.step + 1)
+        later = one._replace(step=one.step + 1)
         assert canonicalize(one) != canonicalize(later)
         assert canonicalize(one) != canonicalize(one, monitor=[Fact("g2.Seen", (a,))])
 

@@ -1,6 +1,5 @@
 """Report documents: JSON round-trip, disclaimers, replay checks, MSC."""
 
-import dataclasses
 import json
 
 import pytest
@@ -91,11 +90,11 @@ class TestDocument:
         other = next(
             t for t in result.traces if digest(t.terminal_state) != recorded
         )
-        forged = dataclasses.replace(v.evidence, terminal_state=other.terminal_state)
+        forged = v.evidence._replace(terminal_state=other.terminal_state)
         verdicts = dict(result.verdicts)
-        verdicts[goal] = dataclasses.replace(v, evidence=forged)
+        verdicts[goal] = v._replace(evidence=forged)
         with pytest.raises(ReplayMismatchError):
-            build_document(dataclasses.replace(result, verdicts=verdicts), elapsed)
+            build_document(result._replace(verdicts=verdicts), elapsed)
 
     def test_text_rendering_mentions_verdicts(self):
         result, elapsed = scenario("plain", change=True)
