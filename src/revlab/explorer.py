@@ -59,10 +59,18 @@ slept is not a leaf: it records no trace and pushes no child.
 
 Two savings in dedup mode change nothing that is pushed.  Enabled lists are
 cached for one search (InstanceCache), keyed on what enabled_instances
-reads: the rule, the linear and persistent facts its premises name, the
-adversary knowledge for a rule with a network input, and next_fresh for a
-rule with fresh variables or a network input.  States that agree on these
-have equal lists.  And the instances of a node that share their rule,
+reads: the rule, the linear and persistent facts its premises name, and the
+adversary knowledge and next_fresh for a rule with a network input.  States
+that agree on these have equal lists, up to the fresh names allocated to
+the rule's fresh variables, which follow next_fresh.  A list cached at
+another next_fresh is renumbered: each instance gets the new names in its
+fresh_alloc and its binding.  A rule without network input mints no
+adversary names, and no fact it matches holds a name at or above
+next_fresh, so the renaming fixes every other value and changes no guard.
+Every instance of a list holds the same fresh names, so the list keeps its
+Instance.key order.  A rule with a network input keeps next_fresh in its
+key, because its input derivations are rendered text that names fresh ids.
+And the instances of a node that share their rule,
 consumed facts, minted names and the values of the variables in the rule's
 conclusions, network outputs and per-binding budget form a twin group:
 these fix the child state and the budget usage, so only the group's first
@@ -331,10 +339,11 @@ class InstanceCache:
     """enabled_instances results of one search, keyed on what a call reads.
 
     A call reads the rule, the linear facts its premises name (in state
-    order, so multiplicities count), the persistent facts they name, the
-    adversary knowledge when the rule has a network input, and next_fresh
-    when the rule has fresh variables or a network input.  States that
-    agree on these get equal lists.  A miss calls enabled_instances.
+    order, so multiplicities count), the persistent facts they name, and,
+    when the rule has a network input, the adversary knowledge and
+    next_fresh.  States that agree on these get equal lists, up to the
+    names allocated to the rule's fresh variables: a list cached at another
+    next_fresh is renumbered (_renumbered).  A miss calls enabled_instances.
     """
 
     def __init__(self, rules, depth: int):
@@ -343,29 +352,47 @@ class InstanceCache:
         self.lists: dict = {}
 
     def instances(self, state: SystemState, rule: Rule) -> list:
-        linear, persistent, receives, numbered = self.reads[rule.id]
+        linear, persistent, receives = self.reads[rule.id]
         k = state.knowledge
         key = (
             rule.id,
             tuple(f for f in state.linear if f.name in linear),
             frozenset(f for f in state.persistent if f.name in persistent) if persistent else None,
-            (k.basis, k.generated, k.budget) if receives else None,
-            state.next_fresh if numbered else None,
+            (k.basis, k.generated, k.budget, state.next_fresh) if receives else None,
         )
         got = self.lists.get(key)
         if got is None:
             got = self.lists[key] = enabled_instances(state, rule, self.depth)
+        elif got and got[0].fresh_alloc and got[0].fresh_alloc[0][1].fid != state.next_fresh:
+            got = _renumbered(got, rule, state.next_fresh)
         return got
 
 
 def _reads(rule: Rule) -> tuple:
     """What enabled_instances reads of a state for rule: the names of its
-    linear and of its persistent premises, whether it reads the knowledge,
-    and whether it reads next_fresh."""
+    linear and of its persistent premises, and whether it reads the
+    knowledge and next_fresh."""
     linear = frozenset(p.name for p in rule.premises if not p.persistent)
     persistent = frozenset(p.name for p in rule.premises if p.persistent)
-    receives = bool(rule.network_in)
-    return linear, persistent, receives, receives or bool(rule.fresh_vars)
+    return linear, persistent, bool(rule.network_in)
+
+
+def _renumbered(instances: list, rule: Rule, next_fresh: int) -> list:
+    """A rule's enabled list, enumerated at another next_fresh, with its
+    fresh variables allocated from next_fresh instead; the module docstring
+    says why this is the list enabled_instances gives there."""
+    alloc = tuple(
+        (ident, fresh(next_fresh + i, origin=f"{rule.id}:{ident}"))
+        for i, ident in enumerate(rule.fresh_vars)
+    )
+    values = dict(alloc)
+    return [
+        inst._replace(
+            binding=tuple((i, values.get(i, t)) for i, t in inst.binding),
+            fresh_alloc=alloc,
+        )
+        for inst in instances
+    ]
 
 
 def _child(state, usage, rule, inst) -> tuple:

@@ -15,6 +15,14 @@ request an anchor needs must happen at a strictly earlier timepoint; the G1
 chain is ordered by event position, so events within one step count as
 ordered.  Events arrive in non-decreasing time order (an explored event's
 time is its step's index).
+
+advance folds a step one timepoint at a time, and each monitor memoizes
+that fold on (state, the label and args of the timepoint's events whose
+label it reads, in order).  The memo is exact: the facts carry no times, so
+the new state does not depend on which timepoint it is, and every at
+function reads only the label and args of events whose label is in the
+monitor's labels, so the other events of the timepoint cannot change it.
+The memos fill as searches run and live for the process.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ class Monitor:
         self.labels = labels  # the event labels the pattern reads
         self.hit = frozenset({self.fact("hit")})
         self._at = at
+        # (state, (label, args) of a timepoint's events with a label in
+        # labels) -> the state after that timepoint
+        self._moves: dict = {}
 
     def fact(self, kind: str, *args) -> Fact:
         return Fact(f"{self.goal}.{kind}", args)
@@ -54,12 +65,19 @@ class Monitor:
     def advance(self, state: frozenset, step) -> frozenset:
         if state is self.hit:
             return state
+        labels = self.labels
         for _, group in groupby(step.events, key=_time):
             group = tuple(group)
-            if any(e.label in self.labels for e in group):
-                state = self._at(self, state, group)
-                if state is self.hit:
-                    break
+            read = tuple([(e.label, e.args) for e in group if e.label in labels])
+            if not read:
+                continue
+            key = (state, read)
+            got = self._moves.get(key)
+            if got is None:
+                got = self._moves[key] = self._at(self, state, group)
+            state = got
+            if state is self.hit:
+                break
         return state
 
     def holds(self, state: frozenset) -> bool:

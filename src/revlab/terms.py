@@ -3,10 +3,20 @@
 Terms are interned (hash-consed): building the same term twice returns the
 same object, so equality is identity and states containing shared structure
 stay cheap to compare and deduplicate.  All operations are pure.
+
+Because a term is its own identity, a pure function of terms can be
+memoized on its arguments (Filliatre & Conchon, Type-safe modular
+hash-consing, ML 2006).  Process-global tables hold normal forms
+(_normal), renderings (_renders), sort keys (_sort_keys), groundness
+(_groundness), each pattern's variables in first-occurrence order
+(_first_vars), and the results of substitute (_substituted) and
+instantiate_partial (_instantiated), keyed on the pattern and the values of
+its variables in that order: those values alone fix the result.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Optional
 
 # Fixed signature: symbol -> arity.  "tuple" is variadic (arity >= 2) and is
@@ -250,20 +260,46 @@ def _match(p: Term, g: Term, binding: dict) -> bool:
     return p is g
 
 
+_first_vars: dict[Term, tuple] = {}
+_substituted: dict[tuple, Term] = {}
+_instantiated: dict[tuple, Term] = {}
+
+
+def _occurring(t: Term) -> tuple:
+    """The identifiers of t's variables in first-occurrence (pre-order)
+    order, and an itemgetter of them (None when t is ground)."""
+    found: dict = {}
+    for s in subterms(t):
+        if isinstance(s, Var):
+            found[s.ident] = None
+    idents = tuple(found)
+    got = _first_vars[t] = idents, itemgetter(*idents) if idents else None
+    return got
+
+
 def substitute(subst: dict, t: Term) -> Term:
     """Replace every variable of t via subst, then normalize.
 
-    Raises UnboundVariableError for variables outside the substitution.
+    Raises UnboundVariableError for variables outside the substitution,
+    naming the first one in t.  Memoized on t and its variables' values.
     """
-    return normalize(_subst(subst, t))
+    values = (_first_vars.get(t) or _occurring(t))[1]
+    if values is None:
+        return normalize(t)
+    try:
+        # one value, or a tuple of them when t has several variables
+        key = (t, values(subst))
+    except KeyError as missing:
+        raise UnboundVariableError(missing.args[0]) from None
+    got = _substituted.get(key)
+    if got is None:
+        got = _substituted[key] = normalize(_subst(subst, t))
+    return got
 
 
 def _subst(subst: dict, t: Term) -> Term:
     if isinstance(t, Var):
-        try:
-            return subst[t.ident]
-        except KeyError:
-            raise UnboundVariableError(t.ident) from None
+        return subst[t.ident]
     if isinstance(t, App):
         args = tuple(_subst(subst, a) for a in t.args)
         return t if args == t.args else app(t.sym, args)
@@ -271,11 +307,25 @@ def _subst(subst: dict, t: Term) -> Term:
 
 
 def instantiate_partial(subst: dict, t: Term) -> Term:
-    """Replace bound variables of t, leaving unbound ones in place."""
+    """Replace bound variables of t, leaving unbound ones in place.
+
+    Memoized on t and its variables' values (None for an unbound one).
+    """
+    idents = (_first_vars.get(t) or _occurring(t))[0]
+    if not idents:
+        return t
+    key = (t, tuple(map(subst.get, idents)))
+    got = _instantiated.get(key)
+    if got is None:
+        got = _instantiated[key] = _partial(subst, t)
+    return got
+
+
+def _partial(subst: dict, t: Term) -> Term:
     if isinstance(t, Var):
         return subst.get(t.ident, t)
     if isinstance(t, App):
-        args = tuple(instantiate_partial(subst, a) for a in t.args)
+        args = tuple(_partial(subst, a) for a in t.args)
         return t if args == t.args else app(t.sym, args)
     return t
 
@@ -348,17 +398,7 @@ def is_ground(t: Term) -> bool:
 
 def variables(t: Term) -> set[str]:
     """Identifiers of all pattern variables occurring in t."""
-    out: set[str] = set()
-    _collect_vars(t, out)
-    return out
-
-
-def _collect_vars(t: Term, out: set[str]) -> None:
-    if isinstance(t, Var):
-        out.add(t.ident)
-    elif isinstance(t, App):
-        for a in t.args:
-            _collect_vars(a, out)
+    return set((_first_vars.get(t) or _occurring(t))[0])
 
 
 def term_size(t: Term) -> int:

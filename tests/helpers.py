@@ -72,6 +72,30 @@ def watch_of(steps) -> tuple:
     return reduce(monitors.advance_all, steps, monitors.start())
 
 
+def unmemoized_advance(m: monitors.Monitor, state: frozenset, step) -> frozenset:
+    """Monitor.advance without its memo: m's at function applied to each
+    timepoint's events that include a label m reads, until the pattern holds."""
+    for _, group in itertools.groupby(step.events, key=lambda e: e.time):
+        group = tuple(group)
+        if state is not m.hit and any(e.label in m.labels for e in group):
+            state = m._at(m, state, group)
+    return state
+
+
+def check_memoized_advance(steps) -> int:
+    """Fold the steps through every monitor, memoized and not, asserting
+    equal states after each step; returns the number of steps compared."""
+    for m in monitors.MONITORS.values():
+        state = monitors.START
+        for step in steps:
+            want = unmemoized_advance(m, state, step)
+            got = m.advance(state, step)
+            assert got == want, (m.goal, step.events)
+            assert m.holds(got) == (want is m.hit)
+            state = want
+    return len(steps)
+
+
 # --- goal-side checks that only the tests use ---------------------------------
 
 

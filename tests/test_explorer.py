@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     canonical_events,
+    check_memoized_advance,
     digest,
     enumerate_event_seqs,
     outcomes,
@@ -226,6 +227,13 @@ class TestMonitorDedup:
             monitored = tuple(monitors.holds_in(g, t.watch) for g in GOAL_IDS)
             assert monitored == _profile(t)[0], canonical_events(t.events)
 
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_memoized_advance_equals_a_fold_without_memo(self, protocol, reveals,
+                                                         vehicles, steps):
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        assert sum(check_memoized_advance(t.steps) for t in got) > len(got)
+
     def test_independent_steps_merge_in_either_order(self):
         spec = build_protocol("plain")
         setup = [("SETUP_VEHICLE", "V1"), ("SETUP_VEHICLE", "V2")]
@@ -355,6 +363,8 @@ class TestReuse:
         import revlab.explorer as ex
 
         checked = []
+        renumbered = []
+        renumber = ex._renumbered
 
         def checking(fn):
             def call(state, usage, rules, bounds, cache=None):
@@ -366,11 +376,35 @@ class TestReuse:
 
             return call
 
+        def counting(instances, rule, next_fresh):
+            renumbered.append(rule.id)
+            return renumber(instances, rule, next_fresh)
+
         monkeypatch.setattr(ex, "_enabled", checking(ex._enabled))
         monkeypatch.setattr(ex, "_any_enabled", checking(ex._any_enabled))
+        monkeypatch.setattr(ex, "_renumbered", counting)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
         assert len(checked) == got.states_explored  # one check per popped state
+        assert renumbered  # some cached lists were served at another next_fresh
+
+    def test_enabled_lists_are_computed_once_per_what_they_read(self, monkeypatch):
+        import revlab.explorer as ex
+
+        calls = []
+        enabled = ex.enabled_instances
+
+        def counting(state, rule, depth):
+            calls.append(rule.id)
+            return enabled(state, rule, depth)
+
+        monkeypatch.setattr(ex, "enabled_instances", counting)
+        spec = build_protocol("rtoken", change_enabled=True)
+        explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
+        # 150 while next_fresh was part of every key of a rule with fresh
+        # variables; the lists of such rules without network input are now
+        # renumbered instead of computed again
+        assert len(calls) == 108
 
     def test_each_twin_group_fires_once(self, monkeypatch):
         import revlab.explorer as ex
@@ -425,6 +459,20 @@ class TestReuse:
         # an unread fact and next_fresh, for a rule without fresh variables
         # or input, leave the key as it is
         assert cache.instances(make_state(linear=[A, A, B], next_fresh=5), rule) is got
+
+    def test_cached_lists_are_renumbered_at_another_next_fresh(self):
+        x, n = var("x"), var("n")
+        rule = Rule(id="MINT", premises=(Fact("A", (x,)),), fresh_vars=("n",),
+                    conclusions=(Fact("B", (x, n)),))
+        facts = [Fact("A", (name("b"),)), Fact("A", (name("a"),))]
+        cache = InstanceCache([rule], 2)
+        first = cache.instances(make_state(linear=facts, next_fresh=3), rule)
+        later = make_state(linear=facts, next_fresh=7)
+        got = cache.instances(later, rule)
+        assert len(got) == 2 and got == enabled_instances(later, rule, 2)
+        assert [dict(i.binding)["n"] for i in got] == [fresh(7), fresh(7)]
+        assert [i.consumed for i in got] == [i.consumed for i in first]
+        assert len(cache.lists) == 1  # one list, served renumbered
 
     @pytest.mark.parametrize("premise,budget_per,facts", [
         (Fact("A", (var("x"),)), "", [Fact("A", (name("a"),)), Fact("A", (name("b"),))]),

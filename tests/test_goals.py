@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import outcomes, reveal_guard_weak, scenario, watch_of
+from helpers import check_memoized_advance, outcomes, reveal_guard_weak, scenario, watch_of
 from revlab import Bounds, build_protocol, run_all
 from revlab.explorer import Trace, TraceSet, Bounds as B
 from revlab.goals import (
@@ -274,6 +274,27 @@ class TestTiming:
         got = "".join(str(int(monitors.holds_in(g, t.watch))) for g in GOAL_IDS)
         assert got == expected
         assert got == "".join(str(int(recheck.holds(g, t.events))) for g in GOAL_IDS)
+
+    def test_memoized_advance_equals_a_fold_without_memo(self):
+        steps = [
+            mk_trace(*(ev(label, *args, time=time) for label, args, time in rows)).steps[0]
+            for _, rows in TIMING_FIXTURES.values()
+        ]
+        # one step over two timepoints, each holding a label that G1 reads
+        # and one that it does not
+        mixed = mk_trace(
+            ev("Reported", V1, T, time=0),
+            ev("InitVjPseudonym", V1, time=0),
+            ev("OsrReqMsgSentTo", RA, V1, T, time=1),
+            ev("RevealLtk", V1, time=1),
+        ).steps[0]
+        g1 = monitors.MONITORS["g1"]
+        assert "InitVjPseudonym" not in monitors.LABELS
+        assert "RevealLtk" in monitors.LABELS - g1.labels
+        for _ in range(2):  # the second pass reads what the first memoized
+            for step in steps + [mixed]:
+                check_memoized_advance([step])
+            check_memoized_advance(steps + [mixed])
 
     def test_g5_diagnosis_reads_the_monitor(self):
         changed = [

@@ -3,14 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import normalize_outermost, random_term
 from revlab.terms import (
+    App,
     SignatureError,
     TRUE,
     UnboundVariableError,
+    Var,
     app,
     fresh,
+    instantiate_partial,
     is_ground,
     match,
     name,
@@ -28,6 +33,7 @@ from revlab.terms import (
     term_size,
     tup,
     var,
+    verify,
 )
 
 M = name("M")
@@ -128,6 +134,63 @@ class TestSubstitute:
     def test_unbound_variable_raises(self):
         with pytest.raises(UnboundVariableError):
             substitute({}, var("zzz"))
+
+
+def _unmemoized(subst: dict, t, partial: bool):
+    """Replace t's variables by recursion, with no memo; an unbound variable
+    stays when partial, else raises naming the first one in t."""
+    if isinstance(t, Var):
+        if t.ident in subst:
+            return subst[t.ident]
+        if partial:
+            return t
+        raise UnboundVariableError(t.ident)
+    if isinstance(t, App):
+        return app(t.sym, tuple(_unmemoized(subst, a, partial) for a in t.args))
+    return t
+
+
+def _patterns():
+    leaves = st.sampled_from([var("x"), var("y"), var("z"), M, K, var("x")])
+
+    def extend(children):
+        return st.one_of(
+            st.builds(pk, children),
+            st.builds(sign, children, children),
+            st.builds(tup, children, children),
+            st.builds(verify, children, children, children),
+            st.builds(rdec, children, children),
+            # redexes once their variables are bound
+            st.builds(lambda m, k: verify(sign(m, k), m, pk(k)), children, children),
+            st.builds(lambda m, k: rdec(renc(m, k), k), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+# values drawn from a small pool, so that bindings often repeat
+BINDINGS = st.dictionaries(
+    st.sampled_from(["x", "y", "z", "w"]),
+    st.sampled_from([M, R, K, K2, pk(K), sign(M, K), renc(R, K2)]),
+)
+
+
+class TestMemoizedSubstitution:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_patterns(), st.lists(BINDINGS, min_size=1, max_size=4))
+    def test_equals_a_memo_free_recursion(self, pattern, bindings):
+        # each binding twice, so the later calls read what earlier ones memoized
+        for subst in bindings + bindings:
+            partial = _unmemoized(subst, pattern, partial=True)
+            assert instantiate_partial(subst, pattern) is partial
+            try:
+                want = normalize_outermost(_unmemoized(subst, pattern, partial=False))
+            except UnboundVariableError as missing:
+                with pytest.raises(UnboundVariableError) as got:
+                    substitute(subst, pattern)
+                assert got.value.args == missing.args
+            else:
+                assert substitute(subst, pattern) is want
 
 
 class TestSignature:
