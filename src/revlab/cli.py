@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .explorer import Bounds
 from .goals import CHANGE_GOALS, GOAL_IDS, EvidenceCheckError, run_all
@@ -32,17 +32,19 @@ class ExpectFileError(RuntimeError):
     """The --expect reference matrix cannot be read."""
 
 
-class ScenarioConfig(NamedTuple):
-    protocol: str = "plain"
-    goals: tuple = ()  # empty = all applicable
-    change_enabled: bool = False
-    reveals_enabled: bool = False
-    bounds: Bounds = Bounds()
-    n_vehicles: int = 1
-    output: str = "text"
-    trace_render: str = "none"
-    deterministic: bool = False
-    expect: str | None = None
+class ScenarioConfig(
+    namedtuple(
+        "ScenarioConfig",
+        (
+            "protocol", "goals", "change_enabled", "reveals_enabled", "bounds",
+            "n_vehicles", "output", "trace_render", "deterministic", "expect",
+        ),
+        defaults=("plain", (), False, False, Bounds(), 1, "text", "none", False, None),
+    )
+):
+    """One run's settings; empty goals means every applicable goal."""
+
+    __slots__ = ()
 
 
 _CHOICES = {"output": ("text", "json"), "trace_render": ("none", "msc")}

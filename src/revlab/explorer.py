@@ -92,9 +92,8 @@ tests.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, count, permutations
-from typing import NamedTuple
 
 from . import knowledge as kn
 from . import monitors
@@ -128,19 +127,19 @@ class ReplayMismatchError(ValueError):
     """A recorded trace does not re-fire to the same steps and state."""
 
 
-class _BoundsFields(NamedTuple):
-    max_steps: int = 14
-    max_changes: int = 1  # pseudonym changes per vehicle
-    adversary_fresh_budget: int = 1
-    synthesis_depth: int = 4
-    max_sessions: int = 1  # misbehaviour reports per trace
-
-
-class Bounds(_BoundsFields):
+class Bounds(
+    namedtuple(
+        "Bounds",
+        ("max_steps", "max_changes", "adversary_fresh_budget", "synthesis_depth",
+         "max_sessions"),
+        defaults=(14, 1, 1, 4, 1),
+    )
+):
     """Search bounds replacing unbounded proof search.
 
-    Construction, _replace included, rejects a bound that is not an
-    integer >= 0.
+    max_changes caps the pseudonym changes per vehicle, max_sessions the
+    misbehaviour reports per trace.  Construction, _replace included,
+    rejects a bound that is not an integer >= 0.
     """
 
     __slots__ = ()
@@ -160,18 +159,27 @@ class Bounds(_BoundsFields):
         return self._asdict()
 
 
-class Step(NamedTuple):
-    """One fired rule instance inside a trace."""
+class Step(
+    namedtuple(
+        "Step",
+        (
+            "rule_id", "binding", "inputs", "input_synthesized", "input_derivations",
+            "generated", "events", "outputs", "fresh_idents",
+        ),
+        defaults=((), ()),
+    )
+):
+    """One fired rule instance inside a trace.
 
-    rule_id: str
-    binding: tuple  # sorted (ident, Term) pairs
-    inputs: tuple  # ground network-input terms
-    input_synthesized: tuple  # per input: built by the adversary vs replayed
-    input_derivations: tuple
-    generated: tuple  # adversary gen_fresh names minted for this step
-    events: tuple  # Event values, time == step index
-    outputs: tuple = ()  # ground terms released to the network
-    fresh_idents: tuple = ()  # binding idents the rule allocated fresh
+    binding holds sorted (ident, Term) pairs; inputs the ground
+    network-input terms; input_synthesized, per input, whether the
+    adversary built it or replayed it; generated the adversary's gen_fresh
+    names minted for this step; events Event values whose time is the step
+    index; outputs the ground terms released to the network; fresh_idents
+    the binding idents the rule allocated fresh.
+    """
+
+    __slots__ = ()
 
     def key(self):
         return (
@@ -181,7 +189,11 @@ class Step(NamedTuple):
         )
 
 
-class Trace(NamedTuple):
+class Trace(
+    namedtuple(
+        "Trace", ("steps", "terminal_state", "truncated", "watch"), defaults=(False, None)
+    )
+):
     """Maximal (or bound-truncated) execution with its terminal state.
 
     watch holds every goal monitor's state after the steps, in
@@ -190,10 +202,7 @@ class Trace(NamedTuple):
     supplies its terminal state.
     """
 
-    steps: tuple
-    terminal_state: SystemState | None
-    truncated: bool = False
-    watch: tuple | None = None
+    __slots__ = ()
 
     @property
     def events(self) -> tuple:

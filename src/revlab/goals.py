@@ -12,7 +12,8 @@ All-traces passes are bounded-exhaustive verdicts, never proofs.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from . import monitors, recheck
 from .explorer import Bounds, Trace, TraceSet, explore
@@ -36,13 +37,16 @@ class EvidenceCheckError(RuntimeError):
     """The independent re-evaluation rejected an evidence trace."""
 
 
-class GoalVerdict(NamedTuple):
-    goal: str
-    mode: str  # "exists-trace" | "all-traces"
-    outcome: str
-    evidence: Optional[Trace] = None
-    explanation: Optional[str] = None
-    bounds: Optional[Bounds] = None
+class GoalVerdict(
+    namedtuple(
+        "GoalVerdict",
+        ("goal", "mode", "outcome", "evidence", "explanation", "bounds"),
+        defaults=(None, None, None),
+    )
+):
+    """Outcome of one goal; mode is "exists-trace" or "all-traces"."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -77,20 +81,20 @@ def applicable_goals(spec: ProtocolSpec) -> tuple:
     return tuple(g for g in GOAL_IDS if g not in CHANGE_GOALS)
 
 
-class RunResult(NamedTuple):
-    spec: ProtocolSpec
-    bounds: Bounds
-    n_vehicles: int
-    traces: TraceSet
-    verdicts: dict  # goal id -> GoalVerdict
+class RunResult(
+    namedtuple("RunResult", ("spec", "bounds", "n_vehicles", "traces", "verdicts"))
+):
+    """One search and its verdicts; verdicts maps a goal id to its GoalVerdict."""
+
+    __slots__ = ()
 
 
 def run_all(
     spec: ProtocolSpec,
     bounds: Bounds,
-    goals: Optional[Iterable[str]] = None,
+    goals: Iterable[str] | None = None,
     n_vehicles: int = 1,
-    trace_set: Optional[TraceSet] = None,
+    trace_set: TraceSet | None = None,
 ) -> RunResult:
     """Explore once, evaluate the requested goals, re-check all evidence.
 

@@ -1,7 +1,8 @@
 """Dolev-Yao adversary knowledge: analysis closure and bounded synthesis.
 
 Analysis (projection, signature payload extraction, decryption with an
-available key) is closed eagerly whenever a term is observed; synthesis is
+available key) is closed eagerly whenever a term is observed, and each
+closure is memoized process-wide on (basis, term) in _closed; synthesis is
 answered lazily and goal-directed by can_derive.  Public names are derivable
 at depth 0: the adversary can always utter agent ids and protocol tags.
 
@@ -19,7 +20,8 @@ basis term for every variable and filtering afterwards.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .terms import (
     CONSTRUCTORS,
@@ -39,13 +41,16 @@ from .terms import (
 )
 
 
-class Derivation(NamedTuple):
-    """How the adversary obtains a term: leaf lookup or constructor step."""
+class Derivation(
+    namedtuple("Derivation", ("term", "via", "children", "cost"), defaults=((), 0))
+):
+    """How the adversary obtains a term: leaf lookup or constructor step.
 
-    term: Term
-    via: str  # "known" | "public" | "generated" | "build:<sym>"
-    children: tuple["Derivation", ...] = ()
-    cost: int = 0
+    via is "known", "public", "generated" or "build:<sym>"; children are
+    the Derivations of a constructor step's arguments.
+    """
+
+    __slots__ = ()
 
     def render(self) -> str:
         if not self.children:
@@ -100,15 +105,26 @@ class Knowledge:
         return Knowledge(self.basis, self.generated, budget)
 
 
+_closed: dict[tuple, frozenset] = {}  # (basis, normalized term) -> closed basis
+
+
 def observe(k: Knowledge, t: Term) -> Knowledge:
-    """Extend knowledge with t and all analysis products, eagerly closed."""
+    """Extend knowledge with t and all analysis products, eagerly closed.
+
+    The closure is memoized on (basis, t) for the process; the Knowledge
+    around it is new on every call, so its synthesis memo starts empty.
+    """
     t = normalize(t)
     if t in k.basis:
         return k
-    closed = set(k.basis)
-    closed.add(t)
-    _close(closed)
-    return Knowledge(frozenset(closed), k.generated, k.budget)
+    key = (k.basis, t)
+    basis = _closed.get(key)
+    if basis is None:
+        closed = set(k.basis)
+        closed.add(t)
+        _close(closed)
+        basis = _closed[key] = frozenset(closed)
+    return Knowledge(basis, k.generated, k.budget)
 
 
 def _close(closed: set) -> None:
@@ -146,7 +162,7 @@ def _constructible(t: Term, closed: set) -> bool:
     return False
 
 
-def can_derive(k: Knowledge, goal: Term, depth: int) -> Optional[Derivation]:
+def can_derive(k: Knowledge, goal: Term, depth: int) -> Derivation | None:
     """Derivation of goal using at most `depth` constructor applications.
 
     Goal-directed: decomposes the (normalized) goal structurally; basis
@@ -159,11 +175,11 @@ def can_derive(k: Knowledge, goal: Term, depth: int) -> Optional[Derivation]:
     return None
 
 
-def _derive(k: Knowledge, goal: Term) -> Optional[Derivation]:
+def _derive(k: Knowledge, goal: Term) -> Derivation | None:
     hit = k._memo.get(goal, False)
     if hit is not False:
         return hit
-    out: Optional[Derivation] = None
+    out: Derivation | None = None
     if goal in k.basis:
         via = "generated" if isinstance(goal, Fresh) and goal in k.generated else "known"
         out = Derivation(goal, via)
@@ -185,7 +201,7 @@ def _derive(k: Knowledge, goal: Term) -> Optional[Derivation]:
     return out
 
 
-def gen_fresh(k: Knowledge, fid: int) -> Optional[tuple[Knowledge, Fresh]]:
+def gen_fresh(k: Knowledge, fid: int) -> tuple[Knowledge, Fresh] | None:
     """Mint an adversary-owned fresh name, or None when the budget is spent."""
     if k.budget <= 0:
         return None
@@ -194,14 +210,16 @@ def gen_fresh(k: Knowledge, fid: int) -> Optional[tuple[Knowledge, Fresh]]:
     return k2, f
 
 
-class SynthResult(NamedTuple):
-    """One way to feed a network-input pattern from adversary material."""
+class SynthResult(
+    namedtuple("SynthResult", ("subst", "term", "cost", "new_names", "derivation"))
+):
+    """One way to feed a network-input pattern from adversary material.
 
-    subst: tuple  # sorted (ident, Term) pairs added or confirmed
-    term: Term
-    cost: int
-    new_names: tuple  # gen_fresh allocations this instantiation requires
-    derivation: str
+    subst holds the sorted (ident, Term) pairs added or confirmed;
+    new_names the gen_fresh allocations this instantiation requires.
+    """
+
+    __slots__ = ()
 
     @property
     def synthesized(self) -> bool:

@@ -27,9 +27,9 @@ The memos fill as searches run and live for the process.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable
 
 from .protocols import is_vehicle
 from .rewriting import Fact

@@ -10,7 +10,7 @@ the RA can verify about it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .knowledge import Knowledge
 from .rewriting import Fact, Rule, SystemState, make_state
@@ -28,13 +28,16 @@ REASON = name("reason")
 SECRET_FRESH_VARS = frozenset({"SKRA", "LTK", "SKPSi", "SKO"})
 
 
-class ProtocolSpec(NamedTuple):
+class ProtocolSpec(
+    namedtuple(
+        "ProtocolSpec",
+        ("name", "rules", "change_enabled", "reveals_enabled"),
+        defaults=(False, False),
+    )
+):
     """Immutable protocol configuration: a named, fixed rule set."""
 
-    name: str
-    rules: tuple
-    change_enabled: bool = False
-    reveals_enabled: bool = False
+    __slots__ = ()
 
     def rule(self, rule_id: str) -> Rule:
         for r in self.rules:

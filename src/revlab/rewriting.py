@@ -5,12 +5,15 @@ the knowledge base, network-input premises are instantiated by adversary
 synthesis.  States are immutable snapshots so exploration can branch freely.
 Records (here and in the other modules) are immutable tuples that compare
 by value and are copied with _replace; Knowledge and explorer.TraceSet,
-which cannot be tuples, are frozen slot classes.
+which cannot be tuples, are frozen slot classes.  Each record is a
+collections.namedtuple, subclassed with __slots__ = () where it has methods,
+a docstring or a checked constructor; typing.NamedTuple would cost start-up
+time on annotations that nothing reads, and no revlab module imports typing.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import knowledge as kn
 from .knowledge import Knowledge
@@ -38,7 +41,7 @@ class RuleDefinitionError(ValueError):
     """A rule violates the variable-binding discipline."""
 
 
-class Fact(NamedTuple):
+class Fact(namedtuple("Fact", ("name", "args", "persistent"), defaults=(False,))):
     """Predicate on terms; persistent facts survive consumption.
 
     As tuples, Fact(n, a, False) and Event(n, a, 0) are equal, but no set,
@@ -49,9 +52,7 @@ class Fact(NamedTuple):
     none of which holds an event.
     """
 
-    name: str
-    args: tuple
-    persistent: bool = False
+    __slots__ = ()
 
     def key(self):
         return (self.name, tuple(sort_key(a) for a in self.args), self.persistent)
@@ -61,12 +62,10 @@ class Fact(NamedTuple):
         return f"{bang}{self.name}({', '.join(render(a) for a in self.args)})"
 
 
-class Event(NamedTuple):
+class Event(namedtuple("Event", ("label", "args", "time"), defaults=(-1,))):
     """Action label emitted by a fired rule at a trace timepoint."""
 
-    label: str
-    args: tuple
-    time: int = -1
+    __slots__ = ()
 
     def key(self):
         return (self.time, self.label, tuple(sort_key(a) for a in self.args))
@@ -75,27 +74,23 @@ class Event(NamedTuple):
         return f"{self.label}({', '.join(render(a) for a in self.args)})@{self.time}"
 
 
-class _RuleFields(NamedTuple):
-    id: str
-    premises: tuple = ()
-    fresh_vars: tuple = ()
-    guards: tuple = ()
-    events: tuple = ()  # (label, arg-patterns) pairs
-    conclusions: tuple = ()
-    network_in: tuple = ()
-    network_out: tuple = ()
-    actor: str = ""
-    budget: str = ""
-    budget_per: str = ""
-
-
-class Rule(_RuleFields):
+class Rule(
+    namedtuple(
+        "Rule",
+        (
+            "id", "premises", "fresh_vars", "guards", "events", "conclusions",
+            "network_in", "network_out", "actor", "budget", "budget_per",
+        ),
+        defaults=((), (), (), (), (), (), (), "", "", ""),
+    )
+):
     """Premises / event labels / conclusions triple with fresh names and guards.
 
     guards are pairs compared for equality after substitution and
-    normalization.  network_in patterns are fed by the adversary;
-    network_out terms are released to it.  actor names the variable whose
-    binding is the agent performing the step.  budget, when set, names the
+    normalization; events are (label, arg-patterns) pairs.  network_in
+    patterns are fed by the adversary; network_out terms are released to
+    it.  actor names the variable whose binding is the agent performing the
+    step.  budget, when set, names the
     Bounds field capping how often the rule fires in one trace; with
     budget_per set, the cap applies per value bound to that variable.
     Construction, _replace included, rejects a variable that is used but
@@ -135,14 +130,19 @@ class Rule(_RuleFields):
         return cls(*iterable)
 
 
-class SystemState(NamedTuple):
-    """Multiset of facts plus the adversary view; immutable snapshot."""
+class SystemState(
+    namedtuple(
+        "SystemState",
+        ("linear", "persistent", "knowledge", "next_fresh", "step"),
+        defaults=((), frozenset(), Knowledge(), 0, 0),
+    )
+):
+    """Multiset of facts plus the adversary view; immutable snapshot.
 
-    linear: tuple = ()  # sorted, duplicates meaningful
-    persistent: frozenset = frozenset()
-    knowledge: Knowledge = Knowledge()
-    next_fresh: int = 0
-    step: int = 0
+    linear is sorted, and its duplicates are meaningful.
+    """
+
+    __slots__ = ()
 
     def facts(self):
         return list(self.linear) + sorted(self.persistent, key=Fact.key)
@@ -158,17 +158,24 @@ def make_state(linear=(), persistent=(), knowledge=None, next_fresh=0, step=0):
     )
 
 
-class Instance(NamedTuple):
-    """A complete, fireable instantiation of a rule in some state."""
+class Instance(
+    namedtuple(
+        "Instance",
+        (
+            "rule_id", "binding", "consumed", "inputs", "input_costs",
+            "input_derivations", "new_names", "fresh_alloc",
+        ),
+    )
+):
+    """A complete, fireable instantiation of a rule in some state.
 
-    rule_id: str
-    binding: tuple  # sorted (ident, Term) pairs, fresh vars included
-    consumed: tuple  # linear facts removed on firing
-    inputs: tuple  # ground network-input terms, in pattern order
-    input_costs: tuple
-    input_derivations: tuple
-    new_names: tuple  # adversary gen_fresh allocations
-    fresh_alloc: tuple  # (ident, Fresh) pairs for the rule's fresh vars
+    binding holds sorted (ident, Term) pairs, fresh vars included; consumed
+    the linear facts removed on firing; inputs the ground network-input
+    terms, in pattern order; new_names the adversary's gen_fresh
+    allocations; fresh_alloc (ident, Fresh) pairs for the rule's fresh vars.
+    """
+
+    __slots__ = ()
 
     @property
     def subst(self) -> dict:

@@ -16,8 +16,8 @@ its variables in that order: those values alone fix the result.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from operator import itemgetter
-from typing import Iterator, Optional
 
 # Fixed signature: symbol -> arity.  "tuple" is variadic (arity >= 2) and is
 # handled separately.  The constant true is a public name, not an application.
@@ -215,7 +215,7 @@ def normalize(t: Term) -> Term:
     return out
 
 
-def _reduce_root(sym: str, args: tuple) -> Optional[Term]:
+def _reduce_root(sym: str, args: tuple) -> Term | None:
     # Args are already normal, so a root reduction yields a normal form.
     if sym == "verify":
         sig, m, pub = args
@@ -236,7 +236,7 @@ def _reduce_root(sym: str, args: tuple) -> Optional[Term]:
     return None
 
 
-def match(pattern: Term, ground: Term, subst: Optional[dict] = None) -> Optional[dict]:
+def match(pattern: Term, ground: Term, subst: dict | None = None) -> dict | None:
     """Syntactic first-order matching of a pattern against a ground term.
 
     Returns the unique substitution sigma with sigma(pattern) = ground, or

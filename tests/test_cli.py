@@ -216,9 +216,11 @@ class TestMain:
             assert outs[0] == outs[1], args
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_or_typing():
     """Start-up stays cheap: dataclasses imports inspect, which imports ast,
-    dis and tokenize, and a dataclass compiles its methods at import."""
+    dis and tokenize, and a dataclass compiles its methods at import;
+    typing costs its own import, and a typing.NamedTuple compiles each of its
+    postponed annotations."""
     import os
     import subprocess
     import sys
@@ -226,7 +228,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     import revlab
 
     src = str(Path(revlab.__file__).resolve().parent.parent)
-    probe = "import sys, revlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys, revlab.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
     # -S: .pth files of the installation may import modules of their own
     got = subprocess.run(
         [sys.executable, "-S", "-c", probe],

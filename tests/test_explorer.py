@@ -49,7 +49,7 @@ from revlab.knowledge import Knowledge, observe
 from revlab.protocols import ProtocolSpec, agent_names, vehicle_name
 from revlab.report import render_msc
 from revlab.rewriting import Event, Fact, Rule, enabled_instances, make_state
-from revlab.terms import fresh, name, pk, sign, tup, var
+from revlab.terms import fresh, name, normalize, pk, sign, tup, var
 
 
 class TestExplore:
@@ -424,6 +424,29 @@ class TestReuse:
         # its monitor states: it is pushed without a fire of its own.
         assert len(fired) == 72
         assert (got.states_explored, len(got), got.dedup_hits) == (61, 25, 13)
+
+    def test_memoized_closures_equal_a_fresh_close(self, monkeypatch):
+        import revlab.knowledge as kn
+
+        repeats = []
+        memoized = kn.observe
+
+        def checking(k, t):
+            t = normalize(t)
+            repeats.append((k.basis, t) in kn._closed)
+            got = memoized(k, t)
+            closed = set(k.basis) | {t}
+            kn._close(closed)
+            assert got.basis == closed
+            assert (got.generated, got.budget) == (k.generated, k.budget)
+            assert got is k or not got._memo
+            return got
+
+        monkeypatch.setattr(kn, "_closed", {})
+        monkeypatch.setattr(kn, "observe", checking)
+        spec = build_protocol("rtoken", change_enabled=True, reveals_enabled=True)
+        explore(spec, initial_state(spec, 2), Bounds(max_steps=6))  # a GATE row
+        assert any(repeats) and not all(repeats)
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
     def test_shared_memo_keys_partition_as_fresh_ones(self, protocol, reveals, vehicles,

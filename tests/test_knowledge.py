@@ -52,6 +52,13 @@ class TestObserve:
         k = observe(k, SK)
         assert M in k.basis
 
+    def test_repeated_observation_shares_no_memo(self):
+        k = K(A)
+        first = observe(k, B)
+        assert can_derive(first, tup(A, B), 1) is not None and first._memo
+        again = observe(k, B)  # served from the closure table
+        assert again == first and again is not first and not again._memo
+
     def test_input_is_not_mutated(self):
         k0 = K(SK)
         k1 = observe(k0, renc(M, SK))

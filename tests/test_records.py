@@ -1,5 +1,6 @@
-"""Record semantics: frozen fields, checked construction, and a knowledge
-memo that equality ignores and no copy shares."""
+"""Record semantics: pinned fields, defaults and repr, tuple hashing,
+frozen fields, checked construction, and a knowledge memo that equality
+ignores and no copy shares."""
 
 import pytest
 
@@ -48,6 +49,132 @@ RECORDS = {
 }
 
 
+_BOUNDS = (
+    "Bounds(max_steps=14, max_changes=1, adversary_fresh_budget=1, "
+    "synthesis_depth=4, max_sessions=1)"
+)
+_EMPTY_KNOWLEDGE = "Knowledge(basis=frozenset(), generated=(), budget=0)"
+
+# kind -> (_fields, _field_defaults, repr of the RECORDS sample)
+PINNED = {
+    "Fact": (
+        ("name", "args", "persistent"),
+        {"persistent": False},
+        "Fact(name='F', args=(A,), persistent=False)",
+    ),
+    "Event": (
+        ("label", "args", "time"),
+        {"time": -1},
+        "Event(label='E', args=(A,), time=0)",
+    ),
+    "Rule": (
+        ("id", "premises", "fresh_vars", "guards", "events", "conclusions",
+         "network_in", "network_out", "actor", "budget", "budget_per"),
+        {"premises": (), "fresh_vars": (), "guards": (), "events": (),
+         "conclusions": (), "network_in": (), "network_out": (), "actor": "",
+         "budget": "", "budget_per": ""},
+        "Rule(id='R', premises=(), fresh_vars=(), guards=(), events=(), "
+        "conclusions=(), network_in=(), network_out=(), actor='', budget='', "
+        "budget_per='')",
+    ),
+    "SystemState": (
+        ("linear", "persistent", "knowledge", "next_fresh", "step"),
+        {"linear": (), "persistent": frozenset(), "knowledge": Knowledge(),
+         "next_fresh": 0, "step": 0},
+        "SystemState(linear=(), persistent=frozenset(), "
+        f"knowledge={_EMPTY_KNOWLEDGE}, next_fresh=0, step=0)",
+    ),
+    "Instance": (
+        ("rule_id", "binding", "consumed", "inputs", "input_costs",
+         "input_derivations", "new_names", "fresh_alloc"),
+        {},
+        "Instance(rule_id='R', binding=(), consumed=(), inputs=(), input_costs=(), "
+        "input_derivations=(), new_names=(), fresh_alloc=())",
+    ),
+    "Derivation": (
+        ("term", "via", "children", "cost"),
+        {"children": (), "cost": 0},
+        "Derivation(term=A, via='public', children=(), cost=0)",
+    ),
+    "SynthResult": (
+        ("subst", "term", "cost", "new_names", "derivation"),
+        {},
+        "SynthResult(subst=(), term=A, cost=0, new_names=(), derivation='A[public]')",
+    ),
+    "Bounds": (
+        ("max_steps", "max_changes", "adversary_fresh_budget", "synthesis_depth",
+         "max_sessions"),
+        {"max_steps": 14, "max_changes": 1, "adversary_fresh_budget": 1,
+         "synthesis_depth": 4, "max_sessions": 1},
+        _BOUNDS,
+    ),
+    "Step": (
+        ("rule_id", "binding", "inputs", "input_synthesized", "input_derivations",
+         "generated", "events", "outputs", "fresh_idents"),
+        {"outputs": (), "fresh_idents": ()},
+        "Step(rule_id='R', binding=(), inputs=(), input_synthesized=(), "
+        "input_derivations=(), generated=(), events=(), outputs=(), fresh_idents=())",
+    ),
+    "Trace": (
+        ("steps", "terminal_state", "truncated", "watch"),
+        {"truncated": False, "watch": None},
+        "Trace(steps=(), terminal_state=None, truncated=False, watch=None)",
+    ),
+    "GoalVerdict": (
+        ("goal", "mode", "outcome", "evidence", "explanation", "bounds"),
+        {"evidence": None, "explanation": None, "bounds": None},
+        "GoalVerdict(goal='g1', mode='exists-trace', outcome='witness-found', "
+        "evidence=None, explanation=None, bounds=None)",
+    ),
+    "RunResult": (
+        ("spec", "bounds", "n_vehicles", "traces", "verdicts"),
+        {},
+        "RunResult(spec=ProtocolSpec(name='toy', rules=(), change_enabled=False, "
+        f"reveals_enabled=False), bounds={_BOUNDS}, n_vehicles=1, "
+        f"traces=TraceSet(traces=(), bounds={_BOUNDS}, states_explored=0, "
+        "dedup_hits=0), verdicts={})",
+    ),
+    "ProtocolSpec": (
+        ("name", "rules", "change_enabled", "reveals_enabled"),
+        {"change_enabled": False, "reveals_enabled": False},
+        "ProtocolSpec(name='toy', rules=(), change_enabled=False, reveals_enabled=False)",
+    ),
+    "ScenarioConfig": (
+        ("protocol", "goals", "change_enabled", "reveals_enabled", "bounds",
+         "n_vehicles", "output", "trace_render", "deterministic", "expect"),
+        {"protocol": "plain", "goals": (), "change_enabled": False,
+         "reveals_enabled": False, "bounds": Bounds(), "n_vehicles": 1,
+         "output": "text", "trace_render": "none", "deterministic": False,
+         "expect": None},
+        f"ScenarioConfig(protocol='plain', goals=(), change_enabled=False, "
+        f"reveals_enabled=False, bounds={_BOUNDS}, n_vehicles=1, output='text', "
+        "trace_render='none', deterministic=False, expect=None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_tuple_records_keep_fields_defaults_and_repr(kind):
+    record = RECORDS[kind]
+    fields, defaults, text = PINNED[kind]
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert repr(record) == text
+    assert type(record._replace()) is type(record)
+    assert record._replace() == record
+    if kind == "RunResult":  # verdicts is a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(tuple(record))
+
+
+def test_fact_and_event_keep_tuple_equality():
+    # documented on Fact: equal as tuples, never held together
+    fact, event = Fact("E", (A,), False), Event("E", (A,), 0)
+    assert fact == event and hash(fact) == hash(event)
+
+
 @pytest.mark.parametrize("kind", sorted(RECORDS))
 def test_fields_cannot_be_assigned(kind):
     record = RECORDS[kind]
@@ -65,8 +192,10 @@ def test_fields_cannot_be_assigned(kind):
         (lambda: Bounds()._replace(synthesis_depth=True), ValueError),
         (lambda: Rule(id="BAD", conclusions=(Fact("F", (var("x"),)),)), RuleDefinitionError),
         (lambda: Rule(id="OK")._replace(network_out=(var("x"),)), RuleDefinitionError),
+        (lambda: Bounds._make((1, 1, 1, 1, -1)), ValueError),
+        (lambda: Rule._make(("BAD", (), (), (), (), (), (), (var("x"),))), RuleDefinitionError),
     ],
-    ids=["bounds", "bounds-replace", "rule", "rule-replace"],
+    ids=["bounds", "bounds-replace", "rule", "rule-replace", "bounds-make", "rule-make"],
 )
 def test_construction_is_checked(build, error):
     with pytest.raises(error):
