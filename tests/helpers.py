@@ -4,19 +4,22 @@ Every oracle here is written apart from the production code path it checks:
 an outermost-first rewriter against the innermost normalizer, a forward
 saturation set against goal-directed derivation, a permutation search
 against canonical digests, and a dedup-free recursive enumerator against
-the exploring DFS.
+the exploring DFS, and revlab's former argparse parser against the flag
+table in `revlab.cli`.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
+import sys
 import time
 from collections import Counter
 from functools import lru_cache, reduce
 from typing import Iterable
 
 from revlab import Bounds, build_protocol, run_all
-from revlab import explorer, monitors
+from revlab import __version__, cli, explorer, monitors
 from revlab.explorer import (
     _GROUP_LIMIT,
     _assemble,
@@ -30,7 +33,7 @@ from revlab.explorer import (
     _signature,
 )
 from revlab.knowledge import Knowledge, can_derive
-from revlab.protocols import SECRET_FRESH_VARS, initial_state
+from revlab.protocols import PROTOCOLS, SECRET_FRESH_VARS, initial_state
 from revlab.rewriting import Fact, enabled_instances
 from revlab.terms import (
     App,
@@ -1000,3 +1003,95 @@ def _ref_candidates(k, next_fid) -> list:
             cands.append((t, (), f"{render(t)}[known]"))
     cands.sort(key=lambda c: sort_key(c[0]))
     return cands
+
+
+# --- argparse reference for the command line ----------------------------------
+#
+# revlab's parser up to the flag table, kept as the reference that
+# `tests/test_cli.py` checks `revlab.cli.parse_config` against.  The config
+# file and the goal list are read by the same `cli` functions on both sides.
+
+USAGE_EXIT = cli.USAGE_EXIT
+_CHOICES = {"output": ("text", "json"), "trace_render": ("none", "msc")}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(USAGE_EXIT)
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="revlab", description=cli.__doc__)
+    p.add_argument("--version", action="version", version=f"revlab {__version__}")
+    p.add_argument("--protocol", choices=PROTOCOLS, default=None)
+    p.add_argument(
+        "--goals",
+        default=None,
+        help="comma-separated goal ids (g1..g7) or 'all'",
+    )
+    p.add_argument("--change", action="store_true", default=None,
+                   help="enable the pseudonym-change rule")
+    p.add_argument("--reveals", action="store_true", default=None,
+                   help="enable key-reveal rules")
+    p.add_argument("--vehicles", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-changes", type=int, default=None)
+    p.add_argument("--fresh-budget", dest="adversary_fresh_budget", type=int,
+                   default=None, metavar="FRESH_BUDGET",
+                   help="adversary fresh-name budget")
+    p.add_argument("--synthesis-depth", type=int, default=None)
+    p.add_argument("--max-sessions", type=int, default=None)
+    p.add_argument("--output", choices=_CHOICES["output"], default=None)
+    p.add_argument("--trace", dest="trace_render", choices=_CHOICES["trace_render"],
+                   default=None)
+    p.add_argument("--deterministic", action="store_true", default=None,
+                   help="zero out timing so output is byte-reproducible")
+    p.add_argument("--expect", default=None, metavar="FILE",
+                   help="reference verdict matrix; exit 1 on mismatch")
+    p.add_argument("--config", default=None, metavar="FILE",
+                   help="JSON config file; explicit flags override it")
+    return p
+
+
+def reference_parse_config(argv) -> cli.ScenarioConfig:
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    file_cfg = cli._read_config(ns.config) if ns.config else {}
+
+    def pick(flag, key, default):
+        if flag is not None:
+            return flag
+        return file_cfg.get(key, default)
+
+    protocol = pick(ns.protocol, "protocol", "plain")
+    if protocol not in PROTOCOLS:
+        parser.error(f"invalid protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
+    change = pick(ns.change, "change_enabled", False)
+    reveals = pick(ns.reveals, "reveals_enabled", False)
+    goals_raw = pick(ns.goals, "goals", None)
+    goals = cli._parse_goals(goals_raw, change)
+    file_bounds = {**Bounds().as_dict(), **file_cfg.get("bounds", {})}
+    try:
+        # each bound's flag stores under the Bounds field name
+        bounds = Bounds(
+            **{f: pick(getattr(ns, f), None, v) for f, v in file_bounds.items()}
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    n_vehicles = pick(ns.vehicles, "n_vehicles", 1)
+    if n_vehicles < 1:
+        parser.error("--vehicles must be >= 1")
+    return cli.ScenarioConfig(
+        protocol=protocol,
+        goals=goals,
+        change_enabled=change,
+        reveals_enabled=reveals,
+        bounds=bounds,
+        n_vehicles=n_vehicles,
+        output=pick(ns.output, "output", "text"),
+        trace_render=pick(ns.trace_render, "trace_render", "none"),
+        deterministic=pick(ns.deterministic, "deterministic", False),
+        expect=ns.expect or file_cfg.get("expect"),
+    )

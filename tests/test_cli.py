@@ -1,15 +1,24 @@
 """Command-line front end: flag parsing, runs, exit codes, regression mode."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from revlab.cli import main, parse_config
+from helpers import reference_parse_config
+from revlab import cli
+from revlab.cli import ScenarioConfig, main, parse_config
 from revlab.explorer import Bounds
 
 
 REFERENCE = Path(__file__).resolve().parent.parent / "reference"
+# Two files json.load cannot read: not UTF-8, and nested past the recursion limit.
+BAD_UTF8 = pytest.param(b"\xff\xfe{}", id="bad-utf8")
+TOO_DEEP = pytest.param(b"[" * 100_000 + b"]" * 100_000, id="too-deep")
 
 
 def parse(argv):
@@ -84,11 +93,16 @@ class TestParseConfig:
             {"goals": 7},
             {"maxsteps": 5},
             [1, 2],
+            BAD_UTF8,
+            TOO_DEEP,
         ],
     )
     def test_mistyped_config_is_a_usage_error(self, tmp_path, capsys, content):
         cfile = tmp_path / "scenario.json"
-        cfile.write_text(json.dumps(content))
+        if isinstance(content, bytes):
+            cfile.write_bytes(content)
+        else:
+            cfile.write_text(json.dumps(content))
         with pytest.raises(SystemExit) as exc:
             parse(["--config", str(cfile)])
         assert exc.value.code == 2
@@ -155,6 +169,24 @@ class TestMain:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("content", [None, BAD_UTF8, TOO_DEEP])
+    def test_bad_expect_file_fails_before_the_search(
+        self, tmp_path, capsys, monkeypatch, content
+    ):
+        import revlab.goals
+
+        def explore(*args, **kwargs):
+            raise AssertionError("searched before reading the --expect file")
+
+        monkeypatch.setattr(revlab.goals, "explore", explore)
+        path = tmp_path / "matrix.json"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["--protocol", "rtoken", "--change", "--vehicles", "3", "--reveals",
+                     "--max-steps", "20", "--expect", str(path)])
+        assert code == 2
+        assert "error: cannot read reference matrix" in capsys.readouterr().err
+
     def test_expect_without_verdicts_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "doc.json"
         bad.write_text(json.dumps({"results": []}))
@@ -183,6 +215,21 @@ class TestMain:
             main(["--version"])
         assert exc.value.code == 0
         assert "revlab" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_flag(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: revlab [-h] [--version]")
+        options = out.split("\noptions:\n")[1].splitlines()
+        listed = {
+            word.rstrip(",")
+            for line in options if line[2:3] == "-"
+            for word in line.split() if word.startswith("-")
+        }
+        assert listed == {"-h", "--help", "--version", *(row[0] for row in cli._FLAGS)}
 
     def test_deterministic_runs_are_byte_identical(self, capsys):
         argv = ["--protocol", "plain", "--output", "json", "--deterministic"]
@@ -220,7 +267,8 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     """Start-up stays cheap: dataclasses imports inspect, which imports ast,
     dis and tokenize, and a dataclass compiles its methods at import;
     typing costs its own import, and a typing.NamedTuple compiles each of its
-    postponed annotations."""
+    postponed annotations; argparse imports gettext, and its first parser
+    imports locale."""
     import os
     import subprocess
     import sys
@@ -230,7 +278,8 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     src = str(Path(revlab.__file__).resolve().parent.parent)
     probe = (
         "import sys, revlab.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'locale'}"
+        " & set(sys.modules)))"
     )
     # -S: .pth files of the installation may import modules of their own
     got = subprocess.run(
@@ -238,3 +287,86 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert got.stdout.strip() == "[]"
+
+
+# --- the flag table against the argparse reference ---------------------------
+
+_LONG = ["--help", "--version", *(row[0] for row in cli._FLAGS)]
+_VALUES = [
+    # ints, valid and not, negative ones included
+    "0", "1", "3", "14", "-1", "-7", " 2", "1_0", "1.5", "-1.5", "-.5", "-5.", "x",
+    # choice words and goal lists
+    "plain", "rtoken", "otoken", "text", "json", "none", "msc", "all", "g1", "g2,g3",
+    "g5", "G4", "g9",
+    # junk
+    "", "-", "-x", "---", "--frob", "a b", "-a b",
+]
+# Not in the vocabulary, where the parsers differ on purpose: "--", after
+# which argparse takes every token as a value (and argparse 3.11 reads
+# "--goals=--" as no goals); "-h" with text attached ("-hx"), which argparse
+# splits into single-letter flags; "--=x", a prefix of every long flag to
+# argparse. The table reads each as an unknown option.
+_FLAG_WORDS = ["-h", *_LONG, *(n[:k] for n in _LONG for k in range(3, len(n)))]
+_ARGV_WORDS = (
+    _FLAG_WORDS + _VALUES + [f"{flag}={v}" for flag in _FLAG_WORDS for v in _VALUES[::3]]
+)
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(argv)
+    except SystemExit as exc:
+        if exc.code != 0:
+            assert "error:" in err.getvalue() and "Traceback" not in err.getvalue()
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "scenario.json"
+    path.write_text(json.dumps(
+        {"protocol": "otoken", "goals": ["g5"], "change_enabled": True,
+         "bounds": {"max_steps": 9}, "n_vehicles": 2, "output": "json"}
+    ))
+    return str(path)
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(st.sampled_from(_ARGV_WORDS + ["CONFIG"]), max_size=6))
+def test_parse_config_matches_the_argparse_reference(config_file, argv):
+    """Every argv drawn from the vocabulary gives the same ScenarioConfig,
+    or the same exit code, from the flag table and from argparse."""
+    argv = [config_file if word == "CONFIG" else word for word in argv]
+    assert _outcome(parse_config, argv) == _outcome(reference_parse_config, argv)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["plain", "rtoken", "text", "json", "msc", "all", "g1,g2", "g5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from([*Bounds._fields, "max_stepz"]), inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_CONFIG_KEYS = st.sampled_from([*cli._CONFIG_FIELDS, "config", "maxsteps", ""])
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.dictionaries(_CONFIG_KEYS, _JSON, max_size=4))
+def test_any_config_file_gives_a_config_or_a_usage_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_text(json.dumps(content))
+    got = _outcome(parse_config, ["--config", str(path)])
+    assert isinstance(got, ScenarioConfig) or got == 2
