@@ -2,7 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .explorer import Bounds, Trace, TraceSet, canonicalize, digest, explore, replay
+from .canonical import canonicalize, digest
+from .explorer import Bounds, Trace, TraceSet, explore, replay
 from .goals import GoalVerdict, RunResult, run_all
 from .knowledge import Knowledge, can_derive, gen_fresh, observe
 from .protocols import ProtocolSpec, build_protocol, initial_state

@@ -40,8 +40,8 @@ class EvidenceCheckError(RuntimeError):
 class GoalVerdict(
     namedtuple(
         "GoalVerdict",
-        ("goal", "mode", "outcome", "evidence", "explanation", "bounds"),
-        defaults=(None, None, None),
+        ("goal", "mode", "outcome", "evidence", "explanation"),
+        defaults=(None, None),
     )
 ):
     """Outcome of one goal; mode is "exists-trace" or "all-traces"."""
@@ -116,7 +116,6 @@ def run_all(
             v = v._replace(evidence=_minimal_prefix(v.evidence, g))
         if g == "g5" and v.outcome == NO_WITNESS:
             v = v._replace(explanation=_explain_g5_failure(trace_set))
-        v = v._replace(bounds=bounds)
         _recheck_verdict(v)
         verdicts[g] = v
     return RunResult(

@@ -38,6 +38,7 @@ from .terms import (
     normalize,
     render,
     sort_key,
+    variables,
 )
 
 
@@ -247,7 +248,7 @@ def synthesize(
     variables, as enabled_instances does for solved signer guards.
     Deterministic order: results sorted by structural term order.
     """
-    pvars = _vars_of(pattern)
+    pvars = variables(pattern)
     relevant = tuple(sorted((v, t) for v, t in subst.items() if v in pvars))
     memo_key = ("synth", pattern, relevant, budget, fid_base)
     hit = k._memo.get(memo_key)
@@ -275,22 +276,9 @@ def synthesize(
     return out
 
 
-_pattern_vars: dict = {}
-
-
-def _vars_of(pattern: Term) -> frozenset:
-    from .terms import variables
-
-    got = _pattern_vars.get(pattern)
-    if got is None:
-        got = frozenset(variables(pattern))
-        _pattern_vars[pattern] = got
-    return got
-
-
 def _synth(k: Knowledge, pattern: Term, subst: dict, budget: int, fid_base: int, n_new: int):
     # Memoized on the bindings the pattern can see; callers merge the delta.
-    pvars = _vars_of(pattern)
+    pvars = variables(pattern)
     rel = {v: t for v, t in subst.items() if v in pvars}
     next_fid = fid_base + n_new
     key = ("pat", pattern, tuple(sorted(rel.items())), budget, next_fid)
@@ -401,7 +389,7 @@ def _synth_app_args(k: Knowledge, args: tuple, subst: dict, budget: int, next_fi
         return
     first_use: dict = {}
     for i, a in enumerate(args):
-        for v in _vars_of(a):
+        for v in variables(a):
             first_use.setdefault(v, i)
     hoisted = tuple(args[i] for i in rigid)
     later = tuple(args[i] for i in rest)

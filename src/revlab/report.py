@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .explorer import ReplayMismatchError, Trace, digest, replay
+from .canonical import digest
+from .explorer import ReplayMismatchError, Trace, replay
 from .goals import (
     BOUNDED_DISCLAIMER,
     NO_COUNTEREXAMPLE,
@@ -70,7 +71,7 @@ def build_document(
             "goal": goal,
             "mode": v.mode,
             "outcome": v.outcome,
-            "bounds": (v.bounds or result.bounds).as_dict(),
+            "bounds": result.bounds.as_dict(),
             "evidence": None,
             "explanation": v.explanation,
         }

@@ -204,10 +204,7 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
     Deterministic order: sorted by instance key.
     """
     out = []
-    fresh_alloc = tuple(
-        (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
-        for i, ident in enumerate(rule.fresh_vars)
-    )
+    fresh_alloc = allocate_fresh(rule, state.next_fresh)
     fid_base = state.next_fresh + len(fresh_alloc)
     solvable = not any(map(kn.reducible, rule.network_in))
     for subst, consumed in _match_premises(state, rule.premises):
@@ -236,6 +233,15 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
             )
     out.sort(key=Instance.key)
     return out
+
+
+def allocate_fresh(rule: Rule, next_fresh: int) -> tuple:
+    """(ident, name) for each of rule's fresh variables, in order, with the
+    names allocated from next_fresh on."""
+    return tuple(
+        (ident, fresh(next_fresh + i, origin=f"{rule.id}:{ident}"))
+        for i, ident in enumerate(rule.fresh_vars)
+    )
 
 
 def _match_premises(state: SystemState, premises, subst=None, used=None, persistent=None):

@@ -8,8 +8,8 @@ Because a term is its own identity, a pure function of terms can be
 memoized on its arguments (Filliatre & Conchon, Type-safe modular
 hash-consing, ML 2006).  Process-global tables hold normal forms
 (_normal), renderings (_renders), sort keys (_sort_keys), groundness
-(_groundness), each pattern's variables in first-occurrence order
-(_first_vars), and the results of substitute (_substituted) and
+(_groundness), each pattern's variables in first-occurrence order and as
+a set (_first_vars), and the results of substitute (_substituted) and
 instantiate_partial (_instantiated), keyed on the pattern and the values of
 its variables in that order: those values alone fix the result.
 """
@@ -267,13 +267,13 @@ _instantiated: dict[tuple, Term] = {}
 
 def _occurring(t: Term) -> tuple:
     """The identifiers of t's variables in first-occurrence (pre-order)
-    order, and an itemgetter of them (None when t is ground)."""
+    order, an itemgetter of them (None when t is ground), and their set."""
     found: dict = {}
     for s in subterms(t):
         if isinstance(s, Var):
             found[s.ident] = None
     idents = tuple(found)
-    got = _first_vars[t] = idents, itemgetter(*idents) if idents else None
+    got = _first_vars[t] = idents, itemgetter(*idents) if idents else None, frozenset(idents)
     return got
 
 
@@ -396,9 +396,9 @@ def is_ground(t: Term) -> bool:
     return got
 
 
-def variables(t: Term) -> set[str]:
-    """Identifiers of all pattern variables occurring in t."""
-    return set((_first_vars.get(t) or _occurring(t))[0])
+def variables(t: Term) -> frozenset:
+    """Identifiers of all pattern variables occurring in t; memoized."""
+    return (_first_vars.get(t) or _occurring(t))[2]
 
 
 def term_size(t: Term) -> int:

@@ -3,9 +3,10 @@
 Every oracle here is written apart from the production code path it checks:
 an outermost-first rewriter against the innermost normalizer, a forward
 saturation set against goal-directed derivation, a permutation search
-against canonical digests, and a dedup-free recursive enumerator against
-the exploring DFS, and revlab's former argparse parser against the flag
-table in `revlab.cli`.
+against canonical digests, a dedup-free recursive enumerator and a search
+without sleep sets, twin collapse or instance cache against the exploring
+DFS, and revlab's former argparse parser against the flag table in
+`revlab.cli`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import lru_cache, reduce
 from typing import Iterable
 
 from revlab import Bounds, build_protocol, run_all
-from revlab import __version__, cli, explorer, monitors
-from revlab.explorer import (
+from revlab import __version__, canonical, cli, monitors
+from revlab.canonical import (
     _GROUP_LIMIT,
     _assemble,
     _certificate,
@@ -310,15 +311,15 @@ def derivable_forward(universe: frozenset, goal: Term) -> bool:
 
 
 def digest(state, history: tuple = (), monitor=()) -> str:
-    """explorer.digest of a state, optionally with its event history and
+    """canonical.digest of a state, optionally with its event history and
     monitor facts.
 
     History events are position-fixed, so their names canonicalize by first
     occurrence.  Monitor facts are one more section of the state, renamed
-    together with it.  With neither, this is explorer.digest itself.
+    together with it.  With neither, this is canonical.digest itself.
     """
     if not history and not monitor:
-        return explorer.digest(state)
+        return canonical.digest(state)
     events, base = _compile_history(history)
     sections = [
         ("lin", [_compile_fact(f) for f in state.linear]),
@@ -449,7 +450,7 @@ def _state_shape(state, mapping: dict, swap=None):
 
 
 def reference_least_certificate(rows, links, colour: dict, classes: int) -> list:
-    """explorer._least_certificate without shortcuts, as a reference.
+    """canonical._least_certificate without shortcuts, as a reference.
 
     Every name, alone in its colour or not, is refined by its neighbours'
     colours each round, and every member of the least tied cell is
@@ -544,21 +545,35 @@ def enumerate_event_seqs(spec, init, bounds: Bounds) -> set:
     return out
 
 
-# --- the dedup search without sleep sets or twin collapse ------------------------
+# --- the search without sleep sets, twin collapse or the instance cache ---------
 
 
-def reference_dedup_search(spec, init, bounds: Bounds) -> tuple:
-    """explore's dedup loop with every enabled child fired and pushed.
+def reference_enabled(state, usage: dict, rules, bounds: Bounds) -> list:
+    """(rule, instance) for every instance within the rule bounds, in Step.key
+    order, read from enabled_instances directly rather than through a cache."""
+    from revlab.explorer import _within_rule_bounds
 
-    Only the dedup key prunes: no sleep set, no twin collapse.  Returns the
-    traces sorted by Trace.key, the states explored and the dedup hits.
+    return [
+        (rule, inst)
+        for rule in rules
+        if _within_rule_bounds(rule, None, usage, bounds)
+        for inst in enabled_instances(state, rule, bounds.synthesis_depth)
+        if _within_rule_bounds(rule, inst, usage, bounds)
+    ]
+
+
+def reference_search(spec, init, bounds: Bounds, dedup: bool):
+    """explore with every enabled child fired and pushed, as a TraceSet.
+
+    No sleep set, no twin collapse, and enabled_instances is called directly.
+    With dedup, a state whose dedup key was seen before is not expanded
+    again, as in explore; without it, this is the plain, unpruned search.
     """
     from revlab.explorer import (
         Trace,
-        _any_enabled,
-        _children,
+        TraceSet,
+        _child,
         _dedup_key,
-        _enabled,
         _interchangeable,
         _start_state,
     )
@@ -571,23 +586,22 @@ def reference_dedup_search(spec, init, bounds: Bounds) -> tuple:
     stack = [(init, (), monitors.start(), {})]
     while stack:
         state, steps, watch, usage = stack.pop()
-        key = _dedup_key(state, watch, usage, memo, vehicles)
-        if key in seen:
-            hits += 1
-            continue
-        seen.add(key)
+        if dedup:
+            key = _dedup_key(state, watch, usage, memo, vehicles)
+            if key in seen:
+                hits += 1
+                continue
+            seen.add(key)
         explored += 1
-        children, truncated = [], False
-        if len(steps) < bounds.max_steps:
-            children = _children(state, usage, _enabled(state, usage, rules, bounds))
-        else:
-            truncated = _any_enabled(state, usage, rules, bounds)
-        if not children:
-            traces.append(Trace(steps, state, truncated, watch))
+        enabled = reference_enabled(state, usage, rules, bounds)
+        if len(steps) >= bounds.max_steps or not enabled:
+            traces.append(Trace(steps, state, bool(enabled), watch))
+            continue
+        children = [_child(state, usage, rule, inst) for rule, inst in enabled]
         for child, step, used in reversed(children):
             stack.append((child, steps + (step,), monitors.advance_all(watch, step), used))
     traces.sort(key=Trace.key)
-    return tuple(traces), explored, hits
+    return TraceSet(tuple(traces), bounds, states_explored=explored, dedup_hits=hits)
 
 
 # --- random states for canonicalization checks --------------------------------
@@ -810,7 +824,7 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     States merge only when their event histories match too, so this walks
     more states than explore does, which merges on monitor states instead.
     """
-    from revlab.explorer import _children, _enabled
+    from revlab.explorer import _child
 
     init = initial_state(spec, n_vehicles)
     init = type(init)(
@@ -831,8 +845,9 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
         seen.add(key)
         yield state
         if state.step < bounds.max_steps:
-            enabled = _enabled(state, usage, rules, bounds)
-            for child, step, used in reversed(_children(state, usage, enabled)):
+            enabled = reference_enabled(state, usage, rules, bounds)
+            children = [_child(state, usage, rule, inst) for rule, inst in enabled]
+            for child, step, used in reversed(children):
                 stack.append((child, history + step.events, used))
 
 

@@ -20,7 +20,7 @@ from helpers import (
     normalize_outermost,
 )
 from revlab.cli import main
-from revlab.explorer import digest
+from revlab.canonical import digest
 from revlab.goals import (
     COUNTEREXAMPLE_FOUND,
     NO_COUNTEREXAMPLE,

@@ -240,6 +240,7 @@ class TestMain:
         assert first == second
 
     def test_byte_identical_across_processes_and_hash_seeds(self):
+        import hashlib
         import os
         import subprocess
         import sys
@@ -248,19 +249,43 @@ class TestMain:
         import revlab
 
         src = str(Path(revlab.__file__).resolve().parent.parent)
-        for args in (
-            ["--goals", "g2", "--max-steps", "8"],
+        rows = [
+            (["--protocol", "rtoken", "--change", "--goals", "g2", "--max-steps", "8"], None),
             # two vehicles: the key permutes them, and every goal is judged
-            ["--goals", "all", "--vehicles", "2", "--max-steps", "7"],
-        ):
-            argv = [sys.executable, "-m", "revlab", "--protocol", "rtoken", "--change",
-                    *args, "--output", "json", "--deterministic"]
+            (["--protocol", "rtoken", "--change", "--goals", "all", "--vehicles", "2",
+              "--max-steps", "7"], None),
+            *((args.split() + _PINNED_FLAGS, digest) for args, digest in _PINNED_REPORTS),
+        ]
+        for args, expected in rows:
+            argv = [sys.executable, "-m", "revlab", *args, "--output", "json",
+                    "--deterministic"]
             outs = []
             for seed in ("1", "99991"):
                 env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
                 got = subprocess.run(argv, capture_output=True, env=env, check=True)
                 outs.append(got.stdout)
             assert outs[0] == outs[1], args
+            if expected is not None:
+                assert hashlib.sha256(outs[0]).hexdigest() == expected, args
+
+
+# The sha256 of whole JSON reports, charts included, so that a change to the
+# search, the evidence or the report that alters one byte shows here.
+_PINNED_FLAGS = ["--trace", "msc", "--goals", "all"]
+_PINNED_REPORTS = (
+    ("--protocol plain",
+     "c15293838a5b3bb30317ee864c62aafdafc7e9ab4409cdd4e5686a6ad53278cd"),
+    ("--protocol plain --change",
+     "c063096fdd1ec5fe006ef419dc5889cad3ad5dd1088af38b23094b46582bb5c7"),
+    ("--protocol rtoken --change",
+     "db3ec436b1f0c1d81c1df62f99245bca6253ab6f0c679209086752966cf44a05"),
+    ("--protocol otoken --change",
+     "db37d3fd5a414161d6dcb934edf1a88808e9a9d5cb60707033e4ff415db4056a"),
+    ("--protocol otoken --change --reveals --max-steps 5",
+     "8ee3802af4967a6de9a813e5dba30da14c189949f5a62b6cad1c01fc3689ec5d"),
+    ("--protocol rtoken --change --vehicles 2 --max-steps 7",
+     "c90dbed5be9f1e42522fa788d386404a5b5ef7e1cce9f01ae75f8fecb9535763"),
+)
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():

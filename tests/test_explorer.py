@@ -18,8 +18,9 @@ from helpers import (
     enumerate_event_seqs,
     outcomes,
     random_small_state,
-    reference_dedup_search,
+    reference_enabled,
     reference_least_certificate,
+    reference_search,
     renamed_copy,
     scenario,
     states_isomorphic,
@@ -28,21 +29,20 @@ from helpers import (
     watch_of,
 )
 from revlab import Bounds, build_protocol, explore, initial_state, monitors, recheck, replay, run_all
+from revlab.canonical import canonicalize
 from revlab.explorer import (
     InstanceCache,
     Move,
     ReplayMismatchError,
     Step,
     Trace,
-    _children,
+    _child,
     _dedup_key,
-    _enabled,
     _fixing_vars,
     _flags,
     _independent,
     _interchangeable,
     _pruned,
-    canonicalize,
 )
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
@@ -208,7 +208,7 @@ class TestMonitorDedup:
         bounds = Bounds(max_steps=steps)
         init = initial_state(spec, vehicles)
         kept = explore(spec, init, bounds)
-        full = explore(spec, init, bounds, dedup=False)
+        full = reference_search(spec, init, bounds, dedup=False)
         full_events = {canonical_events(t.events) for t in full}
         assert full_events == enumerate_event_seqs(spec, init, bounds)
         assert {canonical_events(t.events) for t in kept} <= full_events
@@ -298,11 +298,12 @@ def _follow(spec, picks):
     state = initial_state(spec, 2)
     watch, usage, history = monitors.start(), {}, ()
     for rule_id, vehicle in picks:
-        state, step, usage = next(
-            c
-            for c in _children(state, usage, _enabled(state, usage, rules, bounds))
-            if c[1].rule_id == rule_id and dict(c[1].binding)["Vj"] is name(vehicle)
+        rule, inst = next(
+            (rule, inst)
+            for rule, inst in reference_enabled(state, usage, rules, bounds)
+            if rule.id == rule_id and dict(inst.binding)["Vj"] is name(vehicle)
         )
+        state, step, usage = _child(state, usage, rule, inst)
         watch = monitors.advance_all(watch, step)
         history += step.events
     return state, watch, usage, history
@@ -339,16 +340,16 @@ class TestSleepSets:
         bounds = Bounds(max_steps=steps)
         init = initial_state(spec, vehicles)
         got = explore(spec, init, bounds)
-        traces, explored, hits = reference_dedup_search(spec, init, bounds)
-        assert got.traces == traces
-        assert got.states_explored == explored
-        assert got.dedup_hits <= hits
+        ref = reference_search(spec, init, bounds, dedup=True)
+        assert got.traces == ref.traces
+        assert got.states_explored == ref.states_explored
+        assert got.dedup_hits <= ref.dedup_hits
 
     def test_fewer_children_reach_the_dedup_key(self):
         spec = build_protocol("rtoken", change_enabled=True)
         bounds = Bounds(max_steps=7)
         init = initial_state(spec, 2)
-        _, _, hits = reference_dedup_search(spec, init, bounds)
+        hits = reference_search(spec, init, bounds, dedup=True).dedup_hits
         assert explore(spec, init, bounds).dedup_hits < hits / 2
 
 
@@ -365,23 +366,19 @@ class TestReuse:
         checked = []
         renumbered = []
         renumber = ex._renumbered
+        enabled = ex._enabled
 
-        def checking(fn):
-            def call(state, usage, rules, bounds, cache=None):
-                got = fn(state, usage, rules, bounds, cache)
-                assert cache is not None
-                assert got == fn(state, usage, rules, bounds)
-                checked.append(state)
-                return got
-
-            return call
+        def checking(state, usage, rules, bounds, cache):
+            got = list(enabled(state, usage, rules, bounds, cache))
+            assert got == reference_enabled(state, usage, rules, bounds)
+            checked.append(state)
+            return iter(got)
 
         def counting(instances, rule, next_fresh):
             renumbered.append(rule.id)
             return renumber(instances, rule, next_fresh)
 
-        monkeypatch.setattr(ex, "_enabled", checking(ex._enabled))
-        monkeypatch.setattr(ex, "_any_enabled", checking(ex._any_enabled))
+        monkeypatch.setattr(ex, "_enabled", checking)
         monkeypatch.setattr(ex, "_renumbered", counting)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
@@ -509,7 +506,7 @@ class TestReuse:
                     budget="max_sessions" if budget_per else "", budget_per=budget_per)
         state = make_state(linear=[f for f in facts if not f.persistent],
                            persistent=[f for f in facts if f.persistent])
-        enabled = _enabled(state, {}, [rule], Bounds())
+        enabled = reference_enabled(state, {}, [rule], Bounds())
         children = _pruned(state, monitors.start(), {}, enabled, (),
                            {rule.id: _flags(rule)}, {rule.id: _fixing_vars(rule)})
         assert len(enabled) == len(children) == 2
@@ -984,11 +981,11 @@ class TestCanonicalKey:
     @example(_cycles(3, 3))
     @example(_cycles(2, 2, 3))
     def test_search_equals_the_reference_search(self, state):
-        import revlab.explorer as ex
+        import revlab.canonical as canonical
 
         key = canonicalize(state, vehicles=VEHICLES)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ex, "_least_certificate", reference_least_certificate)
+            mp.setattr(canonical, "_least_certificate", reference_least_certificate)
             assert canonicalize(state, vehicles=VEHICLES) == key
 
     def test_only_two_or_more_vehicles_are_interchangeable(self):

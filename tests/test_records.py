@@ -121,10 +121,10 @@ PINNED = {
         "Trace(steps=(), terminal_state=None, truncated=False, watch=None)",
     ),
     "GoalVerdict": (
-        ("goal", "mode", "outcome", "evidence", "explanation", "bounds"),
-        {"evidence": None, "explanation": None, "bounds": None},
+        ("goal", "mode", "outcome", "evidence", "explanation"),
+        {"evidence": None, "explanation": None},
         "GoalVerdict(goal='g1', mode='exists-trace', outcome='witness-found', "
-        "evidence=None, explanation=None, bounds=None)",
+        "evidence=None, explanation=None)",
     ),
     "RunResult": (
         ("spec", "bounds", "n_vehicles", "traces", "verdicts"),

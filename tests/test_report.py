@@ -5,7 +5,8 @@ import json
 import pytest
 
 from helpers import scenario
-from revlab.explorer import Trace, digest
+from revlab.canonical import digest
+from revlab.explorer import Trace
 from revlab.goals import BOUNDED_DISCLAIMER
 from revlab.protocols import agent_names, build_protocol
 from revlab.report import (
