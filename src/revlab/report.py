@@ -249,14 +249,22 @@ def compare_with_reference(doc: dict, reference: dict) -> list:
     """Mismatches between a run's outcomes and a reference verdict matrix.
 
     Only goals evaluated by this run are compared, so a single-goal run can
-    be checked against a full matrix.
+    be checked against a full matrix.  The protocol and the change flag
+    must equal the reference's where it records them; the bounds, vehicles
+    and reveals are not compared, so one matrix serves every run that
+    should reach its verdicts.
     """
-    mismatches = []
+    config = doc["config"]
+    mismatches = [
+        f"{field}: expected {json.dumps(reference[field])}, got {json.dumps(config[field])}"
+        for field in ("protocol", "change_enabled")
+        if field in reference and reference[field] != config[field]
+    ]
     ref_verdicts = reference.get("verdicts", {})
     got = {entry["goal"]: entry["outcome"] for entry in doc["results"]}
     shared = sorted(set(ref_verdicts) & set(got))
     if not shared:
-        return ["no goals in common with the reference matrix"]
+        return mismatches + ["no goals in common with the reference matrix"]
     for goal in shared:
         if got[goal] != ref_verdicts[goal]:
             mismatches.append(

@@ -21,10 +21,10 @@ from .terms import (
     TRUE,
     App,
     Var,
+    _match,
     fresh,
     instantiate_partial,
     is_ground,
-    match,
     normalize,
     render,
     sort_key,
@@ -269,14 +269,7 @@ def _match_premises(state: SystemState, premises, subst=None, used=None, persist
         if len(cand.args) != len(head.args):
             continue
         binding = dict(subst)
-        ok = True
-        for pat, got in zip(head.args, cand.args):
-            m = match(pat, got, binding)
-            if m is None:
-                ok = False
-                break
-            binding = m
-        if not ok:
+        if not all(_match(pat, got, binding) for pat, got in zip(head.args, cand.args)):
             continue
         used2 = used if idx is None else used | {idx}
         for sub2, consumed in _match_premises(state, tail, binding, used2, persistent):

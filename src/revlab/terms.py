@@ -247,6 +247,8 @@ def match(pattern: Term, ground: Term, subst: dict | None = None) -> dict | None
 
 
 def _match(p: Term, g: Term, binding: dict) -> bool:
+    """Whether p matches g, extending binding in place; on a mismatch the
+    binding may hold a partial extension, so the caller discards it."""
     if isinstance(p, Var):
         bound = binding.get(p.ident)
         if bound is None:

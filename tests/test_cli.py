@@ -164,6 +164,16 @@ class TestMain:
         assert code == 1
         assert doc["expect_mismatches"]
 
+    @pytest.mark.parametrize("args,field", [
+        (["--protocol", "otoken", "--expect", "reference/plain_nochange.json"], "protocol"),
+        (["--protocol", "plain", "--expect", "reference/plain.json"], "change_enabled"),
+    ])
+    def test_expect_of_another_protocol_or_change_flag_exits_one(self, args, field, capsys):
+        code = main(args + ["--output", "json", "--deterministic"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert any(m.startswith(f"{field}: ") for m in doc["expect_mismatches"])
+
     def test_missing_expect_file_is_a_usage_error(self, capsys):
         code = main(["--protocol", "plain", "--expect", "/no/such/matrix.json"])
         capsys.readouterr()

@@ -1,14 +1,16 @@
 """Exploration: monitor-keyed dedup vs the unpruned search and a dedup-free
 enumerator, canonical digests, replay, truncation, determinism."""
 
+import gc
 import json
 import random
 import re
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,6 +18,7 @@ from helpers import (
     check_memoized_advance,
     digest,
     enumerate_event_seqs,
+    explored_states,
     outcomes,
     random_small_state,
     reference_enabled,
@@ -683,6 +686,96 @@ class TestReplay:
         forged = self._tampered(trace, binding=binding, inputs=(other,), generated=(other,))
         with pytest.raises(ReplayMismatchError, match="adversary names drifted"):
             replay(self.SPEC, self.INIT, forged, bounds)
+
+
+@lru_cache(maxsize=1)
+def _gate_states(protocol, reveals, vehicles, steps) -> tuple:
+    """The spec, bounds and explored states of one gate row."""
+    spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+    bounds = Bounds(max_steps=steps)
+    return spec, bounds, tuple(explored_states(spec, bounds, vehicles))
+
+
+class TestFireReplay:
+    """replay, started at any explored state, reaches the child that fire made."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_one_fired_step_replays_to_its_child(self, protocol, reveals, vehicles, steps,
+                                                 data):
+        spec, bounds, states = _gate_states(protocol, reveals, vehicles, steps)
+        state = data.draw(st.sampled_from(states))
+        rules = sorted(spec.rules, key=lambda r: r.id)
+        enabled = reference_enabled(state, {}, rules, bounds)
+        assume(enabled)
+        rule, inst = data.draw(st.sampled_from(enabled))
+        child, step, _ = _child(state, {}, rule, inst)
+        trace = Trace((step,), child)
+        left = bounds._replace(adversary_fresh_budget=state.knowledge.budget)
+        assert replay(spec, state, trace, left) == child
+
+
+class TestCollectorPause:
+    """explore pauses the cyclic garbage collector: its search makes no
+    reference cycle, so a collection would free nothing."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_a_search_leaves_nothing_to_collect(self, protocol, reveals, vehicles, steps):
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        init = initial_state(spec, vehicles)
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            got = explore(spec, init, Bounds(max_steps=steps))
+            unreachable = gc.collect()
+        finally:
+            if collecting:
+                gc.enable()
+        assert got.states_explored > 0
+        assert unreachable == 0
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_paused_during_the_search_and_restored_after(self, collecting, monkeypatch):
+        import revlab.explorer as ex
+
+        during = []
+        canonical = ex.canonicalize
+
+        def recording(*args, **kwargs):
+            during.append(gc.isenabled())
+            return canonical(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "canonicalize", recording)
+        spec = build_protocol("plain")
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            explore(spec, initial_state(spec, 1), Bounds(max_steps=3))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during and not any(during)
+        assert after == collecting
+
+    def test_restored_when_the_search_fails(self, monkeypatch):
+        import revlab.explorer as ex
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("key failed")
+
+        monkeypatch.setattr(ex, "canonicalize", failing)
+        spec = build_protocol("plain")
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="key failed"):
+            explore(spec, initial_state(spec, 1), Bounds(max_steps=3))
+        assert gc.isenabled()
 
 
 class TestBounds:

@@ -119,6 +119,19 @@ class TestReferenceComparison:
         got = compare_with_reference(doc, ref)
         assert any(m.startswith("g2:") for m in got)
 
+    def test_protocol_and_change_flag_must_match_bounds_need_not(self):
+        result, elapsed = scenario("rtoken", change=True)
+        doc = build_document(result, elapsed, deterministic=True)
+        ref = json.load(open("reference/rtoken.json"))
+        assert compare_with_reference(doc, {**ref, "protocol": "otoken"}) == [
+            'protocol: expected "otoken", got "rtoken"'
+        ]
+        assert compare_with_reference(doc, {**ref, "change_enabled": False}) == [
+            "change_enabled: expected false, got true"
+        ]
+        other = {**ref, "bounds": {**ref["bounds"], "max_steps": 20}, "n_vehicles": 3}
+        assert compare_with_reference(doc, other) == []
+
     def test_disjoint_reference_is_flagged(self):
         result, elapsed = scenario("plain")
         doc = build_document(result, elapsed, deterministic=True)
