@@ -69,7 +69,8 @@ adversary names, and no fact it matches holds a name at or above
 next_fresh, so the renaming fixes every other value and changes no guard.
 Every instance of a list holds the same fresh names, so the list keeps its
 Instance.key order.  A rule with a network input keeps next_fresh in its
-key, because its input derivations are rendered text that names fresh ids.
+key, because the adversary names it may mint are numbered from next_fresh
+and sit in its inputs, bindings and derivation trees.
 And the instances of a node that share their rule, consumed facts, minted
 names and the values of the variables in the rule's conclusions, network
 outputs and per-binding budget form a twin group: these fix the child state
@@ -155,23 +156,27 @@ class Step(
     namedtuple(
         "Step",
         (
-            "rule_id", "binding", "inputs", "input_synthesized", "input_derivations",
-            "generated", "events", "outputs", "fresh_idents",
+            "rule_id", "binding", "inputs", "input_derivations", "generated",
+            "events", "outputs",
         ),
-        defaults=((), ()),
+        defaults=((),),
     )
 ):
     """One fired rule instance inside a trace.
 
     binding holds sorted (ident, Term) pairs; inputs the ground
-    network-input terms; input_synthesized, per input, whether the
-    adversary built it or replayed it; generated the adversary's gen_fresh
+    network-input terms; input_derivations the adversary's
+    knowledge.Derivation of each input; generated the adversary's gen_fresh
     names minted for this step; events Event values whose time is the step
-    index; outputs the ground terms released to the network; fresh_idents
-    the binding idents the rule allocated fresh.
+    index; outputs the ground terms released to the network.
     """
 
     __slots__ = ()
+
+    @property
+    def input_synthesized(self) -> tuple:
+        """Per input, whether the adversary built it rather than replayed it."""
+        return tuple(d.cost > 0 or bool(self.generated) for d in self.input_derivations)
 
     def key(self):
         return (
@@ -417,12 +422,10 @@ def _step(rule: Rule, inst: Instance, events: tuple, outputs: tuple) -> Step:
         rule_id=rule.id,
         binding=inst.binding,
         inputs=inst.inputs,
-        input_synthesized=inst.synthesized,
         input_derivations=inst.input_derivations,
         generated=inst.new_names,
         events=events,
         outputs=outputs,
-        fresh_idents=tuple(ident for ident, _ in inst.fresh_alloc),
     )
 
 
@@ -594,14 +597,11 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
         k = minted[0]
     if len(step.inputs) != len(rule.network_in):
         raise ReplayMismatchError("wrong number of inputs")
-    derivations = []
     for pattern, term in zip(rule.network_in, step.inputs):
         if substitute(subst, pattern) is not term:
             raise ReplayMismatchError(f"input {render(term)} does not match its pattern")
-        derivation = kn.can_derive(k, term, depth)
-        if derivation is None:
+        if kn.can_derive(k, term, depth) is None:
             raise ReplayMismatchError(f"input {render(term)} is not derivable")
-        derivations.append(derivation)
     if not _guards_hold(rule.guards, subst):
         raise ReplayMismatchError("a guard fails")
     return Instance(
@@ -609,7 +609,6 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
         binding=step.binding,
         consumed=tuple(consumed),
         inputs=step.inputs,
-        input_costs=tuple(d.cost for d in derivations),
         input_derivations=step.input_derivations,
         new_names=step.generated,
         fresh_alloc=fresh_alloc,

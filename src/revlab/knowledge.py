@@ -47,8 +47,9 @@ class Derivation(
 ):
     """How the adversary obtains a term: leaf lookup or constructor step.
 
-    via is "known", "public", "generated" or "build:<sym>"; children are
-    the Derivations of a constructor step's arguments.
+    via is "known", "public", "generated", "gen-fresh" (a name minted for
+    this input) or "build:<sym>"; children are the Derivations of a
+    constructor step's arguments, and cost counts the constructor steps.
     """
 
     __slots__ = ()
@@ -211,20 +212,19 @@ def gen_fresh(k: Knowledge, fid: int) -> tuple[Knowledge, Fresh] | None:
     return k2, f
 
 
-class SynthResult(
-    namedtuple("SynthResult", ("subst", "term", "cost", "new_names", "derivation"))
-):
+class SynthResult(namedtuple("SynthResult", ("subst", "term", "new_names", "derivation"))):
     """One way to feed a network-input pattern from adversary material.
 
     subst holds the sorted (ident, Term) pairs added or confirmed;
-    new_names the gen_fresh allocations this instantiation requires.
+    new_names the gen_fresh allocations this instantiation requires;
+    derivation the least-cost Derivation of term.
     """
 
     __slots__ = ()
 
     @property
     def synthesized(self) -> bool:
-        return self.cost > 0 or bool(self.new_names)
+        return self.derivation.cost > 0 or bool(self.new_names)
 
 
 def synthesize(
@@ -255,16 +255,16 @@ def synthesize(
     if hit is not None:
         return hit
     results: dict = {}
-    for subst2, term, cost, new_names, deriv in _synth(
-        k, pattern, dict(relevant), budget, fid_base, 0
+    for subst2, term, new_names, deriv in _synth_raw(
+        k, pattern, dict(relevant), budget, fid_base
     ):
         key = (tuple(sorted(subst2.items())), term, new_names)
         old = results.get(key)
-        if old is None or cost < old[0]:
-            results[key] = (cost, deriv)
+        if old is None or deriv.cost < old.cost:
+            results[key] = deriv
     out = [
-        SynthResult(subst=key[0], term=key[1], cost=cost, new_names=key[2], derivation=deriv)
-        for key, (cost, deriv) in results.items()
+        SynthResult(subst=key[0], term=key[1], new_names=key[2], derivation=deriv)
+        for key, deriv in results.items()
     ]
     out.sort(
         key=lambda r: (
@@ -286,25 +286,26 @@ def _synth(k: Knowledge, pattern: Term, subst: dict, budget: int, fid_base: int,
     if hit is None:
         hit = list(_synth_raw(k, pattern, rel, budget, next_fid))
         k._memo[key] = hit
-    for delta, term, cost, names, deriv in hit:
+    for delta, term, names, deriv in hit:
         merged = dict(subst)
         merged.update(delta)
-        yield merged, term, cost, names, deriv
+        yield merged, term, names, deriv
 
 
 def _synth_raw(k: Knowledge, pattern: Term, subst: dict, budget: int, next_fid: int):
+    # Yields (subst extended, term, new names, Derivation of term).
     p = instantiate_partial(subst, pattern)
     if is_ground(p):
         g = normalize(p)
         d = can_derive(k, g, budget)
         if d is not None:
-            yield subst, g, d.cost, (), d.render()
+            yield subst, g, (), d
         return
     if isinstance(p, Var):
         for cand in _var_candidates(k, next_fid):
             sub2 = dict(subst)
             sub2[p.ident] = cand.term
-            yield sub2, cand.term, 0, cand.new_names, cand.derivation
+            yield sub2, cand.term, cand.new_names, cand.derivation
         return
     # Structured pattern with open variables: replay a stored term that
     # matches, or build it constructor-by-constructor.
@@ -312,12 +313,12 @@ def _synth_raw(k: Knowledge, pattern: Term, subst: dict, budget: int, next_fid: 
     for stored in _sorted_basis(k):
         m = match(p, stored, subst)
         if m is not None:
-            yield m, stored, 0, (), f"{render(stored)}[known]"
+            yield m, stored, (), Derivation(stored, "known")
     if budget >= 1 and not _rigid(k, p):
         for combo in _synth_app_args(k, p.args, subst, budget - 1, next_fid):
             sub2, args, cost, new_names, derivs = combo
             g = normalize(app(p.sym, args))
-            yield sub2, g, cost + 1, new_names, f"(build:{p.sym} {' '.join(derivs)})"
+            yield sub2, g, new_names, Derivation(g, f"build:{p.sym}", derivs, cost + 1)
 
 
 def _sorted_basis(k: Knowledge) -> list:
@@ -423,14 +424,14 @@ def _synth_args(k: Knowledge, patterns, subst, budget, fid_base, n_new, hides=()
     head, tail = patterns[0], patterns[1:]
     hide = hides[0] if hides else ()
     seen = {v: t for v, t in subst.items() if v not in hide} if hide else subst
-    for sub1, t1, c1, names1, d1 in _synth(k, head, seen, budget, fid_base, n_new):
+    for sub1, t1, names1, d1 in _synth(k, head, seen, budget, fid_base, n_new):
         if hide and any(sub1[v] is not subst[v] for v in hide):
             continue
         for sub2, rest, c2, names2, drest in _synth_args(
-            k, tail, sub1, budget - c1, fid_base, n_new + len(names1), hides[1:]
+            k, tail, sub1, budget - d1.cost, fid_base, n_new + len(names1), hides[1:]
         ):
-            if c1 + c2 <= budget:
-                yield sub2, (t1,) + rest, c1 + c2, names1 + names2, (d1,) + drest
+            if d1.cost + c2 <= budget:
+                yield sub2, (t1,) + rest, d1.cost + c2, names1 + names2, (d1,) + drest
 
 
 def _var_candidates(k: Knowledge, next_fid: int):
@@ -441,12 +442,12 @@ def _var_candidates(k: Knowledge, next_fid: int):
     cands = []
     if k.budget > 0:
         f = fresh(next_fid, origin="adversary")
-        cands.append(SynthResult((), f, 0, (f,), f"{render(f)}[gen-fresh]"))
+        cands.append(SynthResult((), f, (f,), Derivation(f, "gen-fresh")))
     for g in k.generated:
-        cands.append(SynthResult((), g, 0, (), f"{render(g)}[generated]"))
+        cands.append(SynthResult((), g, (), Derivation(g, "generated")))
     for t in k.basis:
         if t not in k.generated:
-            cands.append(SynthResult((), t, 0, (), f"{render(t)}[known]"))
+            cands.append(SynthResult((), t, (), Derivation(t, "known")))
     cands.sort(key=lambda c: sort_key(c.term))
     k._memo[key] = cands
     return cands

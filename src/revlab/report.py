@@ -28,7 +28,7 @@ def serialize_trace(trace: Trace) -> dict:
                     {
                         "term": render(t),
                         "synthesized": bool(synth),
-                        "derivation": deriv,
+                        "derivation": deriv.render(),
                     }
                     for t, synth, deriv in zip(
                         s.inputs, s.input_synthesized, s.input_derivations

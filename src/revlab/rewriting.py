@@ -144,9 +144,6 @@ class SystemState(
 
     __slots__ = ()
 
-    def facts(self):
-        return list(self.linear) + sorted(self.persistent, key=Fact.key)
-
 
 def make_state(linear=(), persistent=(), knowledge=None, next_fresh=0, step=0):
     return SystemState(
@@ -162,8 +159,8 @@ class Instance(
     namedtuple(
         "Instance",
         (
-            "rule_id", "binding", "consumed", "inputs", "input_costs",
-            "input_derivations", "new_names", "fresh_alloc",
+            "rule_id", "binding", "consumed", "inputs", "input_derivations",
+            "new_names", "fresh_alloc",
         ),
     )
 ):
@@ -171,8 +168,10 @@ class Instance(
 
     binding holds sorted (ident, Term) pairs, fresh vars included; consumed
     the linear facts removed on firing; inputs the ground network-input
-    terms, in pattern order; new_names the adversary's gen_fresh
-    allocations; fresh_alloc (ident, Fresh) pairs for the rule's fresh vars.
+    terms, in pattern order; input_derivations the adversary's
+    knowledge.Derivation of each input, whose cost counts its constructor
+    steps; new_names the adversary's gen_fresh allocations; fresh_alloc
+    (ident, Fresh) pairs for the rule's fresh vars.
     """
 
     __slots__ = ()
@@ -180,10 +179,6 @@ class Instance(
     @property
     def subst(self) -> dict:
         return dict(self.binding)
-
-    @property
-    def synthesized(self) -> tuple:
-        return tuple(c > 0 or bool(self.new_names) for c in self.input_costs)
 
     def key(self):
         return (
@@ -216,7 +211,7 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
         for filled in _fill_inputs(
             state.knowledge, rule.network_in, subst, synthesis_budget, fid_base
         ):
-            full, inputs, costs, derivs, new_names = filled
+            full, inputs, derivs, new_names = filled
             if not _guards_hold(rule.guards, full):
                 continue
             out.append(
@@ -225,7 +220,6 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
                     binding=tuple(sorted(full.items())),
                     consumed=consumed,
                     inputs=inputs,
-                    input_costs=costs,
                     input_derivations=derivs,
                     new_names=new_names,
                     fresh_alloc=fresh_alloc,
@@ -303,19 +297,18 @@ def _solve_signers(k: Knowledge, guards, subst: dict) -> bool:
 
 def _fill_inputs(k: Knowledge, patterns, subst, budget, fid_base):
     if not patterns:
-        yield subst, (), (), (), ()
+        yield subst, (), (), ()
         return
     head, tail = patterns[0], patterns[1:]
     for r in kn.synthesize(k, head, subst, budget, fid_base):
         sub2 = dict(subst)
         sub2.update(dict(r.subst))
-        for full, inputs, costs, derivs, names in _fill_inputs(
+        for full, inputs, derivs, names in _fill_inputs(
             k, tail, sub2, budget, fid_base + len(r.new_names)
         ):
             yield (
                 full,
                 (r.term,) + inputs,
-                (r.cost,) + costs,
                 (r.derivation,) + derivs,
                 r.new_names + names,
             )

@@ -33,7 +33,7 @@ from revlab.canonical import (
     _ranked,
     _signature,
 )
-from revlab.knowledge import Knowledge, can_derive
+from revlab.knowledge import Derivation, Knowledge, can_derive
 from revlab.protocols import PROTOCOLS, SECRET_FRESH_VARS, initial_state
 from revlab.rewriting import Fact, enabled_instances
 from revlab.terms import (
@@ -116,7 +116,7 @@ def reveal_guard_weak(events, vehicle, upto: int) -> bool:
     )
 
 
-def secrecy_violations(trace_set, depth: int = 4) -> list:
+def secrecy_violations(spec, trace_set, depth: int = 4) -> list:
     """Secret fresh values that became adversary-derivable, across all traces.
 
     Knowledge grows monotonically along a trace, so checking each terminal
@@ -132,15 +132,16 @@ def secrecy_violations(trace_set, depth: int = 4) -> list:
         if revealed:
             continue
         for step in trace.steps:
-            for ident, f in _fresh_allocations(step):
+            for ident, f in _fresh_allocations(spec, step):
                 if ident in SECRET_FRESH_VARS and can_derive(k, f, depth) is not None:
                     bad.append((trace, step.rule_id, ident, f))
     return bad
 
 
-def _fresh_allocations(step):
+def _fresh_allocations(spec, step):
+    fresh_vars = spec.rule(step.rule_id).fresh_vars
     for ident, t in step.binding:
-        if ident in step.fresh_idents and isinstance(t, Fresh):
+        if ident in fresh_vars and isinstance(t, Fresh):
             yield ident, t
 
 
@@ -864,7 +865,7 @@ def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
     for subst, consumed in _match_premises(state, rule.premises):
         subst = dict(subst)
         subst.update(fresh_alloc)
-        for full, inputs, costs, derivs, new_names in _reference_fill(
+        for full, inputs, derivs, new_names in _reference_fill(
             state.knowledge, rule.network_in, subst, synthesis_budget, fid_base
         ):
             if not _guards_hold(rule.guards, full):
@@ -875,7 +876,6 @@ def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
                     binding=tuple(sorted(full.items())),
                     consumed=consumed,
                     inputs=inputs,
-                    input_costs=costs,
                     input_derivations=derivs,
                     new_names=new_names,
                     fresh_alloc=fresh_alloc,
@@ -887,19 +887,18 @@ def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
 
 def _reference_fill(k, patterns, subst, budget, fid_base):
     if not patterns:
-        yield subst, (), (), (), ()
+        yield subst, (), (), ()
         return
     head, tail = patterns[0], patterns[1:]
     for r in reference_synthesize(k, head, subst, budget, fid_base):
         sub2 = dict(subst)
         sub2.update(dict(r.subst))
-        for full, inputs, costs, derivs, names in _reference_fill(
+        for full, inputs, derivs, names in _reference_fill(
             k, tail, sub2, budget, fid_base + len(r.new_names)
         ):
             yield (
                 full,
                 (r.term,) + inputs,
-                (r.cost,) + costs,
                 (r.derivation,) + derivs,
                 r.new_names + names,
             )
@@ -925,7 +924,7 @@ def reference_synthesize(k, pattern, subst: dict, budget: int, fid_base: int) ->
         if old is None or cost < old[0]:
             results[key] = (cost, deriv)
     out = [
-        SynthResult(subst=key[0], term=key[1], cost=cost, new_names=key[2], derivation=deriv)
+        SynthResult(subst=key[0], term=key[1], new_names=key[2], derivation=deriv)
         for key, (cost, deriv) in results.items()
     ]
     out.sort(
@@ -962,7 +961,6 @@ def _ref_synth_raw(k, pattern, subst, budget, next_fid):
         instantiate_partial,
         is_ground,
         match,
-        render,
         sort_key,
     )
 
@@ -971,7 +969,7 @@ def _ref_synth_raw(k, pattern, subst, budget, next_fid):
         g = normalize(p)
         d = can_derive(k, g, budget)
         if d is not None:
-            yield subst, g, d.cost, (), d.render()
+            yield subst, g, d.cost, (), d
         return
     if isinstance(p, Var):
         for term, new_names, deriv in _ref_candidates(k, next_fid):
@@ -982,13 +980,14 @@ def _ref_synth_raw(k, pattern, subst, budget, next_fid):
     for stored in sorted(k.basis, key=sort_key):
         m = match(p, stored, subst)
         if m is not None:
-            yield m, stored, 0, (), f"{render(stored)}[known]"
+            yield m, stored, 0, (), Derivation(stored, "known")
     if p.sym in CONSTRUCTORS and budget >= 1:
         for sub2, args, cost, new_names, derivs in _ref_synth_args(
             k, p.args, subst, budget - 1, next_fid
         ):
             g = normalize(app(p.sym, args))
-            yield sub2, g, cost + 1, new_names, f"(build:{p.sym} {' '.join(derivs)})"
+            d = Derivation(g, f"build:{p.sym}", derivs, cost + 1)
+            yield sub2, g, cost + 1, new_names, d
 
 
 def _ref_synth_args(k, patterns, subst, budget, next_fid):
@@ -1005,17 +1004,17 @@ def _ref_synth_args(k, patterns, subst, budget, next_fid):
 
 
 def _ref_candidates(k, next_fid) -> list:
-    from revlab.terms import render, sort_key
+    from revlab.terms import sort_key
 
     cands = []
     if k.budget > 0:
         f = fresh(next_fid, origin="adversary")
-        cands.append((f, (f,), f"{render(f)}[gen-fresh]"))
+        cands.append((f, (f,), Derivation(f, "gen-fresh")))
     for g in k.generated:
-        cands.append((g, (), f"{render(g)}[generated]"))
+        cands.append((g, (), Derivation(g, "generated")))
     for t in k.basis:
         if t not in k.generated:
-            cands.append((t, (), f"{render(t)}[known]"))
+            cands.append((t, (), Derivation(t, "known")))
     cands.sort(key=lambda c: sort_key(c[0]))
     return cands
 

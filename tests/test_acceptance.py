@@ -129,7 +129,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_secrets_stay_secret():
     for protocol, change in DEFAULT_SCENARIOS:
         result, _ = scenario(protocol, change=change)
-        bad = secrecy_violations(result.traces)
+        bad = secrecy_violations(result.spec, result.traces)
         assert bad == [], f"{protocol}: secrets leaked {bad}"
         # the check has teeth: every secret class the protocol mints is watched
         from revlab.protocols import SECRET_FRESH_VARS
@@ -138,7 +138,7 @@ def test_criterion_7_secrets_stay_secret():
             ident
             for t in result.traces
             for s in t.steps
-            for ident, _ in _fresh_allocations(s)
+            for ident, _ in _fresh_allocations(result.spec, s)
             if ident in SECRET_FRESH_VARS
         }
         expected = {"SKRA", "LTK", "SKPSi"}

@@ -131,11 +131,17 @@ class TestMain:
         capsys.readouterr()
         assert code == 0
 
-    @pytest.mark.parametrize("protocol", ["plain", "rtoken", "otoken"])
-    def test_three_vehicle_reference_matrix(self, protocol, capsys):
+    # Two vehicles ride along under ids ending in -2v, so the three-vehicle
+    # cases keep the protocol names as their ids.
+    @pytest.mark.parametrize("protocol,vehicles", [
+        *(pytest.param(p, 3, id=p) for p in ("plain", "rtoken", "otoken")),
+        *(pytest.param(p, 2, id=f"{p}-2v") for p in ("plain", "rtoken", "otoken")),
+    ])
+    def test_three_vehicle_reference_matrix(self, protocol, vehicles, capsys):
         code = main(
-            ["--protocol", protocol, "--goals", "all", "--change", "--vehicles", "3",
-             "--expect", str(REFERENCE / f"{protocol}_3v.json"),
+            ["--protocol", protocol, "--goals", "all", "--change",
+             "--vehicles", str(vehicles),
+             "--expect", str(REFERENCE / f"{protocol}_{vehicles}v.json"),
              "--output", "json", "--deterministic"]
         )
         doc = json.loads(capsys.readouterr().out)

@@ -52,7 +52,7 @@ from revlab.knowledge import Knowledge, observe
 from revlab.protocols import ProtocolSpec, agent_names, vehicle_name
 from revlab.report import render_msc
 from revlab.rewriting import Event, Fact, Rule, enabled_instances, make_state
-from revlab.terms import fresh, name, normalize, pk, sign, tup, var
+from revlab.terms import Name, app, fresh, name, normalize, pk, sign, tup, var
 
 
 class TestExplore:
@@ -317,7 +317,6 @@ def _event_step(event):
         rule_id="FIXTURE",
         binding=(),
         inputs=(),
-        input_synthesized=(),
         input_derivations=(),
         generated=(),
         events=(event,),
@@ -719,6 +718,47 @@ class TestFireReplay:
         trace = Trace((step,), child)
         left = bounds._replace(adversary_fresh_budget=state.knowledge.budget)
         assert replay(spec, state, trace, left) == child
+
+
+class TestInputDerivations:
+    """Every enabled instance carries, per input, an adversary proof of it."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_each_derivation_proves_its_input(self, protocol, reveals, vehicles, steps):
+        spec, bounds, states = _gate_states(protocol, reveals, vehicles, steps)
+        checked = 0
+        for state in states:
+            for rule in spec.rules:
+                for inst in enabled_instances(state, rule, bounds.synthesis_depth):
+                    assert len(inst.input_derivations) == len(inst.inputs)
+                    for term, d in zip(inst.inputs, inst.input_derivations):
+                        assert d.term is term
+                        assert d.cost <= bounds.synthesis_depth
+                        _assert_proof(d, state.knowledge, inst.new_names)
+                        checked += 1
+        assert checked > 0
+
+
+def _assert_proof(d, k: Knowledge, new_names: tuple) -> None:
+    """d derives d.term from k's basis, its generated names, public names
+    and the names minted for the instance, at cost d.cost."""
+    if d.via.startswith("build:"):
+        assert d.children
+        for c in d.children:
+            _assert_proof(c, k, new_names)
+        built = normalize(app(d.via[len("build:"):], (c.term for c in d.children)))
+        assert d.term is built, d.render()
+        assert d.cost == 1 + sum(c.cost for c in d.children), d.render()
+        return
+    assert d.children == () and d.cost == 0, d.render()
+    if d.via == "known":
+        assert d.term in k.basis, d.render()
+    elif d.via == "generated":
+        assert d.term in k.generated, d.render()
+    elif d.via == "gen-fresh":
+        assert d.term in new_names, d.render()
+    else:
+        assert d.via == "public" and isinstance(d.term, Name), d.render()
 
 
 class TestCollectorPause:

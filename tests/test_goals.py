@@ -36,7 +36,6 @@ def mk_trace(*events) -> Trace:
         rule_id="FIXTURE",
         binding=(),
         inputs=(),
-        input_synthesized=(),
         input_derivations=(),
         generated=(),
         events=tuple(events),

@@ -34,12 +34,12 @@ RECORDS = {
     "Event": Event("E", (A,), 0),
     "Rule": Rule(id="R"),
     "SystemState": SystemState(),
-    "Instance": Instance("R", (), (), (), (), (), (), ()),
+    "Instance": Instance("R", (), (), (), (), (), ()),
     "Knowledge": Knowledge(),
     "Derivation": Derivation(A, "public"),
-    "SynthResult": SynthResult((), A, 0, (), "A[public]"),
+    "SynthResult": SynthResult((), A, (), Derivation(A, "public")),
     "Bounds": Bounds(),
-    "Step": Step("R", (), (), (), (), (), ()),
+    "Step": Step("R", (), (), (), (), ()),
     "Trace": Trace((), None),
     "TraceSet": TraceSet((), Bounds()),
     "GoalVerdict": GoalVerdict("g1", "exists-trace", "witness-found"),
@@ -85,10 +85,10 @@ PINNED = {
         f"knowledge={_EMPTY_KNOWLEDGE}, next_fresh=0, step=0)",
     ),
     "Instance": (
-        ("rule_id", "binding", "consumed", "inputs", "input_costs",
-         "input_derivations", "new_names", "fresh_alloc"),
+        ("rule_id", "binding", "consumed", "inputs", "input_derivations",
+         "new_names", "fresh_alloc"),
         {},
-        "Instance(rule_id='R', binding=(), consumed=(), inputs=(), input_costs=(), "
+        "Instance(rule_id='R', binding=(), consumed=(), inputs=(), "
         "input_derivations=(), new_names=(), fresh_alloc=())",
     ),
     "Derivation": (
@@ -97,9 +97,10 @@ PINNED = {
         "Derivation(term=A, via='public', children=(), cost=0)",
     ),
     "SynthResult": (
-        ("subst", "term", "cost", "new_names", "derivation"),
+        ("subst", "term", "new_names", "derivation"),
         {},
-        "SynthResult(subst=(), term=A, cost=0, new_names=(), derivation='A[public]')",
+        "SynthResult(subst=(), term=A, new_names=(), "
+        "derivation=Derivation(term=A, via='public', children=(), cost=0))",
     ),
     "Bounds": (
         ("max_steps", "max_changes", "adversary_fresh_budget", "synthesis_depth",
@@ -109,11 +110,11 @@ PINNED = {
         _BOUNDS,
     ),
     "Step": (
-        ("rule_id", "binding", "inputs", "input_synthesized", "input_derivations",
-         "generated", "events", "outputs", "fresh_idents"),
-        {"outputs": (), "fresh_idents": ()},
-        "Step(rule_id='R', binding=(), inputs=(), input_synthesized=(), "
-        "input_derivations=(), generated=(), events=(), outputs=(), fresh_idents=())",
+        ("rule_id", "binding", "inputs", "input_derivations", "generated",
+         "events", "outputs"),
+        {"outputs": ()},
+        "Step(rule_id='R', binding=(), inputs=(), input_derivations=(), "
+        "generated=(), events=(), outputs=())",
     ),
     "Trace": (
         ("steps", "terminal_state", "truncated", "watch"),
