@@ -56,12 +56,24 @@ def digest(state: SystemState) -> str:
             parts.append(key + "{" + ";".join(rendered) + "}")
         return "|".join(parts)
 
-    renaming: dict = {}
-    pending = list(dict.fromkeys(fid for _, (_, fids) in tagged_items for fid in fids))
+    return _least_text(tagged_items, full_render, {})
+
+
+def _least_text(tagged_items, full_render, renaming: dict) -> str:
+    """full_render's text once digest's refinement has renamed every name
+    in tagged_items.
+
+    tagged_items are (section, compiled item) pairs, and full_render renders
+    them under a slot function.  renaming maps the names fixed already to
+    their slot texts; the others are numbered on from there.
+    """
+    pending = list(dict.fromkeys(
+        fid for _, (_, fids) in tagged_items for fid in fids if fid not in renaming
+    ))
     # a signature only changes when a name it sits next to gets renamed
     occurs = {fid: [] for fid in pending}
     for item in tagged_items:
-        for fid in set(item[1][1]):
+        for fid in set(item[1][1]) & occurs.keys():
             occurs[fid].append(item)
     sigs: dict = {}
     stale = pending

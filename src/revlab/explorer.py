@@ -58,23 +58,12 @@ and evidence are all unchanged.  A node whose enabled instances are all
 slept is not a leaf: it records no trace and pushes no child.
 
 Two savings change nothing that is pushed.  Enabled lists are cached for
-one search (InstanceCache), keyed on what enabled_instances reads: the
-rule, the linear and persistent facts its premises name, and the adversary
-knowledge and next_fresh for a rule with a network input.  States that
-agree on these have equal lists, up to the fresh names allocated to the
-rule's fresh variables, which follow next_fresh.  A list cached at another
-next_fresh is renumbered: each instance gets the new names in its
-fresh_alloc and its binding.  A rule without network input mints no
-adversary names, and no fact it matches holds a name at or above
-next_fresh, so the renaming fixes every other value and changes no guard.
-Every instance of a list holds the same fresh names, so the list keeps its
-Instance.key order.  A rule with a network input keeps next_fresh in its
-key, because the adversary names it may mint are numbered from next_fresh
-and sit in its inputs, bindings and derivation trees.
-And the instances of a node that share their rule, consumed facts, minted
-names and the values of the variables in the rule's conclusions, network
-outputs and per-binding budget form a twin group: these fix the child state
-and the budget usage, so only the group's first instance is fired.  Each of
+one search (InstanceCache), keyed on everything enabled_instances reads, so
+a hit returns the very list a call would.  And the instances of a node that
+share their rule, consumed facts, minted names and the values of the
+variables in the rule's conclusions, network outputs and per-binding budget
+form a twin group: these fix the child state and the budget usage, so only
+the group's first instance is fired.  Each of
 the others builds its own step, whose events may differ (rtoken's Commit
 carries the whole signed confirmation), and advances the monitors on it, so
 the twin test stays exact: a group member whose monitor states differ from
@@ -108,12 +97,11 @@ from .rewriting import (
     Rule,
     SystemState,
     _guards_hold,
-    allocate_fresh,
     emitted,
     enabled_instances,
     fire,
 )
-from .terms import render, sort_key, substitute, subterms, variables
+from .terms import fresh, render, sort_key, substitute, subterms, variables
 
 
 class ReplayMismatchError(ValueError):
@@ -210,19 +198,16 @@ class Trace(
 
 
 class TraceSet:
-    """The sorted traces of one search, with its bounds and counters.
+    """The sorted traces of one search, with its counters.
 
     Frozen, and equal by value.  Not a tuple: iterating it and its length
     are over the traces.
     """
 
-    __slots__ = ("traces", "bounds", "states_explored", "dedup_hits")
+    __slots__ = ("traces", "states_explored", "dedup_hits")
 
-    def __init__(
-        self, traces: tuple, bounds: Bounds, states_explored: int = 0, dedup_hits: int = 0
-    ):
+    def __init__(self, traces: tuple, states_explored: int = 0, dedup_hits: int = 0):
         object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "states_explored", states_explored)
         object.__setattr__(self, "dedup_hits", dedup_hits)
 
@@ -233,7 +218,7 @@ class TraceSet:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        return self.traces, self.bounds, self.states_explored, self.dedup_hits
+        return self.traces, self.states_explored, self.dedup_hits
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -314,12 +299,7 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
         for child, step, child_watch, child_usage, child_sleep in reversed(children):
             stack.append((child, steps + (step,), child_watch, child_usage, child_sleep))
     traces.sort(key=Trace.key)
-    return TraceSet(
-        traces=tuple(traces),
-        bounds=bounds,
-        states_explored=explored,
-        dedup_hits=dedup_hits,
-    )
+    return TraceSet(traces=tuple(traces), states_explored=explored, dedup_hits=dedup_hits)
 
 
 def _dedup_key(
@@ -351,11 +331,11 @@ class InstanceCache:
     """enabled_instances results of one search, keyed on what a call reads.
 
     A call reads the rule, the linear facts its premises name (in state
-    order, so multiplicities count), the persistent facts they name, and,
-    when the rule has a network input, the adversary knowledge and
-    next_fresh.  States that agree on these get equal lists, up to the
-    names allocated to the rule's fresh variables: a list cached at another
-    next_fresh is renumbered (_renumbered).  A miss calls enabled_instances.
+    order, so multiplicities count), the persistent facts they name, the
+    adversary knowledge when the rule has a network input, and next_fresh
+    when the rule has fresh variables or a network input: its fresh names
+    and the adversary names it may mint are numbered from there.  States
+    that agree on these get equal lists.  A miss calls enabled_instances.
     """
 
     def __init__(self, rules, depth: int):
@@ -364,44 +344,28 @@ class InstanceCache:
         self.lists: dict = {}
 
     def instances(self, state: SystemState, rule: Rule) -> list:
-        linear, persistent, receives = self.reads[rule.id]
+        linear, persistent, receives, numbered = self.reads[rule.id]
         k = state.knowledge
         key = (
             rule.id,
             tuple(f for f in state.linear if f.name in linear),
             frozenset(f for f in state.persistent if f.name in persistent) if persistent else None,
-            (k.basis, k.generated, k.budget, state.next_fresh) if receives else None,
+            (k.basis, k.generated, k.budget) if receives else None,
+            state.next_fresh if numbered else None,
         )
         got = self.lists.get(key)
         if got is None:
             got = self.lists[key] = enabled_instances(state, rule, self.depth)
-        elif got and got[0].fresh_alloc and got[0].fresh_alloc[0][1].fid != state.next_fresh:
-            got = _renumbered(got, rule, state.next_fresh)
         return got
 
 
 def _reads(rule: Rule) -> tuple:
     """What enabled_instances reads of a state for rule: the names of its
-    linear and of its persistent premises, and whether it reads the
-    knowledge and next_fresh."""
+    linear and of its persistent premises, whether it reads the knowledge,
+    and whether it reads next_fresh."""
     linear = frozenset(p.name for p in rule.premises if not p.persistent)
     persistent = frozenset(p.name for p in rule.premises if p.persistent)
-    return linear, persistent, bool(rule.network_in)
-
-
-def _renumbered(instances: list, rule: Rule, next_fresh: int) -> list:
-    """A rule's enabled list, enumerated at another next_fresh, with its
-    fresh variables allocated from next_fresh instead; the module docstring
-    says why this is the list enabled_instances gives there."""
-    alloc = allocate_fresh(rule, next_fresh)
-    values = dict(alloc)
-    return [
-        inst._replace(
-            binding=tuple((i, values.get(i, t)) for i, t in inst.binding),
-            fresh_alloc=alloc,
-        )
-        for inst in instances
-    ]
+    return linear, persistent, bool(rule.network_in), bool(rule.fresh_vars or rule.network_in)
 
 
 def _child(state, usage, rule, inst) -> tuple:
@@ -577,8 +541,9 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
         wanted |= variables(t)
     if subst.keys() != wanted or len(subst) != len(step.binding):
         raise ReplayMismatchError("the binding does not bind the rule's variables")
-    fresh_alloc = allocate_fresh(rule, state.next_fresh)
-    if any(subst[ident] is not f for ident, f in fresh_alloc):
+    if any(
+        subst[ident] is not fresh(state.next_fresh + i) for i, ident in enumerate(rule.fresh_vars)
+    ):
         raise ReplayMismatchError("fresh names drifted")
     consumed = []
     for p in rule.premises:
@@ -590,7 +555,7 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
     if Counter(consumed) - Counter(state.linear):
         raise ReplayMismatchError("a consumed fact is not in the state")
     k = state.knowledge
-    for fid, f in enumerate(step.generated, state.next_fresh + len(fresh_alloc)):
+    for fid, f in enumerate(step.generated, state.next_fresh + len(rule.fresh_vars)):
         minted = kn.gen_fresh(k, fid)
         if minted is None or minted[1] is not f:
             raise ReplayMismatchError("adversary names drifted")
@@ -611,7 +576,6 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
         inputs=step.inputs,
         input_derivations=step.input_derivations,
         new_names=step.generated,
-        fresh_alloc=fresh_alloc,
     )
 
 

@@ -3,8 +3,11 @@
 Analysis (projection, signature payload extraction, decryption with an
 available key) is closed eagerly whenever a term is observed, and each
 closure is memoized process-wide on (basis, term) in _closed; synthesis is
-answered lazily and goal-directed by can_derive.  Public names are derivable
-at depth 0: the adversary can always utter agent ids and protocol tags.
+answered lazily and goal-directed by can_derive, whose answers each
+Knowledge value memoizes.  Public names are derivable at depth 0: the
+adversary can always utter agent ids and protocol tags.  synthesize keeps
+no memo: the explorer caches whole enabled lists instead
+(explorer.InstanceCache).
 
 Network inputs are synthesized rigid-first.  A pattern is rigid when only a
 stored term can supply it: its symbol is not a constructor, or one of its
@@ -66,11 +69,10 @@ class Knowledge:
 
     basis is closed under analysis and normalization.  generated names are
     also members of basis; budget caps how many more gen_fresh may mint.
-    _memo caches synthesis answers for this value.  Equality, hashing and
+    _memo caches this value's _derive answers and its sorted basis, which
+    read basis and generated but not the budget.  Equality, hashing and
     repr read only (basis, generated, budget).  Every constructor call
-    starts an empty memo that no argument can pass in, so no two values
-    share one: answers cached under one fresh budget, which offer minted
-    names only while budget is left, are never served under another.
+    starts an empty memo that no argument can pass in.
     """
 
     __slots__ = ("basis", "generated", "budget", "_memo")
@@ -114,7 +116,7 @@ def observe(k: Knowledge, t: Term) -> Knowledge:
     """Extend knowledge with t and all analysis products, eagerly closed.
 
     The closure is memoized on (basis, t) for the process; the Knowledge
-    around it is new on every call, so its synthesis memo starts empty.
+    around it is new on every call, so its memo starts empty.
     """
     t = normalize(t)
     if t in k.basis:
@@ -222,10 +224,6 @@ class SynthResult(namedtuple("SynthResult", ("subst", "term", "new_names", "deri
 
     __slots__ = ()
 
-    @property
-    def synthesized(self) -> bool:
-        return self.derivation.cost > 0 or bool(self.new_names)
-
 
 def synthesize(
     k: Knowledge,
@@ -249,15 +247,9 @@ def synthesize(
     Deterministic order: results sorted by structural term order.
     """
     pvars = variables(pattern)
-    relevant = tuple(sorted((v, t) for v, t in subst.items() if v in pvars))
-    memo_key = ("synth", pattern, relevant, budget, fid_base)
-    hit = k._memo.get(memo_key)
-    if hit is not None:
-        return hit
+    relevant = {v: t for v, t in subst.items() if v in pvars}
     results: dict = {}
-    for subst2, term, new_names, deriv in _synth_raw(
-        k, pattern, dict(relevant), budget, fid_base
-    ):
+    for subst2, term, new_names, deriv in _synth_raw(k, pattern, relevant, budget, fid_base):
         key = (tuple(sorted(subst2.items())), term, new_names)
         old = results.get(key)
         if old is None or deriv.cost < old.cost:
@@ -272,24 +264,7 @@ def synthesize(
             tuple((ident, sort_key(t)) for ident, t in r.subst),
         )
     )
-    k._memo[memo_key] = out
     return out
-
-
-def _synth(k: Knowledge, pattern: Term, subst: dict, budget: int, fid_base: int, n_new: int):
-    # Memoized on the bindings the pattern can see; callers merge the delta.
-    pvars = variables(pattern)
-    rel = {v: t for v, t in subst.items() if v in pvars}
-    next_fid = fid_base + n_new
-    key = ("pat", pattern, tuple(sorted(rel.items())), budget, next_fid)
-    hit = k._memo.get(key)
-    if hit is None:
-        hit = list(_synth_raw(k, pattern, rel, budget, next_fid))
-        k._memo[key] = hit
-    for delta, term, names, deriv in hit:
-        merged = dict(subst)
-        merged.update(delta)
-        yield merged, term, names, deriv
 
 
 def _synth_raw(k: Knowledge, pattern: Term, subst: dict, budget: int, next_fid: int):
@@ -386,7 +361,7 @@ def _synth_app_args(k: Knowledge, args: tuple, subst: dict, budget: int, next_fi
     ]
     rest = [i for i in range(len(args)) if i not in rigid]
     if not rigid or not rest or rigid[-1] < rest[0] or any(map(reducible, args)):
-        yield from _synth_args(k, args, subst, budget, next_fid, 0)
+        yield from _synth_args(k, args, subst, budget, next_fid)
         return
     first_use: dict = {}
     for i, a in enumerate(args):
@@ -397,13 +372,13 @@ def _synth_app_args(k: Knowledge, args: tuple, subst: dict, budget: int, next_fi
     # slot j of the rigid-first order holds argument positions[j]
     positions = rigid + rest
     slots = sorted(range(len(args)), key=positions.__getitem__)
-    for sub1, terms1, c1, _, derivs1 in _synth_args(k, hoisted, subst, budget, next_fid, 0):
+    for sub1, terms1, c1, _, derivs1 in _synth_args(k, hoisted, subst, budget, next_fid):
         hides: list = [[] for _ in rest]
         for v, t in sub1.items():
             if v not in subst and first_use[v] in rest and not presettable(k, t):
                 hides[rest.index(first_use[v])].append(v)
         for sub2, terms2, c2, names, derivs2 in _synth_args(
-            k, later, sub1, budget - c1, next_fid, 0, hides
+            k, later, sub1, budget - c1, next_fid, hides
         ):
             terms, derivs = terms1 + terms2, derivs1 + derivs2
             yield (
@@ -415,7 +390,7 @@ def _synth_app_args(k: Knowledge, args: tuple, subst: dict, budget: int, next_fi
             )
 
 
-def _synth_args(k: Knowledge, patterns, subst, budget, fid_base, n_new, hides=()):
+def _synth_args(k: Knowledge, patterns, subst, budget, next_fid, hides=()):
     # hides[i] lists variables patterns[i] must bind itself; its results
     # are then filtered on the bindings subst already holds for them.
     if not patterns:
@@ -424,21 +399,17 @@ def _synth_args(k: Knowledge, patterns, subst, budget, fid_base, n_new, hides=()
     head, tail = patterns[0], patterns[1:]
     hide = hides[0] if hides else ()
     seen = {v: t for v, t in subst.items() if v not in hide} if hide else subst
-    for sub1, t1, names1, d1 in _synth(k, head, seen, budget, fid_base, n_new):
+    for sub1, t1, names1, d1 in _synth_raw(k, head, seen, budget, next_fid):
         if hide and any(sub1[v] is not subst[v] for v in hide):
             continue
         for sub2, rest, c2, names2, drest in _synth_args(
-            k, tail, sub1, budget - d1.cost, fid_base, n_new + len(names1), hides[1:]
+            k, tail, sub1, budget - d1.cost, next_fid + len(names1), hides[1:]
         ):
             if d1.cost + c2 <= budget:
                 yield sub2, (t1,) + rest, d1.cost + c2, names1 + names2, (d1,) + drest
 
 
 def _var_candidates(k: Knowledge, next_fid: int):
-    key = ("cands", next_fid)
-    hit = k._memo.get(key)
-    if hit is not None:
-        return hit
     cands = []
     if k.budget > 0:
         f = fresh(next_fid, origin="adversary")
@@ -449,5 +420,4 @@ def _var_candidates(k: Knowledge, next_fid: int):
         if t not in k.generated:
             cands.append(SynthResult((), t, (), Derivation(t, "known")))
     cands.sort(key=lambda c: sort_key(c.term))
-    k._memo[key] = cands
     return cands

@@ -158,10 +158,7 @@ def make_state(linear=(), persistent=(), knowledge=None, next_fresh=0, step=0):
 class Instance(
     namedtuple(
         "Instance",
-        (
-            "rule_id", "binding", "consumed", "inputs", "input_derivations",
-            "new_names", "fresh_alloc",
-        ),
+        ("rule_id", "binding", "consumed", "inputs", "input_derivations", "new_names"),
     )
 ):
     """A complete, fireable instantiation of a rule in some state.
@@ -170,8 +167,8 @@ class Instance(
     the linear facts removed on firing; inputs the ground network-input
     terms, in pattern order; input_derivations the adversary's
     knowledge.Derivation of each input, whose cost counts its constructor
-    steps; new_names the adversary's gen_fresh allocations; fresh_alloc
-    (ident, Fresh) pairs for the rule's fresh vars.
+    steps; new_names the adversary's gen_fresh allocations.  The rule's
+    fresh vars are bound to the names from the state's next_fresh on.
     """
 
     __slots__ = ()
@@ -199,13 +196,15 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
     Deterministic order: sorted by instance key.
     """
     out = []
-    fresh_alloc = allocate_fresh(rule, state.next_fresh)
-    fid_base = state.next_fresh + len(fresh_alloc)
+    fresh_names = [
+        (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
+        for i, ident in enumerate(rule.fresh_vars)
+    ]
+    fid_base = state.next_fresh + len(fresh_names)
     solvable = not any(map(kn.reducible, rule.network_in))
     for subst, consumed in _match_premises(state, rule.premises):
         subst = dict(subst)
-        for ident, f in fresh_alloc:
-            subst[ident] = f
+        subst.update(fresh_names)
         if solvable and not _solve_signers(state.knowledge, rule.guards, subst):
             continue
         for filled in _fill_inputs(
@@ -222,20 +221,10 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
                     inputs=inputs,
                     input_derivations=derivs,
                     new_names=new_names,
-                    fresh_alloc=fresh_alloc,
                 )
             )
     out.sort(key=Instance.key)
     return out
-
-
-def allocate_fresh(rule: Rule, next_fresh: int) -> tuple:
-    """(ident, name) for each of rule's fresh variables, in order, with the
-    names allocated from next_fresh on."""
-    return tuple(
-        (ident, fresh(next_fresh + i, origin=f"{rule.id}:{ident}"))
-        for i, ident in enumerate(rule.fresh_vars)
-    )
 
 
 def _match_premises(state: SystemState, premises, subst=None, used=None, persistent=None):
@@ -329,10 +318,11 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
     """
     if instance.rule_id != rule.id:
         raise StaleInstanceError(f"instance of {instance.rule_id} fired as {rule.id}")
-    for i, (_, f) in enumerate(instance.fresh_alloc):
-        if f.fid != state.next_fresh + i:
+    subst = instance.subst
+    for i, ident in enumerate(rule.fresh_vars):
+        if subst.get(ident) is not fresh(state.next_fresh + i):
             raise StaleInstanceError(
-                f"rule {rule.id}: fresh allocation {f.fid} does not match state"
+                f"rule {rule.id}: fresh name of {ident} does not match state"
             )
     linear = list(state.linear)
     for c in instance.consumed:
@@ -342,7 +332,6 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
             raise StaleInstanceError(
                 f"rule {rule.id}: consumed fact {c.render()} not present"
             ) from None
-    subst = instance.subst
     added = []
     for f in rule.conclusions:
         args = tuple(substitute(subst, a) for a in f.args)
@@ -366,7 +355,7 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
         # the parent's set itself when nothing is added
         persistent=state.persistent.union(added) if added else state.persistent,
         knowledge=k,
-        next_fresh=state.next_fresh + len(instance.fresh_alloc) + len(instance.new_names),
+        next_fresh=state.next_fresh + len(rule.fresh_vars) + len(instance.new_names),
         step=state.step + 1,
     )
     return new_state, emitted(rule, subst, state.step)

@@ -22,16 +22,13 @@ from typing import Iterable
 from revlab import Bounds, build_protocol, run_all
 from revlab import __version__, canonical, cli, monitors
 from revlab.canonical import (
-    _GROUP_LIMIT,
     _assemble,
     _certificate,
     _compile,
     _compile_fact,
     _compile_seq,
-    _extended,
-    _loose,
+    _least_text,
     _ranked,
-    _signature,
 )
 from revlab.knowledge import Derivation, Knowledge, can_derive
 from revlab.protocols import PROTOCOLS, SECRET_FRESH_VARS, initial_state
@@ -340,33 +337,7 @@ def digest(state, history: tuple = (), monitor=()) -> str:
             parts.append(key + "{" + ";".join(rendered) + "}")
         return "|".join(parts)
 
-    renaming = dict(base)
-    pending = list(dict.fromkeys(
-        fid for _, (_, fids) in tagged_items for fid in fids if fid not in base
-    ))
-    occurs = {fid: [] for fid in pending}
-    for item in tagged_items:
-        for fid in set(item[1][1]) & occurs.keys():
-            occurs[fid].append(item)
-    sigs: dict = {}
-    stale = pending
-    while pending:
-        for fid in stale:
-            sigs[fid] = _signature(fid, occurs[fid], renaming)
-        least = min(sigs[fid] for fid in pending)
-        group = [fid for fid in pending if sigs[fid] == least]
-        if len(group) == 1 or len(group) > _GROUP_LIMIT:
-            chosen = tuple(sorted(group))
-        else:
-            chosen = min(
-                itertools.permutations(group),
-                key=lambda perm: full_render(_loose(_extended(renaming, perm))),
-            )
-        renaming = _extended(renaming, chosen)
-        pending = [f for f in pending if f not in renaming]
-        fixed = set(chosen)
-        stale = [f for f in pending if any(not fixed.isdisjoint(c[1]) for _, c in occurs[f])]
-    return full_render(renaming.__getitem__)
+    return _least_text(tagged_items, full_render, dict(base))
 
 
 def canonical_events(events) -> tuple:
@@ -602,7 +573,7 @@ def reference_search(spec, init, bounds: Bounds, dedup: bool):
         for child, step, used in reversed(children):
             stack.append((child, steps + (step,), monitors.advance_all(watch, step), used))
     traces.sort(key=Trace.key)
-    return TraceSet(tuple(traces), bounds, states_explored=explored, dedup_hits=hits)
+    return TraceSet(tuple(traces), states_explored=explored, dedup_hits=hits)
 
 
 # --- random states for canonicalization checks --------------------------------
@@ -878,7 +849,6 @@ def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
                     inputs=inputs,
                     input_derivations=derivs,
                     new_names=new_names,
-                    fresh_alloc=fresh_alloc,
                 )
             )
     out.sort(key=Instance.key)

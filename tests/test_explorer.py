@@ -366,9 +366,11 @@ class TestReuse:
         import revlab.explorer as ex
 
         checked = []
-        renumbered = []
-        renumber = ex._renumbered
+        lookups = []
+        misses = []
         enabled = ex._enabled
+        instances = ex.InstanceCache.instances
+        compute = ex.enabled_instances
 
         def checking(state, usage, rules, bounds, cache):
             got = list(enabled(state, usage, rules, bounds, cache))
@@ -376,16 +378,21 @@ class TestReuse:
             checked.append(state)
             return iter(got)
 
-        def counting(instances, rule, next_fresh):
-            renumbered.append(rule.id)
-            return renumber(instances, rule, next_fresh)
+        def looking(cache, state, rule):
+            lookups.append(rule.id)
+            return instances(cache, state, rule)
+
+        def computing(state, rule, depth):
+            misses.append(rule.id)
+            return compute(state, rule, depth)
 
         monkeypatch.setattr(ex, "_enabled", checking)
-        monkeypatch.setattr(ex, "_renumbered", counting)
+        monkeypatch.setattr(ex.InstanceCache, "instances", looking)
+        monkeypatch.setattr(ex, "enabled_instances", computing)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
         assert len(checked) == got.states_explored  # one check per popped state
-        assert renumbered  # some cached lists were served at another next_fresh
+        assert len(misses) < len(lookups)  # some lists came from the cache
 
     def test_enabled_lists_are_computed_once_per_what_they_read(self, monkeypatch):
         import revlab.explorer as ex
@@ -400,10 +407,9 @@ class TestReuse:
         monkeypatch.setattr(ex, "enabled_instances", counting)
         spec = build_protocol("rtoken", change_enabled=True)
         explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
-        # 150 while next_fresh was part of every key of a rule with fresh
-        # variables; the lists of such rules without network input are now
-        # renumbered instead of computed again
-        assert len(calls) == 108
+        # next_fresh is part of the key of every rule with fresh variables,
+        # so such a rule's list is computed once per next_fresh too
+        assert len(calls) == 150
 
     def test_each_twin_group_fires_once(self, monkeypatch):
         import revlab.explorer as ex
@@ -482,19 +488,20 @@ class TestReuse:
         # or input, leave the key as it is
         assert cache.instances(make_state(linear=[A, A, B], next_fresh=5), rule) is got
 
-    def test_cached_lists_are_renumbered_at_another_next_fresh(self):
+    def test_a_fresh_variable_rule_gets_one_list_per_next_fresh(self):
         x, n = var("x"), var("n")
         rule = Rule(id="MINT", premises=(Fact("A", (x,)),), fresh_vars=("n",),
                     conclusions=(Fact("B", (x, n)),))
         facts = [Fact("A", (name("b"),)), Fact("A", (name("a"),))]
         cache = InstanceCache([rule], 2)
         first = cache.instances(make_state(linear=facts, next_fresh=3), rule)
-        later = make_state(linear=facts, next_fresh=7)
-        got = cache.instances(later, rule)
-        assert len(got) == 2 and got == enabled_instances(later, rule, 2)
-        assert [dict(i.binding)["n"] for i in got] == [fresh(7), fresh(7)]
-        assert [i.consumed for i in got] == [i.consumed for i in first]
-        assert len(cache.lists) == 1  # one list, served renumbered
+        for next_fresh in (3, 7):
+            state = make_state(linear=facts, next_fresh=next_fresh)
+            got = cache.instances(state, rule)
+            assert len(got) == 2 and got == enabled_instances(state, rule, 2)
+            assert [dict(i.binding)["n"] for i in got] == [fresh(next_fresh)] * 2
+        assert cache.instances(make_state(linear=facts, next_fresh=3), rule) is first
+        assert len(cache.lists) == 2
 
     @pytest.mark.parametrize("premise,budget_per,facts", [
         (Fact("A", (var("x"),)), "", [Fact("A", (name("a"),)), Fact("A", (name("b"),))]),

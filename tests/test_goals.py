@@ -4,7 +4,7 @@ import pytest
 
 from helpers import check_memoized_advance, outcomes, reveal_guard_weak, scenario, watch_of
 from revlab import Bounds, build_protocol, run_all
-from revlab.explorer import Trace, TraceSet, Bounds as B
+from revlab.explorer import Trace, TraceSet
 from revlab.goals import (
     COUNTEREXAMPLE_FOUND,
     NO_COUNTEREXAMPLE,
@@ -46,7 +46,7 @@ def mk_trace(*events) -> Trace:
 
 
 def mk_traceset(*traces) -> TraceSet:
-    return TraceSet(traces=tuple(traces), bounds=B())
+    return TraceSet(traces=tuple(traces))
 
 
 class TestFixtureTraces:

@@ -172,7 +172,9 @@ class TestSynthesize:
         stored = sign(M, SK)
         k = K(stored)
         got = synthesize(k, sign(var("b"), var("kk")), {}, 4, 0)
-        replays = [r for r in got if r.term is stored and not r.synthesized]
+        replays = [
+            r for r in got if r.term is stored and r.derivation.cost == 0 and not r.new_names
+        ]
         assert replays and dict(replays[0].subst)["kk"] is SK
 
     def test_budget_zero_blocks_construction(self):

@@ -34,16 +34,16 @@ RECORDS = {
     "Event": Event("E", (A,), 0),
     "Rule": Rule(id="R"),
     "SystemState": SystemState(),
-    "Instance": Instance("R", (), (), (), (), (), ()),
+    "Instance": Instance("R", (), (), (), (), ()),
     "Knowledge": Knowledge(),
     "Derivation": Derivation(A, "public"),
     "SynthResult": SynthResult((), A, (), Derivation(A, "public")),
     "Bounds": Bounds(),
     "Step": Step("R", (), (), (), (), ()),
     "Trace": Trace((), None),
-    "TraceSet": TraceSet((), Bounds()),
+    "TraceSet": TraceSet(()),
     "GoalVerdict": GoalVerdict("g1", "exists-trace", "witness-found"),
-    "RunResult": RunResult(SPEC, Bounds(), 1, TraceSet((), Bounds()), {}),
+    "RunResult": RunResult(SPEC, Bounds(), 1, TraceSet(()), {}),
     "ProtocolSpec": SPEC,
     "ScenarioConfig": ScenarioConfig(),
 }
@@ -86,10 +86,10 @@ PINNED = {
     ),
     "Instance": (
         ("rule_id", "binding", "consumed", "inputs", "input_derivations",
-         "new_names", "fresh_alloc"),
+         "new_names"),
         {},
         "Instance(rule_id='R', binding=(), consumed=(), inputs=(), "
-        "input_derivations=(), new_names=(), fresh_alloc=())",
+        "input_derivations=(), new_names=())",
     ),
     "Derivation": (
         ("term", "via", "children", "cost"),
@@ -132,7 +132,7 @@ PINNED = {
         {},
         "RunResult(spec=ProtocolSpec(name='toy', rules=(), change_enabled=False, "
         f"reveals_enabled=False), bounds={_BOUNDS}, n_vehicles=1, "
-        f"traces=TraceSet(traces=(), bounds={_BOUNDS}, states_explored=0, "
+        "traces=TraceSet(traces=(), states_explored=0, "
         "dedup_hits=0), verdicts={})",
     ),
     "ProtocolSpec": (

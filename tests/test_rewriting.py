@@ -253,6 +253,15 @@ class TestFire:
         with pytest.raises(StaleInstanceError):
             fire(nxt, rule, inst)
 
+    def test_instance_from_another_next_fresh_is_rejected(self):
+        rule = Rule(id="MINT", premises=(Fact("P", ()),), fresh_vars=("n",),
+                    conclusions=(Fact("Q", (var("n"),)),))
+        state = make_state(linear=[Fact("P", ())], next_fresh=3)
+        inst = enabled_instances(state, rule, 2)[0]
+        assert fire(state, rule, inst)[0].next_fresh == 4
+        with pytest.raises(StaleInstanceError, match="does not match state"):
+            fire(state._replace(next_fresh=4), rule, inst)
+
     def test_original_state_is_unmodified(self):
         spec, state = honest_prefix("plain", upto="REPORT")
         rule = spec.rule("REV_AUTH_OSR_REQ_SEND")
