@@ -2,13 +2,14 @@
 
 Seen states are keyed by canonicalize, an exact canonical form made of
 integers (colour refinement, then individualization where names stay tied;
-McKay & Piperno, Practical graph isomorphism II, 2014).  The search has
-no automorphism pruning: the cells it meets are nearly all pairs, which
-pruning cannot shrink (rtoken with three vehicles: 937 tied pairs and 11
-tied triples in one search).  The key's ints depend on the order in which
-shapes were first seen, so it decides equality only.  digest renders
-states as canonical text, modulo fresh names only, for the report and the
-tests.
+McKay & Piperno, Practical graph isomorphism II, 2014).  With no
+automorphism pruning, k tied names cost up to k! individualization leaves:
+rtoken with five vehicles at 20 steps computes 3,112 keys, 3,003 of them
+with more than one leaf, 269 with 24 and 8 with 120.  The key's ints depend on
+the order in which shapes were first seen, so it decides equality only.
+digest renders states as canonical text, modulo fresh names only, for the
+report and the tests.  Neither reads SystemState.used: the explorer keys
+the spent rule budgets as monitor facts.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def digest(state: SystemState) -> str:
     state up to renaming.  The names are ordered by iterative signature
     refinement: at each round the pending name with the least occurrence
     signature is fixed next, and names whose signatures tie are ordered by
-    exhaustively minimizing the loosely rendered digest.  The report prints
+    exhaustively minimizing the loosely rendered digest.  It renders facts
+    and knowledge, not used, which a trace's steps fix.  The report prints
     it as a trace's terminal digest; dedup keys on canonicalize instead.
     """
     sections = [

@@ -2,17 +2,19 @@
 
 Depth-first search with an explicit stack over immutable states.  Each
 stack entry carries, besides the state and its steps, every goal monitor's
-state (monitors.py) and the rule budgets used so far.  Branches reaching a
-state already seen at the same depth, equal modulo a renaming that also maps
-the monitor states and budget usage onto each other, are explored once:
-their futures are isomorphic and every goal judges them alike.  The
-renaming is a fresh-name bijection together with a permutation of the
-vehicles.  Vehicles are a scalarset (Ip & Dill, Better verification through
-symmetry, 1996): no rule names one, the initial state treats them alike and
-every monitor is symmetric in the vehicle, so a state with V1 and V2
-swapped has the mirrored futures.  explore decides once, from the initial
-state and the rules, which names are interchangeable: its vehicles, when
-there are two or more and no rule names one.
+state (monitors.py) and its sleep set.  The rule budgets spent so far are
+part of the state (SystemState.used): fire counts them, and the search and
+replay both check them with _within_rule_bounds.  Branches reaching a state
+already seen at the same depth, equal modulo a renaming that also maps the
+monitor states onto each other, are explored once: their futures are
+isomorphic and every goal judges them alike.  The renaming is a fresh-name
+bijection together with a permutation of the vehicles.  Vehicles are a
+scalarset (Ip & Dill, Better verification through symmetry, 1996): no rule
+names one, the initial state treats them alike and every monitor is
+symmetric in the vehicle, so a state with V1 and V2 swapped has the
+mirrored futures.  explore decides once, from the initial state and the
+rules, which names are interchangeable: its vehicles, when there are two
+or more and no rule names one.
 
 Children are expanded in Step.key order, so DFS visits the paths of one
 depth in that order, and a merged prefix P' always has a kept prefix
@@ -26,22 +28,22 @@ vehicle.  Every all-traces verdict downstream is a bounded-exhaustive
 statement, never a proof.
 
 The search also leaves out children that cannot reach a key first.  A twin
-is a child equal to an earlier sibling's child, in state, monitor states and
-budget usage alike: it is fired but not pushed.  An instance in the node's
-sleep set is not fired at all (Godefroid, Partial-order methods for the
-verification of concurrent systems, LNCS 1032, 1996).  Siblings are visited
-in Step.key order, and child i inherits the entries of the node's sleep set
-and of its earlier siblings, slept and twin ones included, that are
-independent of its own instance (_independent).  An instance is known across
-states by its rule, consumed facts, inputs and binding without the rule's
-fresh variables.  Two instances are independent when their consumed facts
-are disjoint, neither mints adversary names, neither has a network output
-while the other has a network input (synthesis is not known to be monotone
-in the knowledge), they do not share a budget key and not both are visible.
-A step is visible when it emits a label that some monitor reads
-(monitors.LABELS).  Monitor.advance skips a step with no label it reads and
-monitor facts carry no times, so moving an invisible step never reorders
-visible events: independent steps commute up to the dedup key.
+is a child equal to an earlier sibling's child, in state and monitor states
+alike: it is fired but not pushed.  An instance in the node's sleep set is
+not fired at all (Godefroid, Partial-order methods for the verification of
+concurrent systems, LNCS 1032, 1996).  Siblings are visited in Step.key
+order, and child i inherits the entries of the node's sleep set and of its
+earlier siblings, slept and twin ones included, that are independent of its
+own instance (_independent).  An instance is known across states by its
+rule, consumed facts, inputs and binding without the rule's fresh
+variables.  Two instances are independent when their consumed facts are
+disjoint, neither mints adversary names, neither has a network output while
+the other has a network input (synthesis is not known to be monotone in the
+knowledge), they do not share a budget key and not both are visible.  A step
+is visible when it emits a label that some monitor reads (monitors.LABELS).
+Monitor.advance skips a step with no label it reads and monitor facts carry
+no times, so moving an invisible step never reorders visible events:
+independent steps commute up to the dedup key.
 
 Invariant: explore returns the same traces and states_explored with these
 cuts as without them; only dedup_hits falls.  The search without them first
@@ -62,15 +64,15 @@ one search (InstanceCache), keyed on everything enabled_instances reads, so
 a hit returns the very list a call would.  And the instances of a node that
 share their rule, consumed facts, minted names and the values of the
 variables in the rule's conclusions, network outputs and per-binding budget
-form a twin group: these fix the child state and the budget usage, so only
-the group's first instance is fired.  Each of
-the others builds its own step, whose events may differ (rtoken's Commit
-carries the whole signed confirmation), and advances the monitors on it, so
-the twin test stays exact: a group member whose monitor states differ from
-every earlier sibling's is pushed.
+form a twin group: these fix the child state, its spent budgets included,
+so only the group's first instance is fired.  Each of the others builds its
+own step, whose events may differ (rtoken's Commit carries the whole signed
+confirmation), and advances the monitors on it, so the twin test stays
+exact: a group member whose monitor states differ from every earlier
+sibling's is pushed.
 
-Seen states are keyed by canonical.canonicalize, on the state together
-with its monitor states and budget usage (_dedup_key).
+Seen states are keyed by canonical.canonicalize, on the state, its spent
+budgets included, together with its monitor states (_dedup_key).
 
 explore pauses CPython's cyclic garbage collector while it searches, and
 turns it back on afterwards only if it was on.  The search builds only
@@ -84,7 +86,7 @@ after a search finds no unreachable object).
 from __future__ import annotations
 
 import gc
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain
 
 from . import knowledge as kn
@@ -95,13 +97,15 @@ from .rewriting import (
     Fact,
     Instance,
     Rule,
+    StaleInstanceError,
     SystemState,
     _guards_hold,
+    budget_key,
     emitted,
     enabled_instances,
     fire,
 )
-from .terms import fresh, render, sort_key, substitute, subterms, variables
+from .terms import render, sort_key, substitute, subterms, variables
 
 
 class ReplayMismatchError(ValueError):
@@ -275,55 +279,55 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     memo: dict = {}  # canonicalize's item rows, kept for this search only
     explored = 0
     dedup_hits = 0
-    stack: list[tuple] = [(init, (), monitors.start(), {}, ())]
+    stack: list[tuple] = [(init, (), monitors.start(), ())]
     while stack:
-        state, steps, watch, usage, sleep = stack.pop()
-        key = _dedup_key(state, watch, usage, memo, vehicles)
+        state, steps, watch, sleep = stack.pop()
+        key = _dedup_key(state, watch, memo, vehicles)
         if key in seen:
             dedup_hits += 1
             continue
         seen.add(key)
         explored += 1
         if len(steps) < bounds.max_steps:
-            enabled = list(_enabled(state, usage, rules, bounds, cache))
+            enabled = list(_enabled(state, rules, bounds, cache))
             truncated = False
         else:
             enabled = []
             # at the step bound: flag the leaf when rules could still fire
-            truncated = next(_enabled(state, usage, leaf_rules, bounds, cache), None) is not None
+            truncated = next(_enabled(state, leaf_rules, bounds, cache), None) is not None
         if not enabled:
             traces.append(Trace(steps, state, truncated, watch))
             continue
-        children = _pruned(state, watch, usage, enabled, sleep, flags, fixes)
+        children = _pruned(state, watch, enabled, sleep, flags, fixes)
         # reversed so the lexicographically least child is expanded first
-        for child, step, child_watch, child_usage, child_sleep in reversed(children):
-            stack.append((child, steps + (step,), child_watch, child_usage, child_sleep))
+        for child, step, child_watch, child_sleep in reversed(children):
+            stack.append((child, steps + (step,), child_watch, child_sleep))
     traces.sort(key=Trace.key)
     return TraceSet(traces=tuple(traces), states_explored=explored, dedup_hits=dedup_hits)
 
 
 def _dedup_key(
-    state: SystemState, watch: tuple, usage: dict, memo=None, vehicles: frozenset = frozenset()
+    state: SystemState, watch: tuple, memo=None, vehicles: frozenset = frozenset()
 ) -> tuple:
-    """Depth, state, monitor states and budget usage, canonicalized together."""
+    """Depth, state, spent budgets and monitor states, canonicalized together."""
     used = [
         Fact(f"{rule_id}#{fired}", () if value is None else (value,))
-        for (rule_id, value), fired in usage.items()
+        for (rule_id, value), fired in state.used
     ]
     facts = [*chain.from_iterable(watch), *used]
     return canonicalize(state, monitor=facts, memo=memo, vehicles=vehicles)
 
 
-def _enabled(state, usage, rules, bounds, cache):
+def _enabled(state, rules, bounds, cache):
     """(rule, instance) for every instance within the rule bounds, rule by rule
     in the order given; lazily, so a caller taking only the first item
     enumerates no further rule."""
     return (
         (rule, inst)
         for rule in rules
-        if _within_rule_bounds(rule, None, usage, bounds)
+        if _within_rule_bounds(rule, None, state, bounds)
         for inst in cache.instances(state, rule)
-        if _within_rule_bounds(rule, inst, usage, bounds)
+        if _within_rule_bounds(rule, inst, state, bounds)
     )
 
 
@@ -368,16 +372,11 @@ def _reads(rule: Rule) -> tuple:
     return linear, persistent, bool(rule.network_in), bool(rule.fresh_vars or rule.network_in)
 
 
-def _child(state, usage, rule, inst) -> tuple:
-    """(child state, step, budget usage after it) of firing one instance."""
+def _child(state, rule, inst) -> tuple:
+    """(child state, step) of firing one instance."""
     child, events = fire(state, rule, inst)
     outputs = tuple(substitute(inst.subst, t) for t in rule.network_out)
-    step = _step(rule, inst, events, outputs)
-    child_usage = usage
-    if rule.budget:
-        key = _budget_key(rule, inst)
-        child_usage = {**usage, key: usage.get(key, 0) + 1}
-    return child, step, child_usage
+    return child, _step(rule, inst, events, outputs)
 
 
 def _step(rule: Rule, inst: Instance, events: tuple, outputs: tuple) -> Step:
@@ -393,19 +392,19 @@ def _step(rule: Rule, inst: Instance, events: tuple, outputs: tuple) -> Step:
     )
 
 
-def _pruned(state, watch, usage, enabled, sleep, flags, fixes) -> list:
-    """The children worth pushing: (state, step, monitor states, usage, sleep set).
+def _pruned(state, watch, enabled, sleep, flags, fixes) -> list:
+    """The children worth pushing: (state, step, monitor states, sleep set).
 
     Instances in the sleep set are not fired, and a twin of an earlier
     sibling is not pushed.  Only the first instance of each twin group is
-    fired; the others take its child state and usage and build only their
-    own steps.  Each child's sleep set holds the entries of sleep and of its
-    earlier siblings, slept and twin ones included, that are independent of
-    its own instance.
+    fired; the others take its child state and build only their own steps.
+    Each child's sleep set holds the entries of sleep and of its earlier
+    siblings, slept and twin ones included, that are independent of its own
+    instance.
     """
     asleep = {move.ident for move in sleep}
     done = list(sleep)
-    made = {}  # twin group -> (child state, usage, outputs) of its first instance
+    made = {}  # twin group -> (child state, outputs) of its first instance
     twins = set()
     out = []
     for rule, inst in enabled:
@@ -420,25 +419,25 @@ def _pruned(state, watch, usage, enabled, sleep, flags, fixes) -> list:
             tuple(pair for pair in inst.binding if pair[0] in fixed),
         )
         if group in made:
-            child, child_usage, outputs = made[group]
+            child, outputs = made[group]
             step = _step(rule, inst, emitted(rule, inst.subst, state.step), outputs)
         else:
-            child, step, child_usage = _child(state, usage, rule, inst)
-            made[group] = child, child_usage, step.outputs
+            child, step = _child(state, rule, inst)
+            made[group] = child, step.outputs
         child_watch = monitors.advance_all(watch, step)
-        twin = (child, child_watch, frozenset(child_usage.items()))
+        twin = (child, child_watch)
         if twin not in twins:
             twins.add(twin)
             child_sleep = tuple(m for m in done if _independent(m, move))
-            out.append((child, step, child_watch, child_usage, child_sleep))
+            out.append((child, step, child_watch, child_sleep))
         done.append(move)
     return out
 
 
 def _fixing_vars(rule: Rule) -> frozenset:
     """The variables that, with the consumed facts and the minted names, fix
-    an instance's child state and budget usage: those of the conclusions,
-    the network outputs and the per-binding budget."""
+    an instance's child state, its spent budgets included: those of the
+    conclusions, the network outputs and the per-binding budget."""
     found = {rule.budget_per} if rule.budget_per else set()
     for t in (*(a for f in rule.conclusions for a in f.args), *rule.network_out):
         found |= variables(t)
@@ -459,7 +458,7 @@ class Move:
         binding = tuple(pair for pair in inst.binding if pair[0] not in rule.fresh_vars)
         self.ident = (rule.id, inst.consumed, binding, inst.inputs)
         self.consumed = frozenset(inst.consumed)
-        self.budget = _budget_key(rule, inst) if rule.budget else None
+        self.budget = budget_key(rule, inst.subst) if rule.budget else None
         self.mints = bool(inst.new_names)  # mints adversary names
         self.receives, self.sends, self.visible = flags
 
@@ -482,44 +481,40 @@ def _independent(a: Move, b: Move) -> bool:
     )
 
 
-def _within_rule_bounds(rule: Rule, inst: Instance | None, usage: dict, bounds: Bounds) -> bool:
-    """Whether inst may fire given the budget usage; with inst None, whether any may.
-
-    usage counts the firings of each budgeted rule per _budget_key.
-    """
+def _within_rule_bounds(rule: Rule, inst: Instance | None, state: SystemState,
+                        bounds: Bounds) -> bool:
+    """Whether inst may fire given the budgets state has spent; with inst
+    None, whether any may."""
     if not rule.budget:
         return True
     limit = getattr(bounds, rule.budget)
     if inst is None and rule.budget_per:
         return limit > 0
-    return usage.get(_budget_key(rule, inst), 0) < limit
-
-
-def _budget_key(rule: Rule, inst: Instance | None) -> tuple:
-    """The rule and, for a per-binding budget, the binding its cap applies to."""
-    if not rule.budget_per:
-        return rule.id, None
-    return rule.id, dict(inst.binding).get(rule.budget_per)
+    key = budget_key(rule, inst.subst if rule.budget_per else {})
+    return dict(state.used).get(key, 0) < limit
 
 
 def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
     """Re-fire a trace's steps from the initial state; returns the final state.
 
     Each step's instance is rebuilt from its binding and checked against
-    the state (_rebuilt), not looked up among the enabled instances.
-    Raises ReplayMismatchError when any step is not reproducible, so a
-    successful replay certifies the recorded steps are a valid execution.
+    the state (_rebuilt) and the rule budgets (_within_rule_bounds), not
+    looked up among the enabled instances; fire checks the rest.  Raises
+    ReplayMismatchError when any step is not reproducible, so a successful
+    replay certifies the recorded steps are a valid execution within bounds.
     """
     state = _start_state(init, bounds)
     for i, step in enumerate(trace.steps):
         rule = spec.rule(step.rule_id)
         try:
             inst = _rebuilt(state, rule, step, bounds.synthesis_depth)
-        except ReplayMismatchError as why:
+            if not _within_rule_bounds(rule, inst, state, bounds):
+                raise ReplayMismatchError(f"its {rule.budget} budget is spent")
+            state, events = fire(state, rule, inst)
+        except (ReplayMismatchError, StaleInstanceError) as why:
             raise ReplayMismatchError(
                 f"step {i} ({step.rule_id}) is not enabled on replay: {why}"
             ) from None
-        state, events = fire(state, rule, inst)
         if tuple(e.key() for e in events) != tuple(e.key() for e in step.events):
             raise ReplayMismatchError(f"step {i} ({step.rule_id}) emitted different events")
     return state
@@ -528,12 +523,12 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
 def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
     """The step's instance of rule in state; ReplayMismatchError says why there is none.
 
-    The binding must bind exactly the rule's variables, its fresh ones to
-    the next fresh ids; the premises under it must be in the state, linear
-    ones as a multiset; the adversary names the step minted must be the
-    next ids; each input must be its network-input pattern under the
-    binding and derivable within depth once those names are minted; and
-    the guards must hold.
+    The binding must bind exactly the rule's variables; the persistent
+    premises under it must be in the state; the adversary names the step
+    minted must be the next ids; each input must be its network-input
+    pattern under the binding and derivable within depth once those names
+    are minted; and the guards must hold.  fire checks the fresh names and
+    the consumed facts.
     """
     subst = dict(step.binding)
     wanted = set(rule.fresh_vars)
@@ -541,10 +536,6 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
         wanted |= variables(t)
     if subst.keys() != wanted or len(subst) != len(step.binding):
         raise ReplayMismatchError("the binding does not bind the rule's variables")
-    if any(
-        subst[ident] is not fresh(state.next_fresh + i) for i, ident in enumerate(rule.fresh_vars)
-    ):
-        raise ReplayMismatchError("fresh names drifted")
     consumed = []
     for p in rule.premises:
         f = Fact(p.name, tuple(substitute(subst, a) for a in p.args), p.persistent)
@@ -552,8 +543,6 @@ def _rebuilt(state: SystemState, rule: Rule, step: Step, depth: int):
             raise ReplayMismatchError(f"{f.render()} is not in the state")
         if not f.persistent:
             consumed.append(f)
-    if Counter(consumed) - Counter(state.linear):
-        raise ReplayMismatchError("a consumed fact is not in the state")
     k = state.knowledge
     for fid, f in enumerate(step.generated, state.next_fresh + len(rule.fresh_vars)):
         minted = kn.gen_fresh(k, fid)

@@ -209,7 +209,7 @@ def gen_fresh(k: Knowledge, fid: int) -> tuple[Knowledge, Fresh] | None:
     """Mint an adversary-owned fresh name, or None when the budget is spent."""
     if k.budget <= 0:
         return None
-    f = fresh(fid, origin="adversary")
+    f = fresh(fid)
     k2 = Knowledge(k.basis | {f}, k.generated + (f,), k.budget - 1)
     return k2, f
 
@@ -412,7 +412,7 @@ def _synth_args(k: Knowledge, patterns, subst, budget, next_fid, hides=()):
 def _var_candidates(k: Knowledge, next_fid: int):
     cands = []
     if k.budget > 0:
-        f = fresh(next_fid, origin="adversary")
+        f = fresh(next_fid)
         cands.append(SynthResult((), f, (f,), Derivation(f, "gen-fresh")))
     for g in k.generated:
         cands.append(SynthResult((), g, (), Derivation(g, "generated")))

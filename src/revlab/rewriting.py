@@ -133,13 +133,14 @@ class Rule(
 class SystemState(
     namedtuple(
         "SystemState",
-        ("linear", "persistent", "knowledge", "next_fresh", "step"),
-        defaults=((), frozenset(), Knowledge(), 0, 0),
+        ("linear", "persistent", "knowledge", "next_fresh", "step", "used"),
+        defaults=((), frozenset(), Knowledge(), 0, 0, frozenset()),
     )
 ):
     """Multiset of facts plus the adversary view; immutable snapshot.
 
-    linear is sorted, and its duplicates are meaningful.
+    linear is sorted, and its duplicates are meaningful.  used holds the
+    (budget_key, firings) pairs of the budgeted rules fired so far.
     """
 
     __slots__ = ()
@@ -197,8 +198,7 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
     """
     out = []
     fresh_names = [
-        (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
-        for i, ident in enumerate(rule.fresh_vars)
+        (ident, fresh(state.next_fresh + i)) for i, ident in enumerate(rule.fresh_vars)
     ]
     fid_base = state.next_fresh + len(fresh_names)
     solvable = not any(map(kn.reducible, rule.network_in))
@@ -313,8 +313,9 @@ def _guards_hold(guards, subst) -> bool:
 def fire(state: SystemState, rule: Rule, instance: Instance):
     """Apply one enabled instance; returns (new state, emitted events).
 
-    The input state is unmodified.  Raises StaleInstanceError when the
-    instance was enumerated against a different state.
+    A budgeted rule's firing is counted in used under its budget_key.  The
+    input state is unmodified.  Raises StaleInstanceError when the instance
+    was enumerated against a different state.
     """
     if instance.rule_id != rule.id:
         raise StaleInstanceError(f"instance of {instance.rule_id} fired as {rule.id}")
@@ -322,7 +323,7 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
     for i, ident in enumerate(rule.fresh_vars):
         if subst.get(ident) is not fresh(state.next_fresh + i):
             raise StaleInstanceError(
-                f"rule {rule.id}: fresh name of {ident} does not match state"
+                f"rule {rule.id}: fresh names drifted: {ident} does not match state"
             )
     linear = list(state.linear)
     for c in instance.consumed:
@@ -350,6 +351,12 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
             raise StaleInstanceError(f"rule {rule.id}: fresh allocation drifted")
     for t in rule.network_out:
         k = kn.observe(k, substitute(subst, t))
+    used = state.used
+    if rule.budget:
+        spent = dict(used)
+        key = budget_key(rule, subst)
+        spent[key] = spent.get(key, 0) + 1
+        used = frozenset(spent.items())
     new_state = SystemState(
         linear=tuple(sorted(linear, key=Fact.key)),
         # the parent's set itself when nothing is added
@@ -357,8 +364,14 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
         knowledge=k,
         next_fresh=state.next_fresh + len(rule.fresh_vars) + len(instance.new_names),
         step=state.step + 1,
+        used=used,
     )
     return new_state, emitted(rule, subst, state.step)
+
+
+def budget_key(rule: Rule, subst: dict) -> tuple:
+    """The rule and, for a per-binding budget, the value its cap applies to."""
+    return rule.id, subst.get(rule.budget_per) if rule.budget_per else None
 
 
 def emitted(rule: Rule, subst: dict, time: int) -> tuple:

@@ -62,7 +62,7 @@ class Name(Term):
 class Fresh(Term):
     """Fresh value (nonce or secret key), unique per allocation."""
 
-    __slots__ = ("fid", "origin")
+    __slots__ = ("fid",)
 
     def __repr__(self) -> str:
         return render(self)
@@ -101,18 +101,12 @@ def name(label: str) -> Name:
     return t
 
 
-def fresh(fid: int, origin: str = "") -> Fresh:
-    """Fresh name with the given allocation ordinal.
-
-    Interned by ordinal alone; origin is debugging metadata recorded at the
-    first allocation of an ordinal in this process and never part of term
-    identity (separate runs reuse ordinals, so do not branch on it).
-    """
+def fresh(fid: int) -> Fresh:
+    """Fresh name with the given allocation ordinal, interned by it."""
     t = _fresh.get(fid)
     if t is None:
         t = object.__new__(Fresh)
         object.__setattr__(t, "fid", fid)
-        object.__setattr__(t, "origin", origin)
         _fresh[fid] = t
     return t
 

@@ -520,7 +520,7 @@ def enumerate_event_seqs(spec, init, bounds: Bounds) -> set:
 # --- the search without sleep sets, twin collapse or the instance cache ---------
 
 
-def reference_enabled(state, usage: dict, rules, bounds: Bounds) -> list:
+def reference_enabled(state, rules, bounds: Bounds) -> list:
     """(rule, instance) for every instance within the rule bounds, in Step.key
     order, read from enabled_instances directly rather than through a cache."""
     from revlab.explorer import _within_rule_bounds
@@ -528,9 +528,9 @@ def reference_enabled(state, usage: dict, rules, bounds: Bounds) -> list:
     return [
         (rule, inst)
         for rule in rules
-        if _within_rule_bounds(rule, None, usage, bounds)
+        if _within_rule_bounds(rule, None, state, bounds)
         for inst in enabled_instances(state, rule, bounds.synthesis_depth)
-        if _within_rule_bounds(rule, inst, usage, bounds)
+        if _within_rule_bounds(rule, inst, state, bounds)
     ]
 
 
@@ -555,23 +555,23 @@ def reference_search(spec, init, bounds: Bounds, dedup: bool):
     vehicles = _interchangeable(init, rules)
     traces, seen, memo = [], set(), {}
     explored = hits = 0
-    stack = [(init, (), monitors.start(), {})]
+    stack = [(init, (), monitors.start())]
     while stack:
-        state, steps, watch, usage = stack.pop()
+        state, steps, watch = stack.pop()
         if dedup:
-            key = _dedup_key(state, watch, usage, memo, vehicles)
+            key = _dedup_key(state, watch, memo, vehicles)
             if key in seen:
                 hits += 1
                 continue
             seen.add(key)
         explored += 1
-        enabled = reference_enabled(state, usage, rules, bounds)
+        enabled = reference_enabled(state, rules, bounds)
         if len(steps) >= bounds.max_steps or not enabled:
             traces.append(Trace(steps, state, bool(enabled), watch))
             continue
-        children = [_child(state, usage, rule, inst) for rule, inst in enabled]
-        for child, step, used in reversed(children):
-            stack.append((child, steps + (step,), monitors.advance_all(watch, step), used))
+        children = [_child(state, rule, inst) for rule, inst in enabled]
+        for child, step in reversed(children):
+            stack.append((child, steps + (step,), monitors.advance_all(watch, step)))
     traces.sort(key=Trace.key)
     return TraceSet(tuple(traces), states_explored=explored, dedup_hits=hits)
 
@@ -808,19 +808,19 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
     )
     rules = sorted(spec.rules, key=lambda r: r.id)
     seen: set = set()
-    stack = [(init, (), {})]
+    stack = [(init, ())]
     while stack:
-        state, history, usage = stack.pop()
+        state, history = stack.pop()
         key = f"step:{state.step}|" + digest(state, history)
         if key in seen:
             continue
         seen.add(key)
         yield state
         if state.step < bounds.max_steps:
-            enabled = reference_enabled(state, usage, rules, bounds)
-            children = [_child(state, usage, rule, inst) for rule, inst in enabled]
-            for child, step, used in reversed(children):
-                stack.append((child, history + step.events, used))
+            enabled = reference_enabled(state, rules, bounds)
+            children = [_child(state, rule, inst) for rule, inst in enabled]
+            for child, step in reversed(children):
+                stack.append((child, history + step.events))
 
 
 def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
@@ -829,8 +829,7 @@ def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
 
     out = []
     fresh_alloc = tuple(
-        (ident, fresh(state.next_fresh + i, origin=f"{rule.id}:{ident}"))
-        for i, ident in enumerate(rule.fresh_vars)
+        (ident, fresh(state.next_fresh + i)) for i, ident in enumerate(rule.fresh_vars)
     )
     fid_base = state.next_fresh + len(fresh_alloc)
     for subst, consumed in _match_premises(state, rule.premises):
@@ -978,7 +977,7 @@ def _ref_candidates(k, next_fid) -> list:
 
     cands = []
     if k.budget > 0:
-        f = fresh(next_fid, origin="adversary")
+        f = fresh(next_fid)
         cands.append((f, (f,), Derivation(f, "gen-fresh")))
     for g in k.generated:
         cands.append((g, (), Derivation(g, "generated")))

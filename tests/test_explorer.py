@@ -5,6 +5,7 @@ import gc
 import json
 import random
 import re
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -242,9 +243,9 @@ class TestMonitorDedup:
         setup = [("SETUP_VEHICLE", "V1"), ("SETUP_VEHICLE", "V2")]
         one = _follow(spec, setup + [("SETUP_PSEUDONYM", "V1"), ("SETUP_PSEUDONYM", "V2")])
         two = _follow(spec, setup + [("SETUP_PSEUDONYM", "V2"), ("SETUP_PSEUDONYM", "V1")])
-        assert _dedup_key(*one[:3]) == _dedup_key(*two[:3])
+        assert _dedup_key(*one[:2]) == _dedup_key(*two[:2])
         # the event histories differ, so a history-keyed digest kept both
-        assert digest(one[0], one[3]) != digest(two[0], two[3])
+        assert digest(one[0], one[2]) != digest(two[0], two[2])
 
     def test_received_and_not_received_stay_apart(self):
         state = make_state()
@@ -254,7 +255,7 @@ class TestMonitorDedup:
         other = _event_step(Event("InitVjPseudonym", (v1,), 0))
         a = monitors.advance_all(monitors.start(), received)
         b = monitors.advance_all(monitors.start(), other)
-        assert _dedup_key(state, a, {}) != _dedup_key(state, b, {})
+        assert _dedup_key(state, a) != _dedup_key(state, b)
         # the futures differ: only the second history makes an acceptance a forgery
         accepted = _event_step(Event("OsrConfAcceptedBy", (ra, v1, token), 1))
         assert not monitors.holds_in("g2", watch_of([received, accepted]))
@@ -294,22 +295,22 @@ class TestMonitorDedup:
 def _follow(spec, picks):
     """Fire the named rule for the named vehicle in turn, from the initial state.
 
-    Returns the state, monitor states, budget usage and event history.
+    Returns the state, monitor states and event history.
     """
     bounds = Bounds()
     rules = sorted(spec.rules, key=lambda r: r.id)
     state = initial_state(spec, 2)
-    watch, usage, history = monitors.start(), {}, ()
+    watch, history = monitors.start(), ()
     for rule_id, vehicle in picks:
         rule, inst = next(
             (rule, inst)
-            for rule, inst in reference_enabled(state, usage, rules, bounds)
+            for rule, inst in reference_enabled(state, rules, bounds)
             if rule.id == rule_id and dict(inst.binding)["Vj"] is name(vehicle)
         )
-        state, step, usage = _child(state, usage, rule, inst)
+        state, step = _child(state, rule, inst)
         watch = monitors.advance_all(watch, step)
         history += step.events
-    return state, watch, usage, history
+    return state, watch, history
 
 
 def _event_step(event):
@@ -372,9 +373,9 @@ class TestReuse:
         instances = ex.InstanceCache.instances
         compute = ex.enabled_instances
 
-        def checking(state, usage, rules, bounds, cache):
-            got = list(enabled(state, usage, rules, bounds, cache))
-            assert got == reference_enabled(state, usage, rules, bounds)
+        def checking(state, rules, bounds, cache):
+            got = list(enabled(state, rules, bounds, cache))
+            assert got == reference_enabled(state, rules, bounds)
             checked.append(state)
             return iter(got)
 
@@ -515,11 +516,11 @@ class TestReuse:
                     budget="max_sessions" if budget_per else "", budget_per=budget_per)
         state = make_state(linear=[f for f in facts if not f.persistent],
                            persistent=[f for f in facts if f.persistent])
-        enabled = reference_enabled(state, {}, [rule], Bounds())
-        children = _pruned(state, monitors.start(), {}, enabled, (),
+        enabled = reference_enabled(state, [rule], Bounds())
+        children = _pruned(state, monitors.start(), enabled, (),
                            {rule.id: _flags(rule)}, {rule.id: _fixing_vars(rule)})
         assert len(enabled) == len(children) == 2
-        assert children[0][0] != children[1][0] or children[0][3] != children[1][3]
+        assert children[0][0] != children[1][0]
 
     def test_shared_memo_tells_generated_names_apart(self):
         n = fresh(950)
@@ -718,13 +719,51 @@ class TestFireReplay:
         spec, bounds, states = _gate_states(protocol, reveals, vehicles, steps)
         state = data.draw(st.sampled_from(states))
         rules = sorted(spec.rules, key=lambda r: r.id)
-        enabled = reference_enabled(state, {}, rules, bounds)
+        enabled = reference_enabled(state, rules, bounds)
         assume(enabled)
         rule, inst = data.draw(st.sampled_from(enabled))
-        child, step, _ = _child(state, {}, rule, inst)
+        child, step = _child(state, rule, inst)
         trace = Trace((step,), child)
         left = bounds._replace(adversary_fresh_budget=state.knowledge.budget)
         assert replay(spec, state, trace, left) == child
+
+
+class TestRuleBudgets:
+    """The rule budgets a trace spends are part of its state, and replay
+    rejects a trace that overspends one."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_terminal_state_counts_the_budgeted_steps(self, protocol, reveals, vehicles,
+                                                      steps):
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        traces = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        counted = 0
+        for trace in traces:
+            spent = Counter()
+            for step in trace.steps:
+                rule = spec.rule(step.rule_id)
+                if rule.budget:
+                    value = dict(step.binding)[rule.budget_per] if rule.budget_per else None
+                    spent[rule.id, value] += 1
+            assert dict(trace.terminal_state.used) == spent
+            counted += sum(spent.values())
+        assert counted > 0
+
+    @pytest.mark.parametrize("protocol,bound,rule_id,steps", [
+        ("rtoken", "max_sessions", "REPORT", 5),
+        ("plain", "max_changes", "CHANGE_PSEUDONYM", 4),
+    ])
+    def test_overspent_budget_does_not_replay(self, protocol, bound, rule_id, steps):
+        spec = build_protocol(protocol, change_enabled=True)
+        init = initial_state(spec, 1)
+        bounds = Bounds(max_steps=steps, **{bound: 2})
+        trace = next(
+            t for t in explore(spec, init, bounds)
+            if sum(s.rule_id == rule_id for s in t.steps) == 2
+        )
+        assert replay(spec, init, trace, bounds) == trace.terminal_state
+        with pytest.raises(ReplayMismatchError, match=f"its {bound} budget is spent"):
+            replay(spec, init, trace, bounds._replace(**{bound: 1}))
 
 
 class TestInputDerivations:

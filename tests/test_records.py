@@ -78,11 +78,11 @@ PINNED = {
         "budget_per='')",
     ),
     "SystemState": (
-        ("linear", "persistent", "knowledge", "next_fresh", "step"),
+        ("linear", "persistent", "knowledge", "next_fresh", "step", "used"),
         {"linear": (), "persistent": frozenset(), "knowledge": Knowledge(),
-         "next_fresh": 0, "step": 0},
+         "next_fresh": 0, "step": 0, "used": frozenset()},
         "SystemState(linear=(), persistent=frozenset(), "
-        f"knowledge={_EMPTY_KNOWLEDGE}, next_fresh=0, step=0)",
+        f"knowledge={_EMPTY_KNOWLEDGE}, next_fresh=0, step=0, used=frozenset())",
     ),
     "Instance": (
         ("rule_id", "binding", "consumed", "inputs", "input_derivations",
