@@ -59,17 +59,13 @@ first visited by the same path as before, and the leaves, truncation flags
 and evidence are all unchanged.  A node whose enabled instances are all
 slept is not a leaf: it records no trace and pushes no child.
 
-Two savings change nothing that is pushed.  Enabled lists are cached for
+One saving changes nothing that is pushed: enabled lists are cached for
 one search (InstanceCache), keyed on everything enabled_instances reads, so
-a hit returns the very list a call would.  And the instances of a node that
-share their rule, consumed facts, minted names and the values of the
-variables in the rule's conclusions, network outputs and per-binding budget
-form a twin group: these fix the child state, its spent budgets included,
-so only the group's first instance is fired.  Each of the others builds its
-own step, whose events may differ (rtoken's Commit carries the whole signed
-confirmation), and advances the monitors on it, so the twin test stays
-exact: a group member whose monitor states differ from every earlier
-sibling's is pushed.
+a hit returns the very list a call would.  Every instance outside the sleep
+set is fired, even where siblings make the same child (rtoken's RA cannot
+tell who signed a confirmation, so it has one instance per signing key):
+the substitutions inside fire are memoized, so such a fire costs little,
+and the sibling twin check above still pushes no twin.
 
 Seen states are keyed by canonical.canonicalize, on the state, its spent
 budgets included, together with its monitor states (_dedup_key).
@@ -101,7 +97,6 @@ from .rewriting import (
     SystemState,
     _guards_hold,
     budget_key,
-    emitted,
     enabled_instances,
     fire,
 )
@@ -271,7 +266,6 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     # without input synthesis go first; the answer does not depend on order
     leaf_rules = sorted(rules, key=lambda r: bool(r.network_in))
     flags = {rule.id: _flags(rule) for rule in rules}
-    fixes = {rule.id: _fixing_vars(rule) for rule in rules}
     cache = InstanceCache(rules, bounds.synthesis_depth)
     vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
@@ -298,7 +292,7 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
         if not enabled:
             traces.append(Trace(steps, state, truncated, watch))
             continue
-        children = _pruned(state, watch, enabled, sleep, flags, fixes)
+        children = _pruned(state, watch, enabled, sleep, flags)
         # reversed so the lexicographically least child is expanded first
         for child, step, child_watch, child_sleep in reversed(children):
             stack.append((child, steps + (step,), child_watch, child_sleep))
@@ -375,55 +369,35 @@ def _reads(rule: Rule) -> tuple:
 def _child(state, rule, inst) -> tuple:
     """(child state, step) of firing one instance."""
     child, events = fire(state, rule, inst)
-    outputs = tuple(substitute(inst.subst, t) for t in rule.network_out)
-    return child, _step(rule, inst, events, outputs)
-
-
-def _step(rule: Rule, inst: Instance, events: tuple, outputs: tuple) -> Step:
-    """The step that records firing inst, with its events and outputs."""
-    return Step(
+    return child, Step(
         rule_id=rule.id,
         binding=inst.binding,
         inputs=inst.inputs,
         input_derivations=inst.input_derivations,
         generated=inst.new_names,
         events=events,
-        outputs=outputs,
+        outputs=tuple(substitute(inst.subst, t) for t in rule.network_out),
     )
 
 
-def _pruned(state, watch, enabled, sleep, flags, fixes) -> list:
+def _pruned(state, watch, enabled, sleep, flags) -> list:
     """The children worth pushing: (state, step, monitor states, sleep set).
 
-    Instances in the sleep set are not fired, and a twin of an earlier
-    sibling is not pushed.  Only the first instance of each twin group is
-    fired; the others take its child state and build only their own steps.
-    Each child's sleep set holds the entries of sleep and of its earlier
-    siblings, slept and twin ones included, that are independent of its own
-    instance.
+    Every instance outside the sleep set is fired; by the sibling twin
+    check, a child equal to an earlier sibling's child in state and monitor
+    states alike is not pushed.  Each child's sleep set holds the entries of
+    sleep and of its earlier siblings, slept and twin ones included, that
+    are independent of its own instance.
     """
     asleep = {move.ident for move in sleep}
     done = list(sleep)
-    made = {}  # twin group -> (child state, outputs) of its first instance
     twins = set()
     out = []
     for rule, inst in enabled:
         move = Move(rule, inst, flags[rule.id])
         if move.ident in asleep:
             continue
-        fixed = fixes[rule.id]
-        group = (
-            rule.id,
-            inst.consumed,
-            inst.new_names,
-            tuple(pair for pair in inst.binding if pair[0] in fixed),
-        )
-        if group in made:
-            child, outputs = made[group]
-            step = _step(rule, inst, emitted(rule, inst.subst, state.step), outputs)
-        else:
-            child, step = _child(state, rule, inst)
-            made[group] = child, step.outputs
+        child, step = _child(state, rule, inst)
         child_watch = monitors.advance_all(watch, step)
         twin = (child, child_watch)
         if twin not in twins:
@@ -432,16 +406,6 @@ def _pruned(state, watch, enabled, sleep, flags, fixes) -> list:
             out.append((child, step, child_watch, child_sleep))
         done.append(move)
     return out
-
-
-def _fixing_vars(rule: Rule) -> frozenset:
-    """The variables that, with the consumed facts and the minted names, fix
-    an instance's child state, its spent budgets included: those of the
-    conclusions, the network outputs and the per-binding budget."""
-    found = {rule.budget_per} if rule.budget_per else set()
-    for t in (*(a for f in rule.conclusions for a in f.args), *rule.network_out):
-        found |= variables(t)
-    return frozenset(found)
 
 
 class Move:
@@ -500,23 +464,32 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
     Each step's instance is rebuilt from its binding and checked against
     the state (_rebuilt) and the rule budgets (_within_rule_bounds), not
     looked up among the enabled instances; fire checks the rest.  Raises
-    ReplayMismatchError when any step is not reproducible, so a successful
-    replay certifies the recorded steps are a valid execution within bounds.
+    ReplayMismatchError when any step is not reproducible: it names no rule
+    of spec, is not enabled, or records events or outputs other than those
+    firing it emits and releases.  So a successful replay certifies the
+    recorded steps are a valid execution within bounds.
     """
     state = _start_state(init, bounds)
     for i, step in enumerate(trace.steps):
-        rule = spec.rule(step.rule_id)
+        try:
+            rule = spec.rule(step.rule_id)
+        except KeyError:
+            raise ReplayMismatchError(
+                f"step {i} ({step.rule_id}) names no rule of {spec.name}"
+            ) from None
         try:
             inst = _rebuilt(state, rule, step, bounds.synthesis_depth)
             if not _within_rule_bounds(rule, inst, state, bounds):
                 raise ReplayMismatchError(f"its {rule.budget} budget is spent")
-            state, events = fire(state, rule, inst)
+            state, fired = _child(state, rule, inst)
         except (ReplayMismatchError, StaleInstanceError) as why:
             raise ReplayMismatchError(
                 f"step {i} ({step.rule_id}) is not enabled on replay: {why}"
             ) from None
-        if tuple(e.key() for e in events) != tuple(e.key() for e in step.events):
+        if tuple(e.key() for e in fired.events) != tuple(e.key() for e in step.events):
             raise ReplayMismatchError(f"step {i} ({step.rule_id}) emitted different events")
+        if fired.outputs != step.outputs:
+            raise ReplayMismatchError(f"step {i} ({step.rule_id}) released different outputs")
     return state
 
 

@@ -42,7 +42,6 @@ from revlab.explorer import (
     Trace,
     _child,
     _dedup_key,
-    _fixing_vars,
     _flags,
     _independent,
     _interchangeable,
@@ -334,8 +333,8 @@ SAME_SEARCH = GATE + [(protocol, True, 2, 8) for protocol in ("plain", "rtoken",
 
 
 class TestSleepSets:
-    """Sleep sets and twin collapse fire and push fewer children; the search
-    still visits every key first by the same path."""
+    """Sleep sets fire fewer children and the sibling twin check pushes
+    fewer; the search still visits every key first by the same path."""
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", SAME_SEARCH)
     def test_same_search_as_without_them(self, protocol, reveals, vehicles, steps):
@@ -358,8 +357,8 @@ class TestSleepSets:
 
 class TestReuse:
     """The search reuses its own work: enabled lists per what a call reads,
-    one fire per twin group, and key sections per persistent set and
-    knowledge.  None of it changes what a call returns."""
+    and key sections per persistent set and knowledge.  None of it changes
+    what a call returns.  It fires every instance outside the sleep sets."""
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
     def test_cached_enabled_lists_equal_the_uncached(self, protocol, reveals, vehicles,
@@ -412,7 +411,7 @@ class TestReuse:
         # so such a rule's list is computed once per next_fresh too
         assert len(calls) == 150
 
-    def test_each_twin_group_fires_once(self, monkeypatch):
+    def test_every_instance_outside_the_sleep_sets_fires(self, monkeypatch):
         import revlab.explorer as ex
 
         fired = []
@@ -425,10 +424,11 @@ class TestReuse:
         monkeypatch.setattr(ex, "fire", counting)
         spec = build_protocol("rtoken", change_enabled=True)
         got = explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
-        # Firing every instance outside the sleep sets took 141 fires, 68 of
-        # them twins.  One more instance shares its group's child but not
-        # its monitor states: it is pushed without a fire of its own.
-        assert len(fired) == 72
+        # 141 instances lie outside the sleep sets, 80 of them confirmations
+        # the RA receives: one per signing key, and many make the same child.
+        # The sibling twin check pushes one child per (state, monitor states).
+        assert len(fired) == 141
+        assert Counter(fired)["REV_AUTH_OSR_CONF_RECV"] == 80
         assert (got.states_explored, len(got), got.dedup_hits) == (61, 25, 13)
 
     def test_memoized_closures_equal_a_fresh_close(self, monkeypatch):
@@ -509,16 +509,16 @@ class TestReuse:
         (Fact("P", (var("x"),), True), "x",
          [Fact("P", (name("a"),), True), Fact("P", (name("b"),), True)]),
     ])
-    def test_twin_groups_keep_children_apart(self, premise, budget_per, facts):
+    def test_sibling_twin_check_keeps_children_apart(self, premise, budget_per, facts):
         # two instances whose x appears in no conclusion: one consumes a
-        # different fact, the other spends a different budget key
+        # different fact, the other spends a different budget key, so
+        # neither child is the other's twin
         rule = Rule(id="R", premises=(premise,), conclusions=(B,),
                     budget="max_sessions" if budget_per else "", budget_per=budget_per)
         state = make_state(linear=[f for f in facts if not f.persistent],
                            persistent=[f for f in facts if f.persistent])
         enabled = reference_enabled(state, [rule], Bounds())
-        children = _pruned(state, monitors.start(), enabled, (),
-                           {rule.id: _flags(rule)}, {rule.id: _fixing_vars(rule)})
+        children = _pruned(state, monitors.start(), enabled, (), {rule.id: _flags(rule)})
         assert len(enabled) == len(children) == 2
         assert children[0][0] != children[1][0]
 
@@ -693,6 +693,24 @@ class TestReplay:
         forged = self._tampered(trace, binding=binding, inputs=(other,), generated=(other,))
         with pytest.raises(ReplayMismatchError, match="adversary names drifted"):
             replay(self.SPEC, self.INIT, forged, bounds)
+
+    def test_step_naming_no_rule(self):
+        bounds, (trace,) = self._trace()
+        forged = self._tampered(trace, rule_id="NOPE")
+        with pytest.raises(ReplayMismatchError, match=r"step 0 \(NOPE\) names no rule"):
+            replay(self.SPEC, self.INIT, forged, bounds)
+
+    @pytest.mark.parametrize("outputs", [(name("forged"),), ()])
+    def test_outputs_other_than_the_rule_releases(self, outputs):
+        spec = build_protocol("plain")
+        bounds = Bounds(max_steps=3)
+        init = initial_state(spec, 1)
+        trace = next(t for t in explore(spec, init, bounds) if t.steps[-1].outputs)
+        assert replay(spec, init, trace, bounds) == trace.terminal_state
+        i = len(trace.steps) - 1
+        steps = trace.steps[:i] + (trace.steps[i]._replace(outputs=outputs),)
+        with pytest.raises(ReplayMismatchError, match=f"step {i} .* released different outputs"):
+            replay(spec, init, trace._replace(steps=steps), bounds)
 
 
 @lru_cache(maxsize=1)
