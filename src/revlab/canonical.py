@@ -7,9 +7,12 @@ automorphism pruning, k tied names cost up to k! individualization leaves:
 rtoken with five vehicles at 20 steps computes 3,112 keys, 3,003 of them
 with more than one leaf, 269 with 24 and 8 with 120.  The key's ints depend on
 the order in which shapes were first seen, so it decides equality only.
-digest renders states as canonical text, modulo fresh names only, for the
-report and the tests.  Neither reads SystemState.used: the explorer keys
-the spent rule budgets as monitor facts.
+shape_signature, the step, the budget and the sorted shapes of a state's
+items, is a function of the key: the search keys a state only when another
+state has its signature (explorer's docstring).  digest renders states as
+canonical text, modulo fresh names only, for the report and the tests.
+None of them reads SystemState.used: the explorer keys the spent rule
+budgets as monitor facts.
 """
 
 from __future__ import annotations
@@ -163,24 +166,16 @@ def canonicalize(
     compared, never printed.  With vehicles empty, vehicle names are
     literal text like any other name.
 
-    memo caches each item's row per section, the rows of the per section
-    per persistent set, and those of the kn and gen sections per knowledge;
+    memo caches each item's row per section, the rows and sorted shapes of
+    the per section per persistent set, and those of the kn and gen sections
+    per knowledge (_set_rows);
     a caller that keys many states, as a search does, passes the same dict
     to every call with the same vehicles.
     """
     if memo is None:
         memo = {}
     k = state.knowledge
-    pers = memo.setdefault("per sets", {})
-    per = pers.get(state.persistent)
-    if per is None:
-        per = pers[state.persistent] = _rows(memo, "per", state.persistent, vehicles)
-    kns = memo.setdefault("kn sets", {})
-    kn = kns.get((k.basis, k.generated))
-    if kn is None:
-        basis = _rows(memo, "kn", k.basis, vehicles)
-        generated = _rows(memo, "gen", k.generated, vehicles)
-        kn = kns[k.basis, k.generated] = basis[0] + generated[0], basis[1] + generated[1]
+    per, kn = _set_rows(memo, state, vehicles)
     lin = _rows(memo, "lin", state.linear, vehicles)
     mon = _rows(memo, "mon", monitor, vehicles)
     ground = lin[0] + per[0] + kn[0] + mon[0]
@@ -200,6 +195,53 @@ def canonicalize(
         cert = _least_certificate(rows, links, colour, classes)
     ground.sort()
     return (state.step, k.budget, *ground, *chain.from_iterable(cert))
+
+
+def shape_signature(
+    state: SystemState, monitor=(), memo: dict | None = None, vehicles: frozenset = frozenset()
+) -> tuple:
+    """The step, the budget and the sorted shape ids of every item, by section.
+
+    A renaming keeps every item's shape, so states with equal keys have
+    equal signatures.  memo is canonicalize's.
+    """
+    if memo is None:
+        memo = {}
+    per, kn = _set_rows(memo, state, vehicles)
+    return (
+        state.step,
+        state.knowledge.budget,
+        per[2],
+        kn[2],
+        _shape_ids(_rows(memo, "lin", state.linear, vehicles)),
+        _shape_ids(_rows(memo, "mon", monitor, vehicles)),
+    )
+
+
+def _set_rows(memo: dict, state: SystemState, vehicles: frozenset) -> tuple:
+    """The (ground shapes, rows, sorted shape ids) of the per section, and of
+    the kn and gen sections together, memoized per persistent set and per
+    knowledge."""
+    pers = memo.setdefault("per sets", {})
+    per = pers.get(state.persistent)
+    if per is None:
+        rows = _rows(memo, "per", state.persistent, vehicles)
+        per = pers[state.persistent] = (*rows, _shape_ids(rows))
+    k = state.knowledge
+    kns = memo.setdefault("kn sets", {})
+    kn = kns.get((k.basis, k.generated))
+    if kn is None:
+        basis = _rows(memo, "kn", k.basis, vehicles)
+        generated = _rows(memo, "gen", k.generated, vehicles)
+        rows = basis[0] + generated[0], basis[1] + generated[1]
+        kn = kns[k.basis, k.generated] = (*rows, _shape_ids(rows))
+    return per, kn
+
+
+def _shape_ids(rows: tuple) -> tuple:
+    """The sorted shape ids of _rows' ground shapes and rows."""
+    ground, named = rows
+    return tuple(sorted(chain(ground, (shape for shape, _ in named))))
 
 
 def _rows(memo: dict, section: str, items, vehicles: frozenset) -> tuple:

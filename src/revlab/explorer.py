@@ -68,7 +68,18 @@ the substitutions inside fire are memoized, so such a fire costs little,
 and the sibling twin check above still pushes no twin.
 
 Seen states are keyed by canonical.canonicalize, on the state, its spent
-budgets included, together with its monitor states (_dedup_key).
+budgets included, together with its monitor states (_dedup_key).  The key
+is computed only for a popped state that could repeat an earlier one, and
+the search stays exact.  First, a popped (state, monitor states) pair equal
+to an explored one is a hit without a key: equal pairs have equal keys.
+Only explored pairs are stored.  Second, any other pair gets a
+canonical.shape_signature: its step, its budget and the sorted shapes of
+its items.  A renaming keeps every shape, so equal keys have equal
+signatures, and a pair whose signature no explored pair has is new.  seen
+holds that pair alone under its signature.  Once a second pair has the same
+signature, both are keyed, and from then on every pair with that signature
+is keyed and checked against the keys held there.  So a pair is a hit
+exactly when an explored pair has its key, as when every pair was keyed.
 
 explore pauses CPython's cyclic garbage collector while it searches, and
 turns it back on afterwards only if it was on.  The search builds only
@@ -87,7 +98,7 @@ from itertools import chain
 
 from . import knowledge as kn
 from . import monitors
-from .canonical import canonicalize
+from .canonical import canonicalize, shape_signature
 from .protocols import ProtocolSpec, is_vehicle
 from .rewriting import (
     Fact,
@@ -269,18 +280,19 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     cache = InstanceCache(rules, bounds.synthesis_depth)
     vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
-    seen: set[tuple] = set()
+    done: set[tuple] = set()  # (state, monitor states) of every explored state
+    seen: dict = {}  # shape signature -> its one explored pair, or their keys
     memo: dict = {}  # canonicalize's item rows, kept for this search only
     explored = 0
     dedup_hits = 0
     stack: list[tuple] = [(init, (), monitors.start(), ())]
     while stack:
         state, steps, watch, sleep = stack.pop()
-        key = _dedup_key(state, watch, memo, vehicles)
-        if key in seen:
+        pair = (state, watch)
+        if pair in done or _keyed_before(pair, seen, memo, vehicles):
             dedup_hits += 1
             continue
-        seen.add(key)
+        done.add(pair)
         explored += 1
         if len(steps) < bounds.max_steps:
             enabled = list(_enabled(state, rules, bounds, cache))
@@ -300,16 +312,43 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     return TraceSet(traces=tuple(traces), states_explored=explored, dedup_hits=dedup_hits)
 
 
+def _keyed_before(pair: tuple, seen: dict, memo: dict, vehicles: frozenset) -> bool:
+    """Whether an explored pair had pair's dedup key; records pair otherwise.
+
+    seen maps a shape signature to the one explored pair that has it, or,
+    once a second pair has it, to the keys of those pairs.  Only pairs
+    whose signature repeats are keyed (module docstring).
+    """
+    sig = shape_signature(pair[0], _monitor_facts(*pair), memo, vehicles)
+    keys = seen.get(sig)
+    if keys is None:
+        seen[sig] = pair
+        return False
+    if not isinstance(keys, set):
+        keys = seen[sig] = {_dedup_key(*keys, memo, vehicles)}
+    key = _dedup_key(*pair, memo, vehicles)
+    if key in keys:
+        return True
+    keys.add(key)
+    return False
+
+
 def _dedup_key(
     state: SystemState, watch: tuple, memo=None, vehicles: frozenset = frozenset()
 ) -> tuple:
     """Depth, state, spent budgets and monitor states, canonicalized together."""
+    facts = _monitor_facts(state, watch)
+    return canonicalize(state, monitor=facts, memo=memo, vehicles=vehicles)
+
+
+def _monitor_facts(state: SystemState, watch: tuple) -> list:
+    """The monitor facts and a fact per spent budget, which the key reads as
+    monitor facts."""
     used = [
         Fact(f"{rule_id}#{fired}", () if value is None else (value,))
         for (rule_id, value), fired in state.used
     ]
-    facts = [*chain.from_iterable(watch), *used]
-    return canonicalize(state, monitor=facts, memo=memo, vehicles=vehicles)
+    return [*chain.from_iterable(watch), *used]
 
 
 def _enabled(state, rules, bounds, cache):

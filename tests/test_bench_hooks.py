@@ -17,13 +17,28 @@ BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import harness  # noqa: E402
-from revlab import build_protocol  # noqa: E402
+import revlab.explorer as ex  # noqa: E402
+from revlab import Bounds, build_protocol, explore, initial_state  # noqa: E402
 
 # Needs an untraced run beside the traced one.
 UNTRACED_ONLY = {"trace.overhead_s"}
 
 
-def test_traced_run_reports_every_per_layer_metric():
+def _keyed_in_process(spec, monkeypatch) -> int:
+    """The canonicalize calls of an in-process search of spec at default bounds."""
+    calls = []
+    canonical = ex.canonicalize
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return canonical(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "canonicalize", counting)
+    explore(spec, initial_state(spec, 1), Bounds())
+    return len(calls)
+
+
+def test_traced_run_reports_every_per_layer_metric(monkeypatch):
     cmd = [sys.executable, str(BENCH / "child.py"), "traced", "plain-change", "--",
            "--protocol", "plain", "--change", "--goals", "all"]
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
@@ -37,11 +52,11 @@ def test_traced_run_reports_every_per_layer_metric():
     wanted = {m["name"] for m in spec["per_layer"]} - UNTRACED_ONLY
     assert sorted(wanted - values.keys()) == []
     stats = result["stats"]
-    assert values["explorer.canonicalize.calls"] == (
-        stats["states_explored"] + stats["dedup_hits"]
-    )
+    # the search keys only states that can repeat, so count its keys directly
+    plain = build_protocol("plain", change_enabled=True)
+    assert values["explorer.canonicalize.calls"] == _keyed_in_process(plain, monkeypatch) > 0
     # Without the search's cache of enabled lists, each popped state asks
     # every rule within its bounds: 148 calls for 20 states and 8 rules here.
     # Most answers are reused, so fewer than half of that bound are left.
-    rules = len(build_protocol("plain", change_enabled=True).rules)
+    rules = len(plain.rules)
     assert values["rewriting.enabled_instances.calls"] < stats["states_explored"] * rules / 2

@@ -275,7 +275,10 @@ class TestMonitorDedup:
 
         monkeypatch.setattr(ex, "canonicalize", recording)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
-        explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        # the reference search keys every popped state; explore skips exact
+        # repeats, which are all of the merges on some rows
+        reference_search(spec, initial_state(spec, vehicles), Bounds(max_steps=steps),
+                         dedup=True)
         names = [vehicle_name(i + 1) for i in range(vehicles)]
         swaps = [dict(zip(names, order)) for order in permutations(names)]
         by_key, by_text = {}, {}
@@ -469,7 +472,10 @@ class TestReuse:
 
         monkeypatch.setattr(ex, "canonicalize", recording)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
-        explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        # keyed with the shared memo on every popped state, as in
+        # test_key_partition_equals_the_digest
+        reference_search(spec, initial_state(spec, vehicles), Bounds(max_steps=steps),
+                         dedup=True)
         pairs = {
             (key, canonical(state, monitor=monitor, vehicles=names))
             for key, state, monitor, names in keyed
@@ -850,13 +856,14 @@ class TestCollectorPause:
         import revlab.explorer as ex
 
         during = []
-        canonical = ex.canonicalize
+        signature = ex.shape_signature
 
         def recording(*args, **kwargs):
             during.append(gc.isenabled())
-            return canonical(*args, **kwargs)
+            return signature(*args, **kwargs)
 
-        monkeypatch.setattr(ex, "canonicalize", recording)
+        # every popped state that is not an exact repeat gets a signature
+        monkeypatch.setattr(ex, "shape_signature", recording)
         spec = build_protocol("plain")
         was = gc.isenabled()
         (gc.enable if collecting else gc.disable)()
@@ -872,12 +879,12 @@ class TestCollectorPause:
         import revlab.explorer as ex
 
         def failing(*args, **kwargs):
-            raise RuntimeError("key failed")
+            raise RuntimeError("signature failed")
 
-        monkeypatch.setattr(ex, "canonicalize", failing)
+        monkeypatch.setattr(ex, "shape_signature", failing)
         spec = build_protocol("plain")
         assert gc.isenabled()
-        with pytest.raises(RuntimeError, match="key failed"):
+        with pytest.raises(RuntimeError, match="signature failed"):
             explore(spec, initial_state(spec, 1), Bounds(max_steps=3))
         assert gc.isenabled()
 
@@ -1217,3 +1224,48 @@ class TestCanonicalKey:
         assert key(copy) == key(s1)
         assert (key(s1) == key(s2)) == states_isomorphic(s1, s2, VEHICLES)
         assert (key(copy) == key(s2)) == states_isomorphic(copy, s2, VEHICLES)
+
+
+# The gate rows, plus rtoken with two vehicles and reveals at 8 steps.
+LAZY_ROWS = GATE + [("rtoken", True, 2, 8)]
+
+
+class TestLazyKeys:
+    """The search keys a state only when its shape signature repeats, and
+    skips exact repeats unkeyed; neither changes what it returns."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", LAZY_ROWS)
+    def test_same_search_as_keying_every_state(self, protocol, reveals, vehicles, steps,
+                                               monkeypatch):
+        import revlab.explorer as ex
+
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        init, bounds = initial_state(spec, vehicles), Bounds(max_steps=steps)
+        lazy = explore(spec, init, bounds)
+        # one signature for every state: each one that is not an exact
+        # repeat is keyed and checked against every key
+        monkeypatch.setattr(ex, "shape_signature", lambda *args: ())
+        assert explore(spec, init, bounds) == lazy
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tied_states(), st.randoms(use_true_random=True))
+    @example(RING, random.Random(0))
+    @example(TWINS, random.Random(0))
+    @example(TRIPLETS, random.Random(0))
+    def test_signature_survives_renaming(self, state, rng):
+        from revlab.canonical import shape_signature
+
+        watch = [Fact("g2.Seen", (g,)) for g in state.knowledge.generated]
+        copy = renamed_copy(state, rng, VEHICLES)
+        copy_watch = [Fact("g2.Seen", (g,)) for g in copy.knowledge.generated]
+        assert canonicalize(copy, copy_watch, vehicles=VEHICLES) == canonicalize(
+            state, watch, vehicles=VEHICLES
+        )
+        assert shape_signature(copy, copy_watch, vehicles=VEHICLES) == shape_signature(
+            state, watch, vehicles=VEHICLES
+        )
