@@ -166,18 +166,17 @@ def canonicalize(
     compared, never printed.  With vehicles empty, vehicle names are
     literal text like any other name.
 
-    memo caches each item's row per section, the rows and sorted shapes of
-    the per section per persistent set, and those of the kn and gen sections
-    per knowledge (_set_rows);
-    a caller that keys many states, as a search does, passes the same dict
-    to every call with the same vehicles.
+    memo caches each item's row per section, and the rows and sorted shapes
+    of the per section per persistent set, of the kn and gen sections per
+    knowledge and of the mon section per monitor tuple (_set_rows); a caller
+    that keys many states, as a search does, passes the same dict to every
+    call with the same vehicles.
     """
     if memo is None:
         memo = {}
     k = state.knowledge
-    per, kn = _set_rows(memo, state, vehicles)
+    per, kn, mon = _set_rows(memo, state, tuple(monitor), vehicles)
     lin = _rows(memo, "lin", state.linear, vehicles)
-    mon = _rows(memo, "mon", monitor, vehicles)
     ground = lin[0] + per[0] + kn[0] + mon[0]
     rows = lin[1] + per[1] + kn[1] + mon[1]
     filled: dict = {}
@@ -207,21 +206,21 @@ def shape_signature(
     """
     if memo is None:
         memo = {}
-    per, kn = _set_rows(memo, state, vehicles)
+    per, kn, mon = _set_rows(memo, state, tuple(monitor), vehicles)
     return (
         state.step,
         state.knowledge.budget,
         per[2],
         kn[2],
         _shape_ids(_rows(memo, "lin", state.linear, vehicles)),
-        _shape_ids(_rows(memo, "mon", monitor, vehicles)),
+        mon[2],
     )
 
 
-def _set_rows(memo: dict, state: SystemState, vehicles: frozenset) -> tuple:
-    """The (ground shapes, rows, sorted shape ids) of the per section, and of
-    the kn and gen sections together, memoized per persistent set and per
-    knowledge."""
+def _set_rows(memo: dict, state: SystemState, monitor: tuple, vehicles: frozenset) -> tuple:
+    """The (ground shapes, rows, sorted shape ids) of the per section, of the
+    kn and gen sections together and of the mon section, memoized per
+    persistent set, per knowledge and per monitor tuple."""
     pers = memo.setdefault("per sets", {})
     per = pers.get(state.persistent)
     if per is None:
@@ -235,7 +234,12 @@ def _set_rows(memo: dict, state: SystemState, vehicles: frozenset) -> tuple:
         generated = _rows(memo, "gen", k.generated, vehicles)
         rows = basis[0] + generated[0], basis[1] + generated[1]
         kn = kns[k.basis, k.generated] = (*rows, _shape_ids(rows))
-    return per, kn
+    mons = memo.setdefault("mon sets", {})
+    mon = mons.get(monitor)
+    if mon is None:
+        rows = _rows(memo, "mon", monitor, vehicles)
+        mon = mons[monitor] = (*rows, _shape_ids(rows))
+    return per, kn, mon
 
 
 def _shape_ids(rows: tuple) -> tuple:

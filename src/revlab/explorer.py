@@ -17,7 +17,8 @@ rules, which names are interchangeable: its vehicles, when there are two
 or more and no rule names one.
 
 Children are expanded in Step.key order, so DFS visits the paths of one
-depth in that order, and a merged prefix P' always has a kept prefix
+depth in that order (the traces need only a stable sort by length to come
+out in Trace.key order), and a merged prefix P' always has a kept prefix
 P < P'.  The continuation from P mirrored by the renaming gives a trace
 with the same goal profile, and Trace.key compares the prefix first, so
 that trace is smaller than the original.  So the least violating or
@@ -61,11 +62,12 @@ slept is not a leaf: it records no trace and pushes no child.
 
 One saving changes nothing that is pushed: enabled lists are cached for
 one search (InstanceCache), keyed on everything enabled_instances reads, so
-a hit returns the very list a call would.  Every instance outside the sleep
-set is fired, even where siblings make the same child (rtoken's RA cannot
-tell who signed a confirmation, so it has one instance per signing key):
-the substitutions inside fire are memoized, so such a fire costs little,
-and the sibling twin check above still pushes no twin.
+a hit returns the very list a call would.  The key's slice of the
+persistent facts is taken once per persistent set.  Every instance outside
+the sleep set is fired, even where siblings make the same child (rtoken's
+RA cannot tell who signed a confirmation, so it has one instance per
+signing key): the substitutions inside fire are memoized, so such a fire
+costs little, and the sibling twin check above still pushes no twin.
 
 Seen states are keyed by canonical.canonicalize, on the state, its spent
 budgets included, together with its monitor states (_dedup_key).  The key
@@ -81,13 +83,27 @@ signature, both are keyed, and from then on every pair with that signature
 is keyed and checked against the keys held there.  So a pair is a hit
 exactly when an explored pair has its key, as when every pair was keyed.
 
+A child shares most parts of its parent by identity: the persistent set,
+the knowledge, the monitor states and the spent budgets.  Each view of such
+a part is derived once per search and looked up by the part's value: the
+monitor and budget facts per (monitor states, spent budgets) pair
+(_monitor_facts), and canonicalize's rows and shape ids per persistent set,
+per knowledge and per monitor tuple.  A lookup returns what a fresh
+derivation would, as with hash-consed terms (Filliatre & Conchon,
+Type-safe modular hash-consing, ML 2006).
+
 explore pauses CPython's cyclic garbage collector while it searches, and
 turns it back on afterwards only if it was on.  The search builds only
 acyclic data: interned terms, tuples, frozensets, dicts of those and the
 records here, none of which refers back to its holder.  Reference counting
 frees all of it, so the collector's passes over the growing seen set and
 memos find nothing to free and only cost time (tests pin that a collection
-after a search finds no unreachable object).
+after a search finds no unreachable object).  For the same reason, before
+turning the collector back on, explore moves every tracked object into the
+oldest generation (gc.freeze, then gc.unfreeze), so that the first young
+collection after the search does not walk what the search made.  It does
+so only when nothing is frozen, since gc.unfreeze would also thaw the
+objects a caller froze.
 """
 
 from __future__ import annotations
@@ -266,6 +282,9 @@ def explore(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
         return _search(spec, init, bounds)
     finally:
         if collecting:
+            if not gc.get_freeze_count():  # promote, unwalked (module docstring)
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -282,7 +301,7 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     traces: list[Trace] = []
     done: set[tuple] = set()  # (state, monitor states) of every explored state
     seen: dict = {}  # shape signature -> its one explored pair, or their keys
-    memo: dict = {}  # canonicalize's item rows, kept for this search only
+    memo: dict = {}  # monitor facts and canonicalize's rows, for this search only
     explored = 0
     dedup_hits = 0
     stack: list[tuple] = [(init, (), monitors.start(), ())]
@@ -308,7 +327,8 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
         # reversed so the lexicographically least child is expanded first
         for child, step, child_watch, child_sleep in reversed(children):
             stack.append((child, steps + (step,), child_watch, child_sleep))
-    traces.sort(key=Trace.key)
+    # DFS reaches the leaves of one length in Step.key order: Trace.key order
+    traces.sort(key=lambda t: len(t.steps))
     return TraceSet(traces=tuple(traces), states_explored=explored, dedup_hits=dedup_hits)
 
 
@@ -319,7 +339,7 @@ def _keyed_before(pair: tuple, seen: dict, memo: dict, vehicles: frozenset) -> b
     once a second pair has it, to the keys of those pairs.  Only pairs
     whose signature repeats are keyed (module docstring).
     """
-    sig = shape_signature(pair[0], _monitor_facts(*pair), memo, vehicles)
+    sig = shape_signature(pair[0], _monitor_facts(*pair, memo), memo, vehicles)
     keys = seen.get(sig)
     if keys is None:
         seen[sig] = pair
@@ -337,18 +357,25 @@ def _dedup_key(
     state: SystemState, watch: tuple, memo=None, vehicles: frozenset = frozenset()
 ) -> tuple:
     """Depth, state, spent budgets and monitor states, canonicalized together."""
-    facts = _monitor_facts(state, watch)
+    if memo is None:
+        memo = {}
+    facts = _monitor_facts(state, watch, memo)
     return canonicalize(state, monitor=facts, memo=memo, vehicles=vehicles)
 
 
-def _monitor_facts(state: SystemState, watch: tuple) -> list:
+def _monitor_facts(state: SystemState, watch: tuple, memo: dict) -> tuple:
     """The monitor facts and a fact per spent budget, which the key reads as
-    monitor facts."""
-    used = [
-        Fact(f"{rule_id}#{fired}", () if value is None else (value,))
-        for (rule_id, value), fired in state.used
-    ]
-    return [*chain.from_iterable(watch), *used]
+    monitor facts; built once per (monitor states, spent budgets) in memo."""
+    built = memo.setdefault("monitor facts", {})
+    key = (watch, state.used)
+    facts = built.get(key)
+    if facts is None:
+        used = (
+            Fact(f"{rule_id}#{fired}", () if value is None else (value,))
+            for (rule_id, value), fired in state.used
+        )
+        facts = built[key] = (*chain.from_iterable(watch), *used)
+    return facts
 
 
 def _enabled(state, rules, bounds, cache):
@@ -373,26 +400,36 @@ class InstanceCache:
     when the rule has fresh variables or a network input: its fresh names
     and the adversary names it may mint are numbered from there.  States
     that agree on these get equal lists.  A miss calls enabled_instances.
+    The persistent facts a rule reads are sliced once per (persistent set,
+    premise names): children share their parent's set until a rule adds to
+    it.
     """
 
     def __init__(self, rules, depth: int):
         self.depth = depth
         self.reads = {rule.id: _reads(rule) for rule in rules}
         self.lists: dict = {}
+        self.slices: dict = {}
 
     def instances(self, state: SystemState, rule: Rule) -> list:
         linear, persistent, receives, numbered = self.reads[rule.id]
-        k = state.knowledge
         key = (
             rule.id,
             tuple(f for f in state.linear if f.name in linear),
-            frozenset(f for f in state.persistent if f.name in persistent) if persistent else None,
-            (k.basis, k.generated, k.budget) if receives else None,
+            self._slice(state.persistent, persistent) if persistent else None,
+            state.knowledge if receives else None,
             state.next_fresh if numbered else None,
         )
         got = self.lists.get(key)
         if got is None:
             got = self.lists[key] = enabled_instances(state, rule, self.depth)
+        return got
+
+    def _slice(self, facts: frozenset, names: frozenset) -> frozenset:
+        """The facts named in names."""
+        got = self.slices.get((facts, names))
+        if got is None:
+            got = self.slices[facts, names] = frozenset(f for f in facts if f.name in names)
         return got
 
 

@@ -71,17 +71,19 @@ class Knowledge:
     also members of basis; budget caps how many more gen_fresh may mint.
     _memo caches this value's _derive answers and its sorted basis, which
     read basis and generated but not the budget.  Equality, hashing and
-    repr read only (basis, generated, budget).  Every constructor call
-    starts an empty memo that no argument can pass in.
+    repr read only (basis, generated, budget); the hash is computed once,
+    since every dict or set holding a state hashes its knowledge.  Every
+    constructor call starts an empty memo that no argument can pass in.
     """
 
-    __slots__ = ("basis", "generated", "budget", "_memo")
+    __slots__ = ("basis", "generated", "budget", "_memo", "_hash")
 
     def __init__(self, basis: frozenset = frozenset(), generated: tuple = (), budget: int = 0):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "generated", generated)
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_hash", hash((basis, generated, budget)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -97,7 +99,7 @@ class Knowledge:
         )
 
     def __hash__(self):
-        return hash((self.basis, self.generated, self.budget))
+        return self._hash
 
     def __repr__(self) -> str:
         return (

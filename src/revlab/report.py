@@ -13,6 +13,7 @@ from .goals import (
     RunResult,
 )
 from .protocols import ProtocolSpec, agent_names, initial_state
+from .rewriting import SystemState
 from .terms import render
 
 SCHEMA_VERSION = 1
@@ -61,8 +62,10 @@ def build_document(
     """Assemble the report; evidence traces are replay-checked first.
 
     Goals often share an evidence trace; each distinct one is replay-checked
-    and serialized once, and its entries share the result.
+    and serialized once, and its entries share the result.  Every replay
+    starts from the one initial state built here.
     """
+    init = initial_state(result.spec, result.n_vehicles)
     serialized: dict = {}  # evidence trace -> its replay-checked serialization
     goals_out = []
     for goal in sorted(result.verdicts):
@@ -79,7 +82,7 @@ def build_document(
             entry["disclaimer"] = BOUNDED_DISCLAIMER
         if v.evidence is not None:
             if v.evidence not in serialized:
-                serialized[v.evidence] = serialize_trace(_check_replay(result, v.evidence))
+                serialized[v.evidence] = serialize_trace(_check_replay(result, v.evidence, init))
             entry["evidence"] = serialized[v.evidence]
             if trace_render == "msc":
                 entry["msc"] = render_msc(
@@ -112,9 +115,9 @@ def build_document(
     }
 
 
-def _check_replay(result: RunResult, trace: Trace) -> Trace:
-    """The trace, replayed; a minimized prefix gets its terminal state here."""
-    init = initial_state(result.spec, result.n_vehicles)
+def _check_replay(result: RunResult, trace: Trace, init: SystemState) -> Trace:
+    """The trace, replayed from init; a minimized prefix gets its terminal
+    state here."""
     final = replay(result.spec, init, trace, result.bounds)
     if trace.terminal_state is None:
         return trace._replace(terminal_state=final)

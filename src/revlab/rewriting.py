@@ -227,25 +227,19 @@ def enabled_instances(state: SystemState, rule: Rule, synthesis_budget: int) -> 
     return out
 
 
-def _match_premises(state: SystemState, premises, subst=None, used=None, persistent=None):
-    # persistent: the state's persistent facts in Fact.key order, sorted at
-    # the first persistent premise and handed down the recursion
+def _match_premises(state: SystemState, premises, subst=None, used=frozenset()):
+    # persistent facts are matched in set order, which follows the terms'
+    # hashes: enabled_instances sorts its output by Instance.key, which two
+    # distinct instances never share, so the order cannot reach a caller
     subst = {} if subst is None else subst
-    used = frozenset() if used is None else used
     if not premises:
         yield subst, ()
         return
     head, tail = premises[0], premises[1:]
     if head.persistent:
-        if persistent is None:
-            persistent = sorted(state.persistent, key=Fact.key)
-        pool = [(f, None) for f in persistent]
+        pool = [(f, None) for f in state.persistent]
     else:
-        pool = [
-            (f, i)
-            for i, f in enumerate(state.linear)
-            if i not in used
-        ]
+        pool = [(f, i) for i, f in enumerate(state.linear) if i not in used]
     for cand, idx in pool:
         if cand.name != head.name or cand.persistent != head.persistent:
             continue
@@ -255,7 +249,7 @@ def _match_premises(state: SystemState, premises, subst=None, used=None, persist
         if not all(_match(pat, got, binding) for pat, got in zip(head.args, cand.args)):
             continue
         used2 = used if idx is None else used | {idx}
-        for sub2, consumed in _match_premises(state, tail, binding, used2, persistent):
+        for sub2, consumed in _match_premises(state, tail, binding, used2):
             yield sub2, ((cand,) + consumed if idx is not None else consumed)
 
 

@@ -809,6 +809,40 @@ class TestInputDerivations:
         assert checked > 0
 
 
+class _Reversed(frozenset):
+    """A frozenset that iterates its members in reverse."""
+
+    def __iter__(self):
+        return reversed(tuple(frozenset.__iter__(self)))
+
+
+class TestMatchOrder:
+    """Nothing a search returns depends on the order it meets facts or leaves in."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_enabled_lists_ignore_the_persistent_fact_order(self, protocol, reveals,
+                                                            vehicles, steps):
+        spec, bounds, states = _gate_states(protocol, reveals, vehicles, steps)
+        reordered = 0
+        for state in states:
+            backwards = state._replace(persistent=_Reversed(state.persistent))
+            for rule in spec.rules:
+                got = enabled_instances(backwards, rule, bounds.synthesis_depth)
+                assert got == enabled_instances(state, rule, bounds.synthesis_depth), rule.id
+            reordered += list(backwards.persistent) != list(state.persistent)
+        assert reordered > 0
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_traces_come_out_in_trace_key_order(self, protocol, reveals, vehicles, steps):
+        # _search sorts its traces by length only: DFS leaves them in
+        # Trace.key order within one length
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps)).traces
+        assert list(got) == sorted(got, key=Trace.key)
+        lengths = Counter(len(t.steps) for t in got)
+        assert max(lengths.values()) > 1  # some traces of one length are ordered
+
+
 def _assert_proof(d, k: Knowledge, new_names: tuple) -> None:
     """d derives d.term from k's basis, its generated names, public names
     and the names minted for the instance, at cost d.cost."""
@@ -874,6 +908,34 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
         assert during and not any(during)
         assert after == collecting
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_the_freeze_count_is_left_as_found(self, frozen):
+        # a caller's frozen objects stay frozen: unfreezing them would
+        # empty the permanent generation
+        spec = build_protocol("plain", change_enabled=True)
+        if frozen:
+            gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert (before > 0) == frozen
+            explore(spec, initial_state(spec, 1), Bounds(max_steps=5))
+            assert gc.get_freeze_count() == before
+        finally:
+            if frozen:
+                gc.unfreeze()
+
+    def test_the_young_generation_is_left_below_its_threshold(self):
+        # the search's objects are moved to the oldest generation, so the
+        # first collection after the search does not walk them
+        spec = build_protocol("rtoken", change_enabled=True)
+        gc.collect()
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        got = explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
+        young = gc.get_count()[0]
+        assert young < gc.get_threshold()[0]
+        assert gc.collect() == 0
+        assert got.states_explored > 0
 
     def test_restored_when_the_search_fails(self, monkeypatch):
         import revlab.explorer as ex

@@ -68,11 +68,13 @@ class TestDocument:
         import revlab.report as report
 
         replayed = []
+        starts = []
         check = report._check_replay
 
-        def counting(result, trace):
+        def counting(result, trace, init):
             replayed.append(trace)
-            return check(result, trace)
+            starts.append(init)
+            return check(result, trace, init)
 
         monkeypatch.setattr(report, "_check_replay", counting)
         result, elapsed = scenario("rtoken", change=True)
@@ -80,6 +82,7 @@ class TestDocument:
         evidence = [v.evidence for v in result.verdicts.values() if v.evidence]
         assert (len(evidence), len(set(evidence))) == (6, 4)
         assert sorted(map(Trace.key, replayed)) == sorted(map(Trace.key, set(evidence)))
+        assert all(init is starts[0] for init in starts)  # one initial state per document
         assert sum(1 for e in doc["results"] if e["evidence"]) == 6
 
     def test_swapped_terminal_state_is_rejected(self):
