@@ -13,23 +13,23 @@ Timing copies the trace predicates: a compromise excuses an anchor event
 when it happens at or before the anchor's timepoint; the receive, Running or
 request an anchor needs must happen at a strictly earlier timepoint; the G1
 chain is ordered by event position, so events within one step count as
-ordered.  Events arrive in non-decreasing time order (an explored event's
-time is its step's index).
+ordered.
 
-advance folds a step one timepoint at a time, and each monitor memoizes
-that fold on (state, the label and args of the timepoint's events whose
-label it reads, in order).  The memo is exact: the facts carry no times, so
-the new state does not depend on which timepoint it is, and every at
-function reads only the label and args of events whose label is in the
-monitor's labels, so the other events of the timepoint cannot change it.
-The memos fill as searches run and live for the process.
+A step is one timepoint: fire gives every event it emits the step's index
+as its time, so the events of a step share one time and later steps have
+later times.  The monitors rely on this and never read an event's time.
+
+Each monitor memoizes its fold of a step on (state, the label and args of
+the step's events whose label it reads, in order).  The memo is exact: the
+facts carry no times, so the new state does not depend on which step it is,
+and every at function reads only the label and args of events whose label
+is in the monitor's labels, so the other events of the step cannot change
+it.  The memos fill as searches run and live for the process.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import groupby
-from operator import attrgetter
 
 from .protocols import is_vehicle
 from .rewriting import Fact
@@ -40,14 +40,12 @@ COMPROMISES = WEAK_REVEALS | {"VjSKPSiReveal", "VehicleCompromised"}
 
 START = frozenset()
 
-_time = attrgetter("time")
-
 
 class Monitor:
     """One goal pattern: a fact-set state folded over steps.
 
-    at(monitor, state, events) folds the events of one timepoint into the
-    state and returns the new state, or monitor.hit once the pattern holds.
+    at(monitor, state, events) folds the events of one step into the state
+    and returns the new state, or monitor.hit once the pattern holds.
     """
 
     def __init__(self, goal: str, labels: frozenset, at: Callable):
@@ -55,8 +53,8 @@ class Monitor:
         self.labels = labels  # the event labels the pattern reads
         self.hit = frozenset({self.fact("hit")})
         self._at = at
-        # (state, (label, args) of a timepoint's events with a label in
-        # labels) -> the state after that timepoint
+        # (state, (label, args) of a step's events with a label in labels)
+        # -> the state after that step
         self._moves: dict = {}
 
     def fact(self, kind: str, *args) -> Fact:
@@ -66,19 +64,14 @@ class Monitor:
         if state is self.hit:
             return state
         labels = self.labels
-        for _, group in groupby(step.events, key=_time):
-            group = tuple(group)
-            read = tuple([(e.label, e.args) for e in group if e.label in labels])
-            if not read:
-                continue
-            key = (state, read)
-            got = self._moves.get(key)
-            if got is None:
-                got = self._moves[key] = self._at(self, state, group)
-            state = got
-            if state is self.hit:
-                break
-        return state
+        read = tuple([(e.label, e.args) for e in step.events if e.label in labels])
+        if not read:
+            return state
+        key = (state, read)
+        got = self._moves.get(key)
+        if got is None:
+            got = self._moves[key] = self._at(self, state, step.events)
+        return got
 
     def holds(self, state: frozenset) -> bool:
         return state is self.hit
@@ -94,7 +87,7 @@ def _compromises(m: Monitor, events, labels) -> set:
 
 
 def _compromised(m: Monitor, state, events, labels, vehicle) -> bool:
-    """Compromised before this timepoint or at it (events of the timepoint)."""
+    """Compromised before this step or in it (events of the step)."""
     return m.fact("compromised", vehicle) in state or any(
         e.label in labels and e.args[0] is vehicle for e in events
     )
@@ -264,12 +257,8 @@ def holds_in(goal: str, states: tuple) -> bool:
 
 
 def advance_all(states: tuple, step) -> tuple:
-    """Every monitor's state advanced by one step; a monitor that reads none
-    of the step's labels keeps its state without looking at the step."""
-    labels = {e.label for e in step.events}
-    if labels.isdisjoint(LABELS):
+    """Every monitor's state advanced by one step; a step that emits no label
+    a monitor reads leaves the states as they were."""
+    if LABELS.isdisjoint([e.label for e in step.events]):
         return states
-    return tuple(
-        s if labels.isdisjoint(m.labels) else m.advance(s, step)
-        for m, s in zip(MONITORS.values(), states)
-    )
+    return tuple(m.advance(s, step) for m, s in zip(MONITORS.values(), states))

@@ -74,12 +74,10 @@ def watch_of(steps) -> tuple:
 
 
 def unmemoized_advance(m: monitors.Monitor, state: frozenset, step) -> frozenset:
-    """Monitor.advance without its memo: m's at function applied to each
-    timepoint's events that include a label m reads, until the pattern holds."""
-    for _, group in itertools.groupby(step.events, key=lambda e: e.time):
-        group = tuple(group)
-        if state is not m.hit and any(e.label in m.labels for e in group):
-            state = m._at(m, state, group)
+    """Monitor.advance without its memo: m's at function applied to the
+    step's events, if one has a label m reads and the pattern does not hold."""
+    if state is not m.hit and any(e.label in m.labels for e in step.events):
+        state = m._at(m, state, step.events)
     return state
 
 

@@ -50,7 +50,7 @@ from revlab.explorer import (
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
 from revlab.protocols import ProtocolSpec, agent_names, vehicle_name
-from revlab.report import render_msc
+from revlab.report import _check_replay, render_msc
 from revlab.rewriting import Event, Fact, Rule, enabled_instances, make_state
 from revlab.terms import Name, app, fresh, name, normalize, pk, sign, tup, var
 
@@ -752,6 +752,27 @@ class TestFireReplay:
         assert replay(spec, state, trace, left) == child
 
 
+class TestStepsAreTimepoints:
+    """The monitors fold a step as one timepoint: every event of an explored
+    or replayed step is at the step's index in its trace."""
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_each_step_is_at_its_index(self, protocol, reveals, vehicles, steps):
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        bounds = Bounds(max_steps=steps)
+        init = initial_state(spec, vehicles)
+        result = run_all(spec, bounds, n_vehicles=vehicles,
+                         trace_set=explore(spec, init, bounds))
+        replayed = [
+            _check_replay(result, v.evidence, init)
+            for v in result.verdicts.values()
+            if v.evidence is not None
+        ]
+        for trace in result.traces.traces + tuple(replayed):
+            for i, step in enumerate(trace.steps):
+                assert {e.time for e in step.events} <= {i}, (step.rule_id, i)
+
+
 class TestRuleBudgets:
     """The rule budgets a trace spends are part of its state, and replay
     rejects a trace that overspends one."""
@@ -874,12 +895,15 @@ class TestCollectorPause:
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         init = initial_state(spec, vehicles)
         collecting = gc.isenabled()
-        gc.collect()
         gc.disable()
+        # frozen, the objects made before the search are left out of the
+        # collection, which then walks only what the search made
+        gc.freeze()
         try:
             got = explore(spec, init, Bounds(max_steps=steps))
             unreachable = gc.collect()
         finally:
+            gc.unfreeze()
             if collecting:
                 gc.enable()
         assert got.states_explored > 0

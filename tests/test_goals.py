@@ -1,5 +1,7 @@
 """Goal predicates on constructed fixtures and on real protocol runs."""
 
+from itertools import groupby
+
 import pytest
 
 from helpers import check_memoized_advance, outcomes, reveal_guard_weak, scenario, watch_of
@@ -16,7 +18,7 @@ from revlab.goals import (
     applicable_goals,
 )
 from revlab.explorer import Step
-from revlab.rewriting import Event
+from revlab.rewriting import Event, make_state
 from revlab.terms import fresh, name, pk, render
 from revlab import monitors, recheck
 
@@ -32,17 +34,19 @@ def ev(label, *args, time):
 
 
 def mk_trace(*events) -> Trace:
-    step = Step(
-        rule_id="FIXTURE",
-        binding=(),
-        inputs=(),
-        input_derivations=(),
-        generated=(),
-        events=tuple(events),
+    """The events as a trace of one step per timepoint, as explore makes them."""
+    steps = tuple(
+        Step(
+            rule_id="FIXTURE",
+            binding=(),
+            inputs=(),
+            input_derivations=(),
+            generated=(),
+            events=tuple(group),
+        )
+        for _, group in groupby(events, key=lambda e: e.time)
     )
-    from revlab.rewriting import make_state
-
-    return Trace((step,), make_state(), False, watch_of((step,)))
+    return Trace(steps, make_state(), False, watch_of(steps))
 
 
 def mk_traceset(*traces) -> TraceSet:
@@ -275,25 +279,26 @@ class TestTiming:
         assert got == "".join(str(int(recheck.holds(g, t.events))) for g in GOAL_IDS)
 
     def test_memoized_advance_equals_a_fold_without_memo(self):
-        steps = [
-            mk_trace(*(ev(label, *args, time=time) for label, args, time in rows)).steps[0]
+        traces = [
+            mk_trace(*(ev(label, *args, time=time) for label, args, time in rows))
             for _, rows in TIMING_FIXTURES.values()
         ]
-        # one step over two timepoints, each holding a label that G1 reads
-        # and one that it does not
+        # two steps, each holding a label that G1 reads and one that it does not
         mixed = mk_trace(
             ev("Reported", V1, T, time=0),
             ev("InitVjPseudonym", V1, time=0),
             ev("OsrReqMsgSentTo", RA, V1, T, time=1),
             ev("RevealLtk", V1, time=1),
-        ).steps[0]
+        )
+        assert len(mixed.steps) == 2
         g1 = monitors.MONITORS["g1"]
         assert "InitVjPseudonym" not in monitors.LABELS
         assert "RevealLtk" in monitors.LABELS - g1.labels
+        traces.append(mixed)
         for _ in range(2):  # the second pass reads what the first memoized
-            for step in steps + [mixed]:
-                check_memoized_advance([step])
-            check_memoized_advance(steps + [mixed])
+            for trace in traces:
+                check_memoized_advance(trace.steps)
+            check_memoized_advance([step for trace in traces for step in trace.steps])
 
     def test_g5_diagnosis_reads_the_monitor(self):
         changed = [
@@ -311,7 +316,7 @@ class TestTiming:
         assert _explain_g5_failure(mk_traceset(same_time)) == "no witness within bounds"
 
 
-    def test_advance_all_skips_only_monitors_that_read_nothing(self):
+    def test_advance_all_skips_only_steps_that_no_monitor_reads(self):
         result, _ = scenario("rtoken", change=True)
         skipped = 0
         for trace in result.traces:
