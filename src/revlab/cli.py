@@ -9,12 +9,12 @@ from __future__ import annotations
 import json
 import sys
 import time
-from collections import namedtuple
 
 from . import __version__
 from .explorer import Bounds
 from .goals import CHANGE_GOALS, GOAL_IDS, EvidenceCheckError, run_all
 from .protocols import PROTOCOLS, build_protocol
+from .records import Record, _new
 from .report import (
     ReplayMismatchError,
     build_document,
@@ -32,19 +32,20 @@ class ExpectFileError(RuntimeError):
     """The --expect reference matrix cannot be read."""
 
 
-class ScenarioConfig(
-    namedtuple(
-        "ScenarioConfig",
-        (
-            "protocol", "goals", "change_enabled", "reveals_enabled", "bounds",
-            "n_vehicles", "output", "trace_render", "deterministic", "expect",
-        ),
-        defaults=("plain", (), False, False, Bounds(), 1, "text", "none", False, None),
-    )
-):
+class ScenarioConfig(Record):
     """One run's settings; empty goals means every applicable goal."""
 
     __slots__ = ()
+
+    def __new__(
+        cls, protocol="plain", goals=(), change_enabled=False, reveals_enabled=False,
+        bounds=Bounds(), n_vehicles=1, output="text", trace_render="none",
+        deterministic=False, expect=None,
+    ):
+        return _new(cls, (
+            protocol, goals, change_enabled, reveals_enabled, bounds, n_vehicles, output,
+            trace_render, deterministic, expect,
+        ))
 
 
 # Each flag once: its name, the field it fills (a ScenarioConfig field, a
@@ -77,6 +78,7 @@ _VERSION = ("--version", None, None, (), "show revlab's version and exit")
 # any prefix that no other long name shares.
 _NAMES = {"-h": _HELP, "--help": _HELP, "--version": _VERSION}
 _NAMES.update((row[0], row) for row in _FLAGS)
+_FLAG_OF = {row[1]: row[0] for row in _FLAGS}
 
 
 def _invocation(row) -> str:
@@ -238,24 +240,39 @@ def _read_config(path: str) -> dict:
 
 def parse_config(argv) -> ScenarioConfig:
     """Build a run's settings from argv and the --config file it names;
-    flags override the file, and the file overrides the defaults."""
+    flags override the file, and the file overrides the defaults.  An error
+    about a value names the flag or the file it came from."""
     flags = _read_flags(argv)
-    file_cfg = _read_config(flags["config"]) if flags.get("config") else {}
+    path = flags.get("config")
+    file_cfg = _read_config(path) if path else {}
     cfg = {**file_cfg, **flags}
-    cfg["goals"] = _parse_goals(cfg.get("goals"), cfg.get("change_enabled", False))
+
+    def origin(field: str) -> str:
+        return f"argument {_FLAG_OF[field]}" if field in flags else f"config file {path}"
+
+    cfg["goals"] = _parse_goals(
+        cfg.get("goals"), cfg.get("change_enabled", False), origin("goals")
+    )
     bounds = dict(file_cfg.get("bounds", {}))
     bounds.update((f, flags[f]) for f in Bounds._fields if f in flags)
-    try:
-        cfg["bounds"] = Bounds(**bounds)
-    except ValueError as exc:
-        _usage_error(str(exc))
-    if cfg.get("n_vehicles", 1) < 1:
-        _usage_error("--vehicles must be >= 1")
+    for field, value in bounds.items():
+        try:
+            Bounds(**{field: value})  # checks this one value
+        except ValueError as exc:
+            _usage_error(f"{origin(field)}: {exc}")
+    cfg["bounds"] = Bounds(**bounds)
+    n_vehicles = cfg.get("n_vehicles", 1)
+    if n_vehicles < 1:
+        _usage_error(
+            f"{origin('n_vehicles')}: n_vehicles must be an integer >= 1, "
+            f"got {n_vehicles!r}"
+        )
     cfg["expect"] = flags.get("expect") or file_cfg.get("expect")
     return ScenarioConfig(**{f: cfg[f] for f in ScenarioConfig._fields if f in cfg})
 
 
-def _parse_goals(raw, change_enabled: bool) -> tuple:
+def _parse_goals(raw, change_enabled: bool, origin: str = "goals") -> tuple:
+    """The goal ids raw names; origin says where raw came from, for errors."""
     if raw is None or raw == "all" or raw == "":
         return ()
     if isinstance(raw, str):
@@ -265,12 +282,13 @@ def _parse_goals(raw, change_enabled: bool) -> tuple:
     bad = [g for g in wanted if g not in GOAL_IDS]
     if bad:
         _usage_error(
-            f"invalid goal name(s): {', '.join(bad)}; valid: {', '.join(GOAL_IDS)}"
+            f"{origin}: invalid goal name(s): {', '.join(bad)}; "
+            f"valid: {', '.join(GOAL_IDS)}"
         )
     need_change = [g for g in wanted if g in CHANGE_GOALS]
     if need_change and not change_enabled:
         _usage_error(
-            f"goal(s) {', '.join(need_change)} require --change "
+            f"{origin}: goal(s) {', '.join(need_change)} require --change "
             "(pseudonym-change rule disabled)"
         )
     return wanted

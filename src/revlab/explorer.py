@@ -109,13 +109,13 @@ objects a caller froze.
 from __future__ import annotations
 
 import gc
-from collections import namedtuple
 from itertools import chain
 
 from . import knowledge as kn
 from . import monitors
 from .canonical import canonicalize, shape_signature
 from .protocols import ProtocolSpec, is_vehicle
+from .records import Record, _new
 from .rewriting import (
     Fact,
     Instance,
@@ -134,14 +134,7 @@ class ReplayMismatchError(ValueError):
     """A recorded trace does not re-fire to the same steps and state."""
 
 
-class Bounds(
-    namedtuple(
-        "Bounds",
-        ("max_steps", "max_changes", "adversary_fresh_budget", "synthesis_depth",
-         "max_sessions"),
-        defaults=(14, 1, 1, 4, 1),
-    )
-):
+class Bounds(Record):
     """Search bounds replacing unbounded proof search.
 
     max_changes caps the pseudonym changes per vehicle, max_sessions the
@@ -151,31 +144,22 @@ class Bounds(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
+    def __new__(
+        cls, max_steps=14, max_changes=1, adversary_fresh_budget=1, synthesis_depth=4,
+        max_sessions=1,
+    ):
+        values = (max_steps, max_changes, adversary_fresh_budget, synthesis_depth,
+                  max_sessions)
+        for name, value in zip(cls._fields, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        return _new(cls, values)
 
     def as_dict(self) -> dict:
         return self._asdict()
 
 
-class Step(
-    namedtuple(
-        "Step",
-        (
-            "rule_id", "binding", "inputs", "input_derivations", "generated",
-            "events", "outputs",
-        ),
-        defaults=((),),
-    )
-):
+class Step(Record):
     """One fired rule instance inside a trace.
 
     binding holds sorted (ident, Term) pairs; inputs the ground
@@ -186,6 +170,13 @@ class Step(
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, rule_id, binding, inputs, input_derivations, generated, events, outputs=(),
+    ):
+        return _new(
+            cls, (rule_id, binding, inputs, input_derivations, generated, events, outputs)
+        )
 
     @property
     def input_synthesized(self) -> tuple:
@@ -200,11 +191,7 @@ class Step(
         )
 
 
-class Trace(
-    namedtuple(
-        "Trace", ("steps", "terminal_state", "truncated", "watch"), defaults=(False, None)
-    )
-):
+class Trace(Record):
     """Maximal (or bound-truncated) execution with its terminal state.
 
     watch holds every goal monitor's state after the steps, in
@@ -214,6 +201,9 @@ class Trace(
     """
 
     __slots__ = ()
+
+    def __new__(cls, steps, terminal_state, truncated=False, watch=None):
+        return _new(cls, (steps, terminal_state, truncated, watch))
 
     @property
     def events(self) -> tuple:

@@ -12,13 +12,13 @@ All-traces passes are bounded-exhaustive verdicts, never proofs.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 
 from . import monitors, recheck
 from .explorer import Bounds, Trace, TraceSet, explore
 from .explorer import replay  # noqa: F401  (revlab.goals.replay stays importable)
 from .protocols import ProtocolSpec, initial_state
+from .records import Record, _new
 from .terms import render
 
 GOAL_IDS = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
@@ -37,16 +37,13 @@ class EvidenceCheckError(RuntimeError):
     """The independent re-evaluation rejected an evidence trace."""
 
 
-class GoalVerdict(
-    namedtuple(
-        "GoalVerdict",
-        ("goal", "mode", "outcome", "evidence", "explanation"),
-        defaults=(None, None),
-    )
-):
+class GoalVerdict(Record):
     """Outcome of one goal; mode is "exists-trace" or "all-traces"."""
 
     __slots__ = ()
+
+    def __new__(cls, goal, mode, outcome, evidence=None, explanation=None):
+        return _new(cls, (goal, mode, outcome, evidence, explanation))
 
     @property
     def passed(self) -> bool:
@@ -81,12 +78,13 @@ def applicable_goals(spec: ProtocolSpec) -> tuple:
     return tuple(g for g in GOAL_IDS if g not in CHANGE_GOALS)
 
 
-class RunResult(
-    namedtuple("RunResult", ("spec", "bounds", "n_vehicles", "traces", "verdicts"))
-):
+class RunResult(Record):
     """One search and its verdicts; verdicts maps a goal id to its GoalVerdict."""
 
     __slots__ = ()
+
+    def __new__(cls, spec, bounds, n_vehicles, traces, verdicts):
+        return _new(cls, (spec, bounds, n_vehicles, traces, verdicts))
 
 
 def run_all(

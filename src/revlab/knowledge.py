@@ -23,9 +23,9 @@ basis term for every variable and filtering afterwards.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 
+from .records import Record, _new
 from .terms import (
     CONSTRUCTORS,
     App,
@@ -45,9 +45,7 @@ from .terms import (
 )
 
 
-class Derivation(
-    namedtuple("Derivation", ("term", "via", "children", "cost"), defaults=((), 0))
-):
+class Derivation(Record):
     """How the adversary obtains a term: leaf lookup or constructor step.
 
     via is "known", "public", "generated", "gen-fresh" (a name minted for
@@ -56,6 +54,9 @@ class Derivation(
     """
 
     __slots__ = ()
+
+    def __new__(cls, term, via, children=(), cost=0):
+        return _new(cls, (term, via, children, cost))
 
     def render(self) -> str:
         if not self.children:
@@ -216,7 +217,7 @@ def gen_fresh(k: Knowledge, fid: int) -> tuple[Knowledge, Fresh] | None:
     return k2, f
 
 
-class SynthResult(namedtuple("SynthResult", ("subst", "term", "new_names", "derivation"))):
+class SynthResult(Record):
     """One way to feed a network-input pattern from adversary material.
 
     subst holds the sorted (ident, Term) pairs added or confirmed;
@@ -225,6 +226,9 @@ class SynthResult(namedtuple("SynthResult", ("subst", "term", "new_names", "deri
     """
 
     __slots__ = ()
+
+    def __new__(cls, subst, term, new_names, derivation):
+        return _new(cls, (subst, term, new_names, derivation))
 
 
 def synthesize(

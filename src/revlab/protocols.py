@@ -10,9 +10,8 @@ the RA can verify about it.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .knowledge import Knowledge
+from .records import Record, _new
 from .rewriting import Fact, Rule, SystemState, make_state
 from .terms import Name, Term, name, oenc, pk, renc, rdec, odec, sign, tup, var, verify, TRUE
 
@@ -28,16 +27,13 @@ REASON = name("reason")
 SECRET_FRESH_VARS = frozenset({"SKRA", "LTK", "SKPSi", "SKO"})
 
 
-class ProtocolSpec(
-    namedtuple(
-        "ProtocolSpec",
-        ("name", "rules", "change_enabled", "reveals_enabled"),
-        defaults=(False, False),
-    )
-):
+class ProtocolSpec(Record):
     """Immutable protocol configuration: a named, fixed rule set."""
 
     __slots__ = ()
+
+    def __new__(cls, name, rules, change_enabled=False, reveals_enabled=False):
+        return _new(cls, (name, rules, change_enabled, reveals_enabled))
 
     def rule(self, rule_id: str) -> Rule:
         for r in self.rules:

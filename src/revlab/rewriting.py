@@ -3,20 +3,14 @@
 The network is folded into the adversary: conclusions marked as outputs feed
 the knowledge base, network-input premises are instantiated by adversary
 synthesis.  States are immutable snapshots so exploration can branch freely.
-Records (here and in the other modules) are immutable tuples that compare
-by value and are copied with _replace; Knowledge and explorer.TraceSet,
-which cannot be tuples, are frozen slot classes.  Each record is a
-collections.namedtuple, subclassed with __slots__ = () where it has methods,
-a docstring or a checked constructor; typing.NamedTuple would cost start-up
-time on annotations that nothing reads, and no revlab module imports typing.
+Facts, events, rules, states and instances are records (records.Record).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from . import knowledge as kn
 from .knowledge import Knowledge
+from .records import Record, _new
 from .terms import (
     TRUE,
     App,
@@ -41,7 +35,7 @@ class RuleDefinitionError(ValueError):
     """A rule violates the variable-binding discipline."""
 
 
-class Fact(namedtuple("Fact", ("name", "args", "persistent"), defaults=(False,))):
+class Fact(Record):
     """Predicate on terms; persistent facts survive consumption.
 
     As tuples, Fact(n, a, False) and Event(n, a, 0) are equal, but no set,
@@ -54,6 +48,9 @@ class Fact(namedtuple("Fact", ("name", "args", "persistent"), defaults=(False,))
 
     __slots__ = ()
 
+    def __new__(cls, name, args, persistent=False):
+        return _new(cls, (name, args, persistent))
+
     def key(self):
         return (self.name, tuple(sort_key(a) for a in self.args), self.persistent)
 
@@ -62,10 +59,13 @@ class Fact(namedtuple("Fact", ("name", "args", "persistent"), defaults=(False,))
         return f"{bang}{self.name}({', '.join(render(a) for a in self.args)})"
 
 
-class Event(namedtuple("Event", ("label", "args", "time"), defaults=(-1,))):
+class Event(Record):
     """Action label emitted by a fired rule at a trace timepoint."""
 
     __slots__ = ()
+
+    def __new__(cls, label, args, time=-1):
+        return _new(cls, (label, args, time))
 
     def key(self):
         return (self.time, self.label, tuple(sort_key(a) for a in self.args))
@@ -74,16 +74,7 @@ class Event(namedtuple("Event", ("label", "args", "time"), defaults=(-1,))):
         return f"{self.label}({', '.join(render(a) for a in self.args)})@{self.time}"
 
 
-class Rule(
-    namedtuple(
-        "Rule",
-        (
-            "id", "premises", "fresh_vars", "guards", "events", "conclusions",
-            "network_in", "network_out", "actor", "budget", "budget_per",
-        ),
-        defaults=((), (), (), (), (), (), (), "", "", ""),
-    )
-):
+class Rule(Record):
     """Premises / event labels / conclusions triple with fresh names and guards.
 
     guards are pairs compared for equality after substitution and
@@ -99,44 +90,37 @@ class Rule(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        bound: set[str] = set(self.fresh_vars)
-        for p in self.premises:
+    def __new__(
+        cls, id, premises=(), fresh_vars=(), guards=(), events=(), conclusions=(),
+        network_in=(), network_out=(), actor="", budget="", budget_per="",
+    ):
+        bound: set[str] = set(fresh_vars)
+        for p in premises:
             for a in p.args:
                 bound |= variables(a)
-        for p in self.network_in:
+        for p in network_in:
             bound |= variables(p)
         used: set[str] = set()
-        for l, r in self.guards:
+        for l, r in guards:
             used |= variables(l) | variables(r)
-        for _, args in self.events:
+        for _, args in events:
             for a in args:
                 used |= variables(a)
-        for f in self.conclusions:
+        for f in conclusions:
             for a in f.args:
                 used |= variables(a)
-        for t in self.network_out:
+        for t in network_out:
             used |= variables(t)
         loose = used - bound
         if loose:
-            raise RuleDefinitionError(
-                f"rule {self.id}: unbound variables {sorted(loose)}"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+            raise RuleDefinitionError(f"rule {id}: unbound variables {sorted(loose)}")
+        return _new(cls, (
+            id, premises, fresh_vars, guards, events, conclusions, network_in,
+            network_out, actor, budget, budget_per,
+        ))
 
 
-class SystemState(
-    namedtuple(
-        "SystemState",
-        ("linear", "persistent", "knowledge", "next_fresh", "step", "used"),
-        defaults=((), frozenset(), Knowledge(), 0, 0, frozenset()),
-    )
-):
+class SystemState(Record):
     """Multiset of facts plus the adversary view; immutable snapshot.
 
     linear is sorted, and its duplicates are meaningful.  used holds the
@@ -144,6 +128,12 @@ class SystemState(
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, linear=(), persistent=frozenset(), knowledge=Knowledge(), next_fresh=0,
+        step=0, used=frozenset(),
+    ):
+        return _new(cls, (linear, persistent, knowledge, next_fresh, step, used))
 
 
 def make_state(linear=(), persistent=(), knowledge=None, next_fresh=0, step=0):
@@ -156,12 +146,7 @@ def make_state(linear=(), persistent=(), knowledge=None, next_fresh=0, step=0):
     )
 
 
-class Instance(
-    namedtuple(
-        "Instance",
-        ("rule_id", "binding", "consumed", "inputs", "input_derivations", "new_names"),
-    )
-):
+class Instance(Record):
     """A complete, fireable instantiation of a rule in some state.
 
     binding holds sorted (ident, Term) pairs, fresh vars included; consumed
@@ -173,6 +158,9 @@ class Instance(
     """
 
     __slots__ = ()
+
+    def __new__(cls, rule_id, binding, consumed, inputs, input_derivations, new_names):
+        return _new(cls, (rule_id, binding, consumed, inputs, input_derivations, new_names))
 
     @property
     def subst(self) -> dict:

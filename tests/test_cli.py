@@ -110,6 +110,37 @@ class TestParseConfig:
         assert "error:" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "content, argv, message",
+        [
+            ({"bounds": {"max_steps": "x"}}, [],
+             "config file {path}: max_steps must be an integer >= 0, got 'x'"),
+            ({"goals": ["g9"]}, [], "config file {path}: invalid goal name(s): g9;"),
+            ({"goals": "g5"}, [], "config file {path}: goal(s) g5 require --change"),
+            ({"n_vehicles": 0}, [],
+             "config file {path}: n_vehicles must be an integer >= 1, got 0"),
+            ({}, ["--max-steps", "-1"],
+             "argument --max-steps: max_steps must be an integer >= 0, got -1"),
+            ({}, ["--goals", "g9"], "argument --goals: invalid goal name(s): g9;"),
+            ({}, ["--vehicles", "0"],
+             "argument --vehicles: n_vehicles must be an integer >= 1, got 0"),
+            ({"bounds": {"max_steps": 3}}, ["--max-changes", "-2"],
+             "argument --max-changes: max_changes must be an integer >= 0, got -2"),
+            ({"goals": "g1"}, ["--goals", "g8"], "argument --goals: invalid goal"),
+        ],
+        ids=["file-bound", "file-goal", "file-change-goal", "file-vehicles", "flag-bound",
+             "flag-goal", "flag-vehicles", "flag-bound-with-file", "flag-goal-over-file"],
+    )
+    def test_a_bad_value_names_its_file_or_flag(self, tmp_path, capsys, content, argv,
+                                                 message):
+        cfile = tmp_path / "scenario.json"
+        cfile.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            parse(["--config", str(cfile), *argv])
+        assert exc.value.code == 2
+        assert f"error: {message.format(path=cfile)}" in capsys.readouterr().err
+
+
 class TestMain:
     def test_json_run_reports_attack(self, capsys):
         code = main(
@@ -328,6 +359,37 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert got.stdout.strip() == "[]"
+
+
+def test_import_compiles_no_namedtuple():
+    """No record is a collections.namedtuple, which compiles a generated
+    __new__ with eval for every record at import.  The standard library's
+    own namedtuples (json imports re, which imports functools) still work."""
+    import os
+    import subprocess
+    import sys
+
+    import revlab
+
+    src = str(Path(revlab.__file__).resolve().parent.parent)
+    probe = (
+        "import collections, sys\n"
+        "namedtuple = collections.namedtuple\n"
+        "def refuse(*args, **kwargs):\n"
+        "    caller = sys._getframe(1).f_globals.get('__name__', '')\n"
+        "    if caller.partition('.')[0] == 'revlab':\n"
+        "        raise AssertionError(f'{caller} calls collections.namedtuple')\n"
+        "    return namedtuple(*args, **kwargs)\n"
+        "collections.namedtuple = refuse\n"
+        "import revlab.cli\n"
+        "print(revlab.cli.ScenarioConfig())\n"
+    )
+    got = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("ScenarioConfig(protocol='plain'")
 
 
 # --- the flag table against the argparse reference ---------------------------

@@ -1,6 +1,10 @@
 """Record semantics: pinned fields, defaults and repr, tuple hashing,
-frozen fields, checked construction, and a knowledge memo that equality
-ignores and no copy shares."""
+frozen fields, checked construction, the records.Record contract (C field
+getters, fields read off __new__, unknown _replace fields rejected), and a
+knowledge memo that equality ignores and no copy shares."""
+
+import collections
+import inspect
 
 import pytest
 
@@ -168,6 +172,25 @@ def test_tuple_records_keep_fields_defaults_and_repr(kind):
             hash(record)
     else:
         assert hash(record) == hash(tuple(record))
+
+
+# The type of collections.namedtuple's field getters: a C descriptor that
+# reads a tuple slot.
+FIELD_GETTER = type(collections.namedtuple("P", "a").a)
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_tuple_records_keep_the_record_contract(kind):
+    record = RECORDS[kind]
+    cls = type(record)
+    for index, field in enumerate(record._fields):
+        getter = getattr(cls, field)
+        assert type(getter) is FIELD_GETTER
+        assert getter.__get__(record) is record[index]
+    with pytest.raises(ValueError):
+        record._replace(bogus=1)
+    params = list(inspect.signature(cls.__new__).parameters)
+    assert tuple(params[1:]) == record._fields == cls.__match_args__
 
 
 def test_fact_and_event_keep_tuple_equality():
