@@ -1,87 +1,90 @@
 """Bounded exhaustive exploration of the labelled transition system.
 
-Depth-first search with an explicit stack over immutable states.  Each
-stack entry carries, besides the state and its steps, every goal monitor's
-state (monitors.py) and its sleep set.  The rule budgets spent so far are
-part of the state (SystemState.used): fire counts them, and the search and
-replay both check them with _within_rule_bounds.  Branches reaching a state
-already seen at the same depth, equal modulo a renaming that also maps the
-monitor states onto each other, are explored once: their futures are
-isomorphic and every goal judges them alike.  The renaming is a fresh-name
-bijection together with a permutation of the vehicles.  Vehicles are a
-scalarset (Ip & Dill, Better verification through symmetry, 1996): no rule
-names one, the initial state treats them alike and every monitor is
-symmetric in the vehicle, so a state with V1 and V2 swapped has the
-mirrored futures.  explore decides once, from the initial state and the
-rules, which names are interchangeable: its vehicles, when there are two
-or more and no rule names one.
+A search over immutable states, one depth at a time.  Every transition
+adds one to state.step, which the dedup key includes, so a state can only
+merge with states of its own depth (a progress measure, as in the
+sweep-line method: Christensen, Kristensen & Mailund, TACAS 2001).  A layer
+is an insertion-ordered dict mapping each (state, monitor states) pair of
+one depth to the steps and sleep set of the first path that reached it;
+the monitor states are every goal monitor's (monitors.py).  The rule budgets
+spent so far are part of the state (SystemState.used): fire counts them,
+and the search and replay both check them with _within_rule_bounds.
+Branches reaching a state already seen at the same depth, equal modulo a
+renaming that also maps the monitor states onto each other, are explored
+once: their futures are isomorphic and every goal judges them alike.  The
+renaming is a fresh-name bijection together with a permutation of the
+vehicles.  Vehicles are a scalarset (Ip & Dill, Better verification through
+symmetry, 1996): no rule names one, the initial state treats them alike and
+every monitor is symmetric in the vehicle, so a state with V1 and V2
+swapped has the mirrored futures.  explore decides once, from the initial
+state and the rules, which names are interchangeable: its vehicles, when
+there are two or more and no rule names one.
 
-Children are expanded in Step.key order, so DFS visits the paths of one
-depth in that order (the traces need only a stable sort by length to come
-out in Trace.key order), and a merged prefix P' always has a kept prefix
-P < P'.  The continuation from P mirrored by the renaming gives a trace
-with the same goal profile, and Trace.key compares the prefix first, so
-that trace is smaller than the original.  So the least violating or
-witnessing trace in Trace.key order is never pruned.  Nor is the first
-trace whose G5 monitor state holds an unanswered change, which
-goals._explain_g5_failure reads from it, so its diagnosis names the same
-vehicle.  Every all-traces verdict downstream is a bounded-exhaustive
-statement, never a proof.
+Expanding a layer in dict order, and each node's children in Step.key
+order, inserts the paths of the next depth in Trace.key order (depth-first
+pre-order restricted to one depth).  So the first path to insert a pair is
+its least path; a later one is a dedup hit and is dropped.  dedup_hits
+counts every fired child that is not expanded.  The leaves come out in
+Trace.key order, and a merged prefix P' always has a kept prefix P < P'.
+The continuation from P mirrored by the renaming gives a trace with the
+same goal profile, and Trace.key compares the prefix first, so that trace
+is smaller than the original.  So the least violating or witnessing trace
+in Trace.key order is never pruned.  Nor is the first trace whose G5
+monitor state holds an unanswered change, which goals._explain_g5_failure
+reads from it, so its diagnosis names the same vehicle.  Every all-traces
+verdict downstream is a bounded-exhaustive statement, never a proof.
 
-The search also leaves out children that cannot reach a key first.  A twin
-is a child equal to an earlier sibling's child, in state and monitor states
-alike: it is fired but not pushed.  An instance in the node's sleep set is
-not fired at all (Godefroid, Partial-order methods for the verification of
-concurrent systems, LNCS 1032, 1996).  Siblings are visited in Step.key
-order, and child i inherits the entries of the node's sleep set and of its
-earlier siblings, slept and twin ones included, that are independent of its
-own instance (_independent).  An instance is known across states by its
-rule, consumed facts, inputs and binding without the rule's fresh
-variables.  Two instances are independent when their consumed facts are
-disjoint, neither mints adversary names, neither has a network output while
-the other has a network input (synthesis is not known to be monotone in the
-knowledge), they do not share a budget key and not both are visible.  A step
-is visible when it emits a label that some monitor reads (monitors.LABELS).
-Monitor.advance skips a step with no label it reads and monitor facts carry
-no times, so moving an invisible step never reorders visible events:
-independent steps commute up to the dedup key.
+The search also leaves out children that cannot reach a key first.  An
+instance in the node's sleep set is not fired at all (Godefroid,
+Partial-order methods for the verification of concurrent systems, LNCS
+1032, 1996).  Siblings are visited in Step.key order, and child i inherits
+the entries of the node's sleep set and of its earlier siblings, slept ones
+included, that are independent of its own instance (_independent).  An
+instance is known across states by its rule, consumed facts, inputs and
+binding without the rule's fresh variables.  Two instances are independent
+when their consumed facts are disjoint, neither mints adversary names,
+neither has a network output while the other has a network input
+(synthesis is not known to be monotone in the knowledge), they do not share
+a budget key and not both are visible.  A step is visible when it emits a
+label that some monitor reads (monitors.LABELS).  Monitor.advance skips a
+step with no label it reads and monitor facts carry no times, so moving an
+invisible step never reorders visible events: independent steps commute up
+to the dedup key.
 
-Invariant: explore returns the same traces and states_explored with these
-cuts as without them; only dedup_hits falls.  The search without them first
-reaches each key by the path that is least in Trace.key order: a path cut
-by dedup at a prefix has a kept smaller prefix, and the renamed rest of the
-path from there reaches the same key by a smaller path.  A slept or twin
-transition on a least path would likewise give a smaller path to the same
-key.  A slept instance was an earlier sibling, and so less in Step.key
-order, at an ancestor, and commutes with every step taken since: taking it
-at the ancestor, then those steps, reaches the same key.  A twin's earlier
-sibling reaches the very same child.  So no least path is cut, every key is
-first visited by the same path as before, and the leaves, truncation flags
-and evidence are all unchanged.  A node whose enabled instances are all
-slept is not a leaf: it records no trace and pushes no child.
+Invariant: explore returns the same traces and states_explored with sleep
+sets as without them; only dedup_hits falls.  The search without them
+first reaches each key by the path that is least in Trace.key order: a
+path cut by dedup at a prefix has a kept smaller prefix, and the renamed
+rest of the path from there reaches the same key by a smaller path.  A
+slept transition on a least path would likewise give a smaller path to the
+same key.  A slept instance was an earlier sibling, and so less in
+Step.key order, at an ancestor, and commutes with every step taken since:
+taking it at the ancestor, then those steps, reaches the same key.  So no
+least path is cut, every key is first visited by the same path as before,
+and the leaves, truncation flags and evidence are all unchanged.  A node
+whose enabled instances are all slept is not a leaf: it records no trace
+and has no child.
 
-One saving changes nothing that is pushed: enabled lists are cached for
-one search (InstanceCache), keyed on everything enabled_instances reads, so
-a hit returns the very list a call would.  The key's slice of the
-persistent facts is taken once per persistent set.  Every instance outside
-the sleep set is fired, even where siblings make the same child (rtoken's
-RA cannot tell who signed a confirmation, so it has one instance per
-signing key): the substitutions inside fire are memoized, so such a fire
-costs little, and the sibling twin check above still pushes no twin.
+One saving changes no child: enabled lists are cached for one search
+(InstanceCache), keyed on everything enabled_instances reads, so a hit
+returns the very list a call would.  The key's slice of the persistent
+facts is taken once per persistent set.  Every instance outside the sleep
+set is fired, even where siblings make the same child (rtoken's RA cannot
+tell who signed a confirmation, so it has one instance per signing key):
+the substitutions inside fire are memoized, so such a fire costs little,
+and the layer keeps the first of those children.
 
 Seen states are keyed by canonical.canonicalize, on the state, its spent
-budgets included, together with its monitor states (_dedup_key).  The key
-is computed only for a popped state that could repeat an earlier one, and
-the search stays exact.  First, a popped (state, monitor states) pair equal
-to an explored one is a hit without a key: equal pairs have equal keys.
-Only explored pairs are stored.  Second, any other pair gets a
-canonical.shape_signature: its step, its budget and the sorted shapes of
-its items.  A renaming keeps every shape, so equal keys have equal
-signatures, and a pair whose signature no explored pair has is new.  seen
-holds that pair alone under its signature.  Once a second pair has the same
-signature, both are keyed, and from then on every pair with that signature
-is keyed and checked against the keys held there.  So a pair is a hit
-exactly when an explored pair has its key, as when every pair was keyed.
+budgets included, together with its monitor states (_dedup_key).  A pair of
+a layer is keyed only when it could repeat an earlier one, and the search
+stays exact.  Each pair gets a canonical.shape_signature: its step, its
+budget and the sorted shapes of its items.  A renaming keeps every shape,
+so equal keys have equal signatures, and a pair whose signature no explored
+pair has is new.  seen, rebuilt per layer, holds that pair alone under its
+signature.  Once a second pair has the same signature, both are keyed, and
+from then on every pair with that signature is keyed and checked against
+the keys held there.  So a pair is a hit exactly when an explored pair has
+its key, as when every pair was keyed.
 
 A child shares most parts of its parent by identity: the persistent set,
 the knowledge, the monitor states and the spent budgets.  Each view of such
@@ -279,7 +282,7 @@ def explore(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
 
 
 def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
-    """explore's depth-first search."""
+    """explore's search, one depth at a time (module docstring)."""
     init = _start_state(init, bounds)
     rules = sorted(spec.rules, key=lambda r: r.id)
     # the step-bound check asks only whether any instance exists, so rules
@@ -289,36 +292,32 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     cache = InstanceCache(rules, bounds.synthesis_depth)
     vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
-    done: set[tuple] = set()  # (state, monitor states) of every explored state
-    seen: dict = {}  # shape signature -> its one explored pair, or their keys
     memo: dict = {}  # monitor facts and canonicalize's rows, for this search only
     explored = 0
     dedup_hits = 0
-    stack: list[tuple] = [(init, (), monitors.start(), ())]
-    while stack:
-        state, steps, watch, sleep = stack.pop()
-        pair = (state, watch)
-        if pair in done or _keyed_before(pair, seen, memo, vehicles):
-            dedup_hits += 1
-            continue
-        done.add(pair)
-        explored += 1
-        if len(steps) < bounds.max_steps:
-            enabled = list(_enabled(state, rules, bounds, cache))
-            truncated = False
-        else:
-            enabled = []
-            # at the step bound: flag the leaf when rules could still fire
-            truncated = next(_enabled(state, leaf_rules, bounds, cache), None) is not None
-        if not enabled:
-            traces.append(Trace(steps, state, truncated, watch))
-            continue
-        children = _pruned(state, watch, enabled, sleep, flags)
-        # reversed so the lexicographically least child is expanded first
-        for child, step, child_watch, child_sleep in reversed(children):
-            stack.append((child, steps + (step,), child_watch, child_sleep))
-    # DFS reaches the leaves of one length in Step.key order: Trace.key order
-    traces.sort(key=lambda t: len(t.steps))
+    # (state, monitor states) -> (steps, sleep set) of the first path to it
+    layer: dict = {(init, monitors.start()): ((), ())}
+    while layer:
+        seen: dict = {}  # shape signature -> its one explored pair, or their keys
+        following: dict = {}
+        for pair, (steps, sleep) in layer.items():
+            if _keyed_before(pair, seen, memo, vehicles):
+                dedup_hits += 1
+                continue
+            explored += 1
+            state, watch = pair
+            if len(steps) < bounds.max_steps:
+                enabled = list(_enabled(state, rules, bounds, cache))
+                truncated = False
+            else:
+                enabled = []
+                # at the step bound: flag the leaf when rules could still fire
+                truncated = next(_enabled(state, leaf_rules, bounds, cache), None) is not None
+            if not enabled:
+                traces.append(Trace(steps, state, truncated, watch))
+                continue
+            dedup_hits += _expand(state, steps, watch, sleep, enabled, flags, following)
+        layer = following
     return TraceSet(traces=tuple(traces), states_explored=explored, dedup_hits=dedup_hits)
 
 
@@ -446,32 +445,28 @@ def _child(state, rule, inst) -> tuple:
     )
 
 
-def _pruned(state, watch, enabled, sleep, flags) -> list:
-    """The children worth pushing: (state, step, monitor states, sleep set).
+def _expand(state, steps, watch, sleep, enabled, flags, layer: dict) -> int:
+    """Fire every instance outside the sleep set, in order, and put each
+    child that layer lacks there; returns how many it had (dedup hits).
 
-    Every instance outside the sleep set is fired; by the sibling twin
-    check, a child equal to an earlier sibling's child in state and monitor
-    states alike is not pushed.  Each child's sleep set holds the entries of
-    sleep and of its earlier siblings, slept and twin ones included, that
-    are independent of its own instance.
+    A child enters with the entries of sleep and of its earlier siblings
+    that are independent of its own instance as its sleep set.
     """
     asleep = {move.ident for move in sleep}
     done = list(sleep)
-    twins = set()
-    out = []
+    hits = 0
     for rule, inst in enabled:
         move = Move(rule, inst, flags[rule.id])
         if move.ident in asleep:
             continue
         child, step = _child(state, rule, inst)
-        child_watch = monitors.advance_all(watch, step)
-        twin = (child, child_watch)
-        if twin not in twins:
-            twins.add(twin)
-            child_sleep = tuple(m for m in done if _independent(m, move))
-            out.append((child, step, child_watch, child_sleep))
+        pair = (child, monitors.advance_all(watch, step))
+        if pair in layer:
+            hits += 1
+        else:
+            layer[pair] = (steps + (step,), tuple(m for m in done if _independent(m, move)))
         done.append(move)
-    return out
+    return hits
 
 
 class Move:

@@ -45,9 +45,19 @@ class UnboundVariableError(KeyError):
 
 
 class Term:
-    """Base class for interned terms; equality and hashing are by identity."""
+    """Base class for interned terms; equality and hashing are by identity.
+
+    A copy, deep copy or unpickled term is rebuilt by its interning
+    constructor, so it is the very term it was made from.
+    """
 
     __slots__ = ()
+
+    def __reduce__(self):
+        return _BUILDERS[self.__class__], tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return render(self)
 
 
 class Name(Term):
@@ -55,17 +65,11 @@ class Name(Term):
 
     __slots__ = ("label",)
 
-    def __repr__(self) -> str:
-        return render(self)
-
 
 class Fresh(Term):
     """Fresh value (nonce or secret key), unique per allocation."""
 
     __slots__ = ("fid",)
-
-    def __repr__(self) -> str:
-        return render(self)
 
 
 class App(Term):
@@ -73,17 +77,11 @@ class App(Term):
 
     __slots__ = ("sym", "args")
 
-    def __repr__(self) -> str:
-        return render(self)
-
 
 class Var(Term):
     """Pattern variable; never occurs in ground protocol state."""
 
     __slots__ = ("ident",)
-
-    def __repr__(self) -> str:
-        return render(self)
 
 
 _names: dict[str, Name] = {}
@@ -146,6 +144,9 @@ def app(sym: str, args) -> App:
     object.__setattr__(t, "args", args)
     _apps[key] = t
     return t
+
+
+_BUILDERS = {Name: name, Fresh: fresh, Var: var, App: app}
 
 
 def tup(*args: Term) -> App:

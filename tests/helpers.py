@@ -4,9 +4,9 @@ Every oracle here is written apart from the production code path it checks:
 an outermost-first rewriter against the innermost normalizer, a forward
 saturation set against goal-directed derivation, a permutation search
 against canonical digests, a dedup-free recursive enumerator and a search
-without sleep sets, sibling twin check or instance cache against the
-exploring DFS, and revlab's former argparse parser against the flag table
-in `revlab.cli`.
+without sleep sets, layers or instance cache against the explorer's
+search, and revlab's former argparse parser against the flag table in
+`revlab.cli`.
 """
 
 from __future__ import annotations
@@ -515,7 +515,7 @@ def enumerate_event_seqs(spec, init, bounds: Bounds) -> set:
     return out
 
 
-# --- the search without sleep sets, sibling twin check or instance cache -------
+# --- the search without sleep sets, layers or instance cache ------------------
 
 
 def reference_enabled(state, rules, bounds: Bounds) -> list:
@@ -535,10 +535,10 @@ def reference_enabled(state, rules, bounds: Bounds) -> list:
 def reference_search(spec, init, bounds: Bounds, dedup: bool):
     """explore with every enabled child fired and pushed, as a TraceSet.
 
-    No sleep set, no sibling twin check, and enabled_instances is called
-    directly.  With dedup, a state whose dedup key was seen before is not
-    expanded again, as in explore; without it, this is the plain, unpruned
-    search.
+    A depth-first search of its own: no sleep set, no layers, and
+    enabled_instances is called directly.  With dedup, a state whose dedup
+    key was seen before is not expanded again, as in explore; without it,
+    this is the plain, unpruned search.
     """
     from revlab.explorer import (
         Trace,

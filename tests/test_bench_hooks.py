@@ -55,7 +55,7 @@ def test_traced_run_reports_every_per_layer_metric(monkeypatch):
     # the search keys only states that can repeat, so count its keys directly
     plain = build_protocol("plain", change_enabled=True)
     assert values["explorer.canonicalize.calls"] == _keyed_in_process(plain, monkeypatch) > 0
-    # Without the search's cache of enabled lists, each popped state asks
+    # Without the search's cache of enabled lists, each expanded state asks
     # every rule within its bounds: 148 calls for 20 states and 8 rules here.
     # Most answers are reused, so fewer than half of that bound are left.
     rules = len(plain.rules)

@@ -325,13 +325,13 @@ _PINNED_REPORTS = (
     ("--protocol plain --change",
      "c063096fdd1ec5fe006ef419dc5889cad3ad5dd1088af38b23094b46582bb5c7"),
     ("--protocol rtoken --change",
-     "db3ec436b1f0c1d81c1df62f99245bca6253ab6f0c679209086752966cf44a05"),
+     "6698a8f4fea86405e04997937a8ae916debabcb6e9e3e3ab7fae4bef578b87fd"),
     ("--protocol otoken --change",
      "db37d3fd5a414161d6dcb934edf1a88808e9a9d5cb60707033e4ff415db4056a"),
     ("--protocol otoken --change --reveals --max-steps 5",
      "8ee3802af4967a6de9a813e5dba30da14c189949f5a62b6cad1c01fc3689ec5d"),
     ("--protocol rtoken --change --vehicles 2 --max-steps 7",
-     "c90dbed5be9f1e42522fa788d386404a5b5ef7e1cce9f01ae75f8fecb9535763"),
+     "4902c93d60ac192803f621472a272cfdbc26edb6748151d2b9f6d1f90bc48f3c"),
 )
 
 

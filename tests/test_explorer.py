@@ -45,7 +45,7 @@ from revlab.explorer import (
     _flags,
     _independent,
     _interchangeable,
-    _pruned,
+    _expand,
 )
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
@@ -336,8 +336,8 @@ SAME_SEARCH = GATE + [(protocol, True, 2, 8) for protocol in ("plain", "rtoken",
 
 
 class TestSleepSets:
-    """Sleep sets fire fewer children and the sibling twin check pushes
-    fewer; the search still visits every key first by the same path."""
+    """Sleep sets fire fewer children, and the layers drop every repeat;
+    the search still visits every key first by the same path."""
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", SAME_SEARCH)
     def test_same_search_as_without_them(self, protocol, reveals, vehicles, steps):
@@ -355,7 +355,27 @@ class TestSleepSets:
         bounds = Bounds(max_steps=7)
         init = initial_state(spec, 2)
         hits = reference_search(spec, init, bounds, dedup=True).dedup_hits
-        assert explore(spec, init, bounds).dedup_hits < hits / 2
+        # every child that is fired and not expanded is a hit, so the 42
+        # children the sleep sets leave unfired are the difference
+        assert (explore(spec, init, bounds).dedup_hits, hits) == (81, 123)
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", SAME_SEARCH)
+    def test_every_fired_child_is_expanded_or_a_hit(self, protocol, reveals, vehicles,
+                                                     steps, monkeypatch):
+        import revlab.explorer as ex
+
+        fired = []
+        fire = ex.fire
+
+        def counting(state, rule, inst):
+            fired.append(rule.id)
+            return fire(state, rule, inst)
+
+        monkeypatch.setattr(ex, "fire", counting)
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        # the initial state is expanded without being fired
+        assert len(fired) == got.states_explored - 1 + got.dedup_hits
 
 
 class TestReuse:
@@ -394,7 +414,7 @@ class TestReuse:
         monkeypatch.setattr(ex, "enabled_instances", computing)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
-        assert len(checked) == got.states_explored  # one check per popped state
+        assert len(checked) == got.states_explored  # one check per expanded state
         assert len(misses) < len(lookups)  # some lists came from the cache
 
     def test_enabled_lists_are_computed_once_per_what_they_read(self, monkeypatch):
@@ -429,10 +449,11 @@ class TestReuse:
         got = explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
         # 141 instances lie outside the sleep sets, 80 of them confirmations
         # the RA receives: one per signing key, and many make the same child.
-        # The sibling twin check pushes one child per (state, monitor states).
+        # The layer keeps one child per (state, monitor states); the others
+        # are dedup hits.
         assert len(fired) == 141
         assert Counter(fired)["REV_AUTH_OSR_CONF_RECV"] == 80
-        assert (got.states_explored, len(got), got.dedup_hits) == (61, 25, 13)
+        assert (got.states_explored, len(got), got.dedup_hits) == (61, 25, 81)
 
     def test_memoized_closures_equal_a_fresh_close(self, monkeypatch):
         import revlab.knowledge as kn
@@ -515,18 +536,22 @@ class TestReuse:
         (Fact("P", (var("x"),), True), "x",
          [Fact("P", (name("a"),), True), Fact("P", (name("b"),), True)]),
     ])
-    def test_sibling_twin_check_keeps_children_apart(self, premise, budget_per, facts):
+    def test_children_apart_by_a_consumed_fact_or_budget_key_get_apart_keys(
+        self, premise, budget_per, facts
+    ):
         # two instances whose x appears in no conclusion: one consumes a
         # different fact, the other spends a different budget key, so
-        # neither child is the other's twin
+        # neither the layer nor the dedup key may merge the two children
         rule = Rule(id="R", premises=(premise,), conclusions=(B,),
                     budget="max_sessions" if budget_per else "", budget_per=budget_per)
         state = make_state(linear=[f for f in facts if not f.persistent],
                            persistent=[f for f in facts if f.persistent])
         enabled = reference_enabled(state, [rule], Bounds())
-        children = _pruned(state, monitors.start(), enabled, (), {rule.id: _flags(rule)})
-        assert len(enabled) == len(children) == 2
-        assert children[0][0] != children[1][0]
+        layer: dict = {}
+        flags = {rule.id: _flags(rule)}
+        assert _expand(state, (), monitors.start(), (), enabled, flags, layer) == 0
+        assert len(enabled) == len(layer) == 2
+        assert len({_dedup_key(child, watch) for child, watch in layer}) == 2
 
     def test_shared_memo_tells_generated_names_apart(self):
         n = fresh(950)
@@ -855,8 +880,8 @@ class TestMatchOrder:
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
     def test_traces_come_out_in_trace_key_order(self, protocol, reveals, vehicles, steps):
-        # _search sorts its traces by length only: DFS leaves them in
-        # Trace.key order within one length
+        # _search sorts nothing: it expands one depth at a time, each in
+        # Trace.key order, so its leaves come out in Trace.key order
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
         got = explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps)).traces
         assert list(got) == sorted(got, key=Trace.key)
@@ -920,7 +945,7 @@ class TestCollectorPause:
             during.append(gc.isenabled())
             return signature(*args, **kwargs)
 
-        # every popped state that is not an exact repeat gets a signature
+        # every state of a layer gets a signature
         monkeypatch.setattr(ex, "shape_signature", recording)
         spec = build_protocol("plain")
         was = gc.isenabled()

@@ -1,5 +1,7 @@
 """Term algebra: normalization, matching, substitution, rendering."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -216,6 +218,18 @@ class TestSignature:
     def test_interning_gives_identity_equality(self):
         assert sign(M, K) is sign(M, K)
         assert fresh(800) is K
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_interned_term(self, round_trip):
+        from revlab.rewriting import Fact
+
+        for t in (M, K, var("x"), sign(tup(M, var("x")), K)):
+            assert round_trip(t) is t
+            fact = Fact("F", (t, tup(t, t)))
+            got = round_trip(fact)
+            assert got == fact and all(a is b for a, b in zip(got.args, fact.args))
 
 
 class TestRendering:
