@@ -65,14 +65,23 @@ and the leaves, truncation flags and evidence are all unchanged.  A node
 whose enabled instances are all slept is not a leaf: it records no trace
 and has no child.
 
-One saving changes no child: enabled lists are cached for one search
-(InstanceCache), keyed on everything enabled_instances reads, so a hit
-returns the very list a call would.  The key's slice of the persistent
-facts is taken once per persistent set.  Every instance outside the sleep
-set is fired, even where siblings make the same child (rtoken's RA cannot
-tell who signed a confirmation, so it has one instance per signing key):
-the substitutions inside fire are memoized, so such a fire costs little,
-and the layer keeps the first of those children.
+Three savings change no child.  A rule is looked up only when the state
+holds a fact of every name its premises name (InstanceCache.held): a
+premise whose name is missing matches no fact, so the skipped rule's list
+would be empty (the Rete and TREAT idea of matching against an index of
+what is present: Forgy, AI 1982; Miranker, AAAI 1987).  Enabled lists are
+cached for one search (InstanceCache), keyed on everything
+enabled_instances reads, so a hit returns the very list a call would; the
+key's slice of the persistent facts, and the fact names a persistent set
+holds, are taken once per persistent set.  And firing an instance is split
+in two (rewriting.effect): the facts, outputs, events and budget key it
+produces read only its rule and binding, so they are built once per search
+for each (rule, binding) and kept in effects; fire applies them to the
+state and checks them against it.  Every instance outside the sleep set is
+fired, even where siblings make the same child (rtoken's RA cannot tell
+who signed a confirmation, so it has one instance per signing key): such a
+fire reuses its effect and costs little, and the layer keeps the first of
+those children.
 
 Seen states are keyed by canonical.canonicalize, on the state, its spent
 budgets included, together with its monitor states (_dedup_key).  A pair of
@@ -127,6 +136,7 @@ from .rewriting import (
     SystemState,
     _guards_hold,
     budget_key,
+    effect,
     enabled_instances,
     fire,
 )
@@ -293,6 +303,7 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
     vehicles = _interchangeable(init, rules)
     traces: list[Trace] = []
     memo: dict = {}  # monitor facts and canonicalize's rows, for this search only
+    effects: dict = {}  # (rule id, binding) -> the effect of firing it
     explored = 0
     dedup_hits = 0
     # (state, monitor states) -> (steps, sleep set) of the first path to it
@@ -316,7 +327,9 @@ def _search(spec: ProtocolSpec, init: SystemState, bounds: Bounds) -> TraceSet:
             if not enabled:
                 traces.append(Trace(steps, state, truncated, watch))
                 continue
-            dedup_hits += _expand(state, steps, watch, sleep, enabled, flags, following)
+            dedup_hits += _expand(
+                state, steps, watch, sleep, enabled, flags, effects, following
+            )
         layer = following
     return TraceSet(traces=tuple(traces), states_explored=explored, dedup_hits=dedup_hits)
 
@@ -370,10 +383,11 @@ def _monitor_facts(state: SystemState, watch: tuple, memo: dict) -> tuple:
 def _enabled(state, rules, bounds, cache):
     """(rule, instance) for every instance within the rule bounds, rule by rule
     in the order given; lazily, so a caller taking only the first item
-    enumerates no further rule."""
+    enumerates no further rule.  A rule whose premises name a fact the state
+    lacks has no instance and is not looked up (InstanceCache.held)."""
     return (
         (rule, inst)
-        for rule in rules
+        for rule in cache.held(state, rules)
         if _within_rule_bounds(rule, None, state, bounds)
         for inst in cache.instances(state, rule)
         if _within_rule_bounds(rule, inst, state, bounds)
@@ -390,8 +404,8 @@ class InstanceCache:
     and the adversary names it may mint are numbered from there.  States
     that agree on these get equal lists.  A miss calls enabled_instances.
     The persistent facts a rule reads are sliced once per (persistent set,
-    premise names): children share their parent's set until a rule adds to
-    it.
+    premise names), and a persistent set's fact names are taken once per
+    set: children share their parent's set until a rule adds to it.
     """
 
     def __init__(self, rules, depth: int):
@@ -399,6 +413,23 @@ class InstanceCache:
         self.reads = {rule.id: _reads(rule) for rule in rules}
         self.lists: dict = {}
         self.slices: dict = {}
+        self.names: dict = {}
+
+    def held(self, state: SystemState, rules) -> list:
+        """The rules, in order, whose linear and persistent premises name
+        only facts that state holds.  Each other rule has no instance there,
+        since no fact can match a premise whose name the state lacks."""
+        persistent = self.names.get(state.persistent)
+        if persistent is None:
+            persistent = self.names[state.persistent] = frozenset(
+                f.name for f in state.persistent
+            )
+        linear = {f.name for f in state.linear}
+        reads = self.reads
+        return [
+            rule for rule in rules
+            if reads[rule.id][0] <= linear and reads[rule.id][1] <= persistent
+        ]
 
     def instances(self, state: SystemState, rule: Rule) -> list:
         linear, persistent, receives, numbered = self.reads[rule.id]
@@ -431,9 +462,12 @@ def _reads(rule: Rule) -> tuple:
     return linear, persistent, bool(rule.network_in), bool(rule.fresh_vars or rule.network_in)
 
 
-def _child(state, rule, inst) -> tuple:
-    """(child state, step) of firing one instance."""
-    child, events = fire(state, rule, inst)
+def _child(state, rule, inst, made=None) -> tuple:
+    """(child state, step) of firing one instance; made, when given, is
+    effect(rule, inst)."""
+    if made is None:
+        made = effect(rule, inst)
+    child, events = fire(state, rule, inst, made)
     return child, Step(
         rule_id=rule.id,
         binding=inst.binding,
@@ -441,16 +475,18 @@ def _child(state, rule, inst) -> tuple:
         input_derivations=inst.input_derivations,
         generated=inst.new_names,
         events=events,
-        outputs=tuple(substitute(inst.subst, t) for t in rule.network_out),
+        outputs=made.outputs,
     )
 
 
-def _expand(state, steps, watch, sleep, enabled, flags, layer: dict) -> int:
+def _expand(state, steps, watch, sleep, enabled, flags, effects: dict, layer: dict) -> int:
     """Fire every instance outside the sleep set, in order, and put each
     child that layer lacks there; returns how many it had (dedup hits).
 
     A child enters with the entries of sleep and of its earlier siblings
-    that are independent of its own instance as its sleep set.
+    that are independent of its own instance as its sleep set.  effects
+    maps (rule id, binding) to the effect of firing such an instance, and
+    gains the effects built here.
     """
     asleep = {move.ident for move in sleep}
     done = list(sleep)
@@ -459,7 +495,11 @@ def _expand(state, steps, watch, sleep, enabled, flags, layer: dict) -> int:
         move = Move(rule, inst, flags[rule.id])
         if move.ident in asleep:
             continue
-        child, step = _child(state, rule, inst)
+        key = (rule.id, inst.binding)
+        made = effects.get(key)
+        if made is None:
+            made = effects[key] = effect(rule, inst)
+        child, step = _child(state, rule, inst, made)
         pair = (child, monitors.advance_all(watch, step))
         if pair in layer:
             hits += 1
@@ -516,7 +556,7 @@ def _within_rule_bounds(rule: Rule, inst: Instance | None, state: SystemState,
     if inst is None and rule.budget_per:
         return limit > 0
     key = budget_key(rule, inst.subst if rule.budget_per else {})
-    return dict(state.used).get(key, 0) < limit
+    return next((fired for spent, fired in state.used if spent == key), 0) < limit
 
 
 def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):

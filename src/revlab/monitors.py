@@ -256,9 +256,25 @@ def holds_in(goal: str, states: tuple) -> bool:
     )
 
 
+# The labels of a step's events, in order -> (position, monitor) of each
+# monitor that reads one of them; filled as steps are advanced.
+_READERS: dict = {}
+
+
 def advance_all(states: tuple, step) -> tuple:
-    """Every monitor's state advanced by one step; a step that emits no label
-    a monitor reads leaves the states as they were."""
-    if LABELS.isdisjoint([e.label for e in step.events]):
+    """Every monitor's state advanced by one step.  Only the monitors that
+    read a label of the step are advanced, since Monitor.advance leaves the
+    others as they were; a step that no monitor reads leaves the states
+    themselves."""
+    labels = tuple([e.label for e in step.events])
+    readers = _READERS.get(labels)
+    if readers is None:
+        readers = _READERS[labels] = tuple(
+            (i, m) for i, m in enumerate(MONITORS.values()) if not m.labels.isdisjoint(labels)
+        )
+    if not readers:
         return states
-    return tuple(m.advance(s, step) for m, s in zip(MONITORS.values(), states))
+    out = list(states)
+    for i, m in readers:
+        out[i] = m.advance(states[i], step)
+    return tuple(out)

@@ -28,11 +28,20 @@ SECRET_FRESH_VARS = frozenset({"SKRA", "LTK", "SKPSi", "SKO"})
 
 
 class ProtocolSpec(Record):
-    """Immutable protocol configuration: a named, fixed rule set."""
+    """Immutable protocol configuration: a named, fixed rule set.
+
+    Construction, _replace included, rejects two rules with one id: the
+    explorer keys its caches and memos on rule ids.
+    """
 
     __slots__ = ()
 
     def __new__(cls, name, rules, change_enabled=False, reveals_enabled=False):
+        ids = set()
+        for rule in rules:
+            if rule.id in ids:
+                raise ValueError(f"protocol {name}: two rules have the id {rule.id!r}")
+            ids.add(rule.id)
         return _new(cls, (name, rules, change_enabled, reveals_enabled))
 
     def rule(self, rule_id: str) -> Rule:

@@ -3,10 +3,13 @@
 The network is folded into the adversary: conclusions marked as outputs feed
 the knowledge base, network-input premises are instantiated by adversary
 synthesis.  States are immutable snapshots so exploration can branch freely.
-Facts, events, rules, states and instances are records (records.Record).
+Facts, events, rules, states, instances and effects are records
+(records.Record).
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from . import knowledge as kn
 from .knowledge import Knowledge
@@ -39,7 +42,7 @@ class Fact(Record):
     """Predicate on terms; persistent facts survive consumption.
 
     As tuples, Fact(n, a, False) and Event(n, a, 0) are equal, but no set,
-    dict or comparison holds both.  Events are made only by emitted() and
+    dict or comparison holds both.  Events are made only by fire and
     kept only in Step.events, where they meet only other events (replay
     compares their keys, recheck their positions).  Facts sit in rules,
     states, instances, monitor states and the explorer's keys and memos,
@@ -292,18 +295,65 @@ def _guards_hold(guards, subst) -> bool:
     return True
 
 
-def fire(state: SystemState, rule: Rule, instance: Instance):
+class Effect(Record):
+    """What firing an instance does that no state changes; see effect."""
+
+    __slots__ = ()
+
+    def __new__(cls, fresh_names, linear, persistent, outputs, events, budget):
+        return _new(cls, (fresh_names, linear, persistent, outputs, events, budget))
+
+
+def effect(rule: Rule, instance: Instance) -> Effect:
+    """The parts of firing instance that read only the rule and the binding.
+
+    fresh_names are the names bound to the rule's fresh variables, in their
+    order; linear and persistent the facts the conclusions produce; outputs
+    the ground terms released to the network; events the (label, args) of
+    each event emitted, without a time; budget the budget key a budgeted
+    rule spends, else None.  So instances with equal rule and binding have
+    equal effects, which a search may build once and reuse (fire).
+    """
+    subst = instance.subst
+    linear, persistent = [], []
+    for f in rule.conclusions:
+        made = Fact(f.name, tuple(substitute(subst, a) for a in f.args), f.persistent)
+        (persistent if f.persistent else linear).append(made)
+    return Effect(
+        fresh_names=tuple(subst.get(ident) for ident in rule.fresh_vars),
+        linear=tuple(linear),
+        persistent=tuple(persistent),
+        outputs=tuple(substitute(subst, t) for t in rule.network_out),
+        events=tuple(
+            (label, tuple(substitute(subst, a) for a in args)) for label, args in rule.events
+        ),
+        budget=budget_key(rule, subst) if rule.budget else None,
+    )
+
+
+_effect = effect  # fire's parameter shadows the name
+
+
+def fire(state: SystemState, rule: Rule, instance: Instance, effect: Effect | None = None):
     """Apply one enabled instance; returns (new state, emitted events).
 
-    A budgeted rule's firing is counted in used under its budget_key.  The
+    effect, when given, must be effect(rule, instance), built for this
+    instance or for another with the same rule and binding; with None,
+    fire builds it.  Either way the one code path below applies it, and
+    checks it against the state: the rule id, the fresh names against
+    next_fresh, the consumed facts' presence and the adversary's fresh-name
+    budget and allocation.  Each produced linear fact is inserted into the
+    parent's sorted linear facts, which Fact.key orders injectively.  A
+    budgeted rule's firing is counted in used under its budget_key.  The
     input state is unmodified.  Raises StaleInstanceError when the instance
-    was enumerated against a different state.
+    or effect was made against a different state.
     """
     if instance.rule_id != rule.id:
         raise StaleInstanceError(f"instance of {instance.rule_id} fired as {rule.id}")
-    subst = instance.subst
-    for i, ident in enumerate(rule.fresh_vars):
-        if subst.get(ident) is not fresh(state.next_fresh + i):
+    if effect is None:
+        effect = _effect(rule, instance)
+    for i, (ident, got) in enumerate(zip(rule.fresh_vars, effect.fresh_names)):
+        if got is not fresh(state.next_fresh + i):
             raise StaleInstanceError(
                 f"rule {rule.id}: fresh names drifted: {ident} does not match state"
             )
@@ -315,14 +365,9 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
             raise StaleInstanceError(
                 f"rule {rule.id}: consumed fact {c.render()} not present"
             ) from None
-    added = []
-    for f in rule.conclusions:
-        args = tuple(substitute(subst, a) for a in f.args)
-        out_fact = Fact(f.name, args, f.persistent)
-        if not f.persistent:
-            linear.append(out_fact)
-        elif out_fact not in state.persistent:
-            added.append(out_fact)
+    for f in effect.linear:
+        insort(linear, f, key=Fact.key)
+    added = [f for f in effect.persistent if f not in state.persistent]
     k = state.knowledge
     for f in instance.new_names:
         got = kn.gen_fresh(k, f.fid)
@@ -331,16 +376,15 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
         k, minted = got
         if minted is not f:
             raise StaleInstanceError(f"rule {rule.id}: fresh allocation drifted")
-    for t in rule.network_out:
-        k = kn.observe(k, substitute(subst, t))
+    for t in effect.outputs:
+        k = kn.observe(k, t)
     used = state.used
-    if rule.budget:
+    if effect.budget is not None:
         spent = dict(used)
-        key = budget_key(rule, subst)
-        spent[key] = spent.get(key, 0) + 1
+        spent[effect.budget] = spent.get(effect.budget, 0) + 1
         used = frozenset(spent.items())
     new_state = SystemState(
-        linear=tuple(sorted(linear, key=Fact.key)),
+        linear=tuple(linear),
         # the parent's set itself when nothing is added
         persistent=state.persistent.union(added) if added else state.persistent,
         knowledge=k,
@@ -348,17 +392,9 @@ def fire(state: SystemState, rule: Rule, instance: Instance):
         step=state.step + 1,
         used=used,
     )
-    return new_state, emitted(rule, subst, state.step)
+    return new_state, tuple(Event(label, args, state.step) for label, args in effect.events)
 
 
 def budget_key(rule: Rule, subst: dict) -> tuple:
     """The rule and, for a per-binding budget, the value its cap applies to."""
     return rule.id, subst.get(rule.budget_per) if rule.budget_per else None
-
-
-def emitted(rule: Rule, subst: dict, time: int) -> tuple:
-    """The events rule emits under subst at a timepoint."""
-    return tuple(
-        Event(label, tuple(substitute(subst, a) for a in args), time=time)
-        for label, args in rule.events
-    )

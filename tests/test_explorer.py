@@ -104,9 +104,9 @@ class TestExplore:
         bounds = Bounds(max_steps=5)
         fire = ex.fire
 
-        def checked_fire(state, rule, inst):
+        def checked_fire(state, rule, inst, effect=None):
             assert state.step < bounds.max_steps
-            return fire(state, rule, inst)
+            return fire(state, rule, inst, effect)
 
         monkeypatch.setattr(ex, "fire", checked_fire)
         spec = build_protocol("rtoken", change_enabled=True)
@@ -367,9 +367,9 @@ class TestSleepSets:
         fired = []
         fire = ex.fire
 
-        def counting(state, rule, inst):
+        def counting(state, rule, inst, effect=None):
             fired.append(rule.id)
-            return fire(state, rule, inst)
+            return fire(state, rule, inst, effect)
 
         monkeypatch.setattr(ex, "fire", counting)
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
@@ -431,8 +431,50 @@ class TestReuse:
         spec = build_protocol("rtoken", change_enabled=True)
         explore(spec, initial_state(spec, 2), Bounds(max_steps=7))
         # next_fresh is part of the key of every rule with fresh variables,
-        # so such a rule's list is computed once per next_fresh too
-        assert len(calls) == 150
+        # so such a rule's list is computed once per next_fresh too; a rule
+        # whose premises name a fact the state lacks is not enumerated
+        assert len(calls) == 66
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_rules_skipped_for_an_absent_premise_have_no_instance(
+        self, protocol, reveals, vehicles, steps, monkeypatch
+    ):
+        import revlab.explorer as ex
+
+        skipped = []
+        enabled = ex._enabled
+
+        def checking(state, rules, bounds, cache):
+            held = set(cache.held(state, rules))
+            for rule in rules:
+                if rule not in held:
+                    assert enabled_instances(state, rule, bounds.synthesis_depth) == []
+                    skipped.append(rule.id)
+            return enabled(state, rules, bounds, cache)
+
+        monkeypatch.setattr(ex, "_enabled", checking)
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        assert skipped
+
+    @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
+    def test_fire_keeps_the_linear_facts_sorted(self, protocol, reveals, vehicles, steps,
+                                                monkeypatch):
+        import revlab.explorer as ex
+
+        fired = []
+        fire = ex.fire
+
+        def checking(state, rule, inst, effect=None):
+            child, events = fire(state, rule, inst, effect)
+            assert child.linear == tuple(sorted(child.linear, key=Fact.key))
+            fired.append(rule.id)
+            return child, events
+
+        monkeypatch.setattr(ex, "fire", checking)
+        spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
+        explore(spec, initial_state(spec, vehicles), Bounds(max_steps=steps))
+        assert fired
 
     def test_every_instance_outside_the_sleep_sets_fires(self, monkeypatch):
         import revlab.explorer as ex
@@ -440,9 +482,9 @@ class TestReuse:
         fired = []
         fire = ex.fire
 
-        def counting(state, rule, inst):
+        def counting(state, rule, inst, effect=None):
             fired.append(rule.id)
-            return fire(state, rule, inst)
+            return fire(state, rule, inst, effect)
 
         monkeypatch.setattr(ex, "fire", counting)
         spec = build_protocol("rtoken", change_enabled=True)
@@ -549,7 +591,7 @@ class TestReuse:
         enabled = reference_enabled(state, [rule], Bounds())
         layer: dict = {}
         flags = {rule.id: _flags(rule)}
-        assert _expand(state, (), monitors.start(), (), enabled, flags, layer) == 0
+        assert _expand(state, (), monitors.start(), (), enabled, flags, {}, layer) == 0
         assert len(enabled) == len(layer) == 2
         assert len({_dedup_key(child, watch) for child, watch in layer}) == 2
 

@@ -6,6 +6,7 @@ from helpers import honest_prefix, saturate_oracle
 from revlab.knowledge import can_derive
 from revlab.protocols import (
     RA_NAME,
+    ProtocolSpec,
     build_protocol,
     initial_state,
     vehicle_name,
@@ -18,6 +19,15 @@ class TestBuildProtocol:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             build_protocol("vtoken")
+
+    def test_two_rules_with_one_id_are_rejected(self):
+        spec = build_protocol("plain")
+        rule = spec.rule("REPORT")
+        twin = rule._replace(conclusions=())
+        with pytest.raises(ValueError, match="'REPORT'"):
+            ProtocolSpec("twins", (*spec.rules, twin))
+        with pytest.raises(ValueError, match="'REPORT'"):
+            spec._replace(rules=(*spec.rules, twin))
 
     def test_no_change_rule_unless_enabled(self):
         spec = build_protocol("plain", change_enabled=False)

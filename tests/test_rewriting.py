@@ -9,6 +9,7 @@ from revlab.rewriting import (
     Rule,
     RuleDefinitionError,
     StaleInstanceError,
+    effect,
     enabled_instances,
     fire,
     make_state,
@@ -261,6 +262,25 @@ class TestFire:
         assert fire(state, rule, inst)[0].next_fresh == 4
         with pytest.raises(StaleInstanceError, match="does not match state"):
             fire(state._replace(next_fresh=4), rule, inst)
+
+    def test_effect_from_another_next_fresh_is_rejected(self):
+        rule = Rule(id="MINT", premises=(Fact("P", ()),), fresh_vars=("n",),
+                    conclusions=(Fact("Q", (var("n"),)),))
+        state = make_state(linear=[Fact("P", ())], next_fresh=3)
+        old = effect(rule, enabled_instances(state, rule, 2)[0])
+        state = state._replace(next_fresh=4)
+        inst = enabled_instances(state, rule, 2)[0]
+        assert fire(state, rule, inst, effect(rule, inst)) == fire(state, rule, inst)
+        with pytest.raises(StaleInstanceError, match="does not match state"):
+            fire(state, rule, inst, old)
+
+    def test_a_given_effect_fires_as_a_built_one(self):
+        spec, state = honest_prefix("plain", upto="REV_AUTH_OSR_REQ_SEND")
+        rule = spec.rule("OSR_REQ_RECV")
+        inst = enabled_instances(state, rule, 4)[0]
+        made = effect(rule, inst)
+        assert made.outputs and made.events and made.linear
+        assert fire(state, rule, inst, made) == fire(state, rule, inst)
 
     def test_original_state_is_unmodified(self):
         spec, state = honest_prefix("plain", upto="REPORT")
