@@ -1,5 +1,7 @@
 """Protocol rule sets: variant shapes, setup knowledge, isolation."""
 
+import hashlib
+
 import pytest
 
 from helpers import honest_prefix, saturate_oracle
@@ -13,6 +15,32 @@ from revlab.protocols import (
 )
 from revlab.rewriting import enabled_instances
 from revlab.terms import App, Fresh, render
+
+
+# sha256 of repr(build_protocol(protocol, change_enabled, reveals_enabled)):
+# every rule of every variant, its variable names and the order of its
+# premises, guards, events and conclusions.
+RULE_SET_SHA256 = {
+    ("plain", False, False): "4abc82a69a9b3f16b13264e01eb9373c5b27f9b9fe2376f610af95c4c6d17d54",
+    ("plain", False, True): "9e83cb9d2aada9becf6b849be887868ad57118ac5e99399917babba046bd190e",
+    ("plain", True, False): "123e2bc2a15a23a034eb26f32997068537d8ec0f337c60faebe3f267561dc48a",
+    ("plain", True, True): "212f9fd8770f0b909e892ccfe03b7ee02fb8ddbb78992112a34883f171ced3c0",
+    ("rtoken", False, False): "41b9c802cca6234d00a1b546b00d1fa858f1262411656a8c97e1afae60cb87f4",
+    ("rtoken", False, True): "da080e04a902c0b30127b832039f37a3aef421ea8edd8ecb98037e5e7de3f227",
+    ("rtoken", True, False): "bf5e24c070ffd00cea9f72865403b7d82ff648d65b1026ca15e41c7510d3ca43",
+    ("rtoken", True, True): "18118a2ab75446bd8cbacf8003450b47c674272afb099a776598364168ef566e",
+    ("otoken", False, False): "fe25f0ab9e1c7e829ce3dda34148ba2f8583c94ed949315343eb32a5775a1ef2",
+    ("otoken", False, True): "33df18ab1e1ef5aa051a7a323bf902ab27949dd741712b67767990366f5f3264",
+    ("otoken", True, False): "9832299fbb6096b08f05fab3c783af7bd99e6e49228d1e4078fab750d3b75d71",
+    ("otoken", True, True): "94cec350cc2bfe5d9b48f56bf3909c45270ca09c7dcec0aec139b2d03c522dc5",
+}
+
+
+@pytest.mark.parametrize("protocol, change, reveals", sorted(RULE_SET_SHA256))
+def test_rule_set_is_pinned(protocol, change, reveals):
+    spec = build_protocol(protocol, change_enabled=change, reveals_enabled=reveals)
+    digest = hashlib.sha256(repr(spec).encode()).hexdigest()
+    assert digest == RULE_SET_SHA256[protocol, change, reveals]
 
 
 class TestBuildProtocol:
