@@ -5,7 +5,9 @@ misbehaviour report received by the revocation authority (RA), a signed
 order-for-self-revocation (OSR) broadcast, the vehicle-side receive/confirm
 step, and the RA-side confirmation accept.  The variants differ only in the
 pseudonym payload, in how the confirmation is built and signed, and in what
-the RA can verify about it.
+the RA can verify about it.  `_variant` writes those choices once per
+protocol, as a `Variant`, and `build_protocol` builds every rule of the
+skeleton once from it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from __future__ import annotations
 from .knowledge import Knowledge
 from .records import Record, _new
 from .rewriting import Fact, Rule, SystemState, make_state
-from .terms import Name, Term, name, oenc, pk, renc, rdec, odec, sign, tup, var, verify, TRUE
+from .terms import (
+    TRUE, Name, Term, instantiate_partial, name, oenc, odec, pk, rdec, renc, sign, tup,
+    var, verify,
+)
 
 PROTOCOLS = ("plain", "rtoken", "otoken")
 
@@ -22,9 +27,11 @@ REVOKE = name("revoke")
 CONFIRM = name("confirm")
 REASON = name("reason")
 
+VJ, LTK, SKPSI = var("Vj"), var("LTK"), var("SKPSi")
+
 # Fresh-variable idents whose values must never become adversary-derivable
 # while reveal rules stay disabled (trusted-component abstraction).
-SECRET_FRESH_VARS = frozenset({"SKRA", "LTK", "SKPSi", "SKO"})
+SECRET_FRESH_VARS = frozenset({"SKRA", "LTK", "SKPSi", "SKO", "Rn"})
 
 
 class ProtocolSpec(Record):
@@ -60,16 +67,125 @@ def is_vehicle(t: Term) -> bool:
     return isinstance(t, Name) and t.label[:1] == "V" and t.label[1:].isdigit()
 
 
+class Variant(Record):
+    """What one protocol writes into the shared skeleton, each part once.
+
+    A vehicle mints `pseudonym`, whose confirmation token is `token`, with
+    the fresh `fresh_vars` under the extra premises `minting`.  The RA
+    stores, reports and awaits a pseudonym as the pattern `stored`, whose
+    token is the variable `stored_token`; CHANGE_PSEUDONYM consumes the
+    active pseudonym as `consumed`, with token `consumed_token`.  The
+    addressed vehicle receives an OSR under `recv_premises` and
+    `recv_guards`, confirms `conf_body` signed with `conf_key`, and deletes
+    the pseudonyms of `deleted_key`.  The RA verifies a confirmation with
+    `verify_key`, or accepts it unverified when that is None.
+
+    `conf_body` is written as the RA reads it, over `stored_token`; the
+    vehicle reads it, and the pseudonym in the OSR, with `token` in that
+    variable's place.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, pseudonym, token, fresh_vars, minting, stored, stored_token, consumed,
+        consumed_token, recv_premises, recv_guards, conf_body, conf_key, deleted_key,
+        verify_key,
+    ):
+        return _new(cls, (
+            pseudonym, token, fresh_vars, minting, stored, stored_token, consumed,
+            consumed_token, recv_premises, recv_guards, conf_body, conf_key, deleted_key,
+            verify_key,
+        ))
+
+
+def _variant(protocol: str) -> Variant:
+    """The one place where the three protocols differ."""
+    if protocol == "plain":
+        token = pk(SKPSI)
+        ps, old = var("PS"), var("PSold")
+        return Variant(
+            pseudonym=token, token=token, fresh_vars=("SKPSi",), minting=(),
+            stored=ps, stored_token=ps,
+            consumed=old, consumed_token=old,
+            # Only the active pseudonym matches: the request must name the key
+            # held in the vehicle's CanChange fact.
+            recv_premises=(
+                Fact("VehiclePSi", (VJ, SKPSI), persistent=True),
+                Fact("CanChange", (VJ, SKPSI, token)),
+            ),
+            recv_guards=(),
+            conf_body=tup(VJ, CONFIRM, ps), conf_key=SKPSI, deleted_key=SKPSI,
+            # The reported pseudonym is itself the verification key.
+            verify_key=ps,
+        )
+    has_ltk = (Fact("VehicleLtk", (VJ, LTK), persistent=True),)
+    # Decryption of the embedded token identifies the target, whatever
+    # pseudonym is currently active.
+    skact = var("SKact")
+    any_active = has_ltk + (Fact("CanChange", (VJ, skact, var("PSact"))),)
+    pkps, pkold = var("PKPS"), var("PKold")
+    if protocol == "rtoken":
+        plaintext = tup(VJ, pk(LTK), var("Rn"))
+        token = renc(plaintext, LTK)
+        sigma, old = var("SIGMA"), var("SIGold")
+        return Variant(
+            pseudonym=tup(pk(SKPSI), token), token=token, fresh_vars=("SKPSi", "Rn"),
+            minting=has_ltk,
+            stored=tup(pkps, sigma), stored_token=sigma,
+            consumed=tup(pkold, old), consumed_token=old,
+            recv_premises=any_active, recv_guards=((rdec(token, LTK), plaintext),),
+            conf_body=tup(CONFIRM, sigma), conf_key=LTK, deleted_key=skact,
+            # The RA holds no key for the vehicle, so the confirmation signature
+            # cannot be verified; only the echoed token is compared.
+            verify_key=None,
+        )
+    sko, pko = var("SKO"), var("PKO")
+    token = oenc(sko, LTK)
+    phi, old = var("PHI"), var("PHIold")
+    return Variant(
+        pseudonym=tup(pk(SKPSI), pk(sko), token), token=token, fresh_vars=("SKPSi", "SKO"),
+        minting=has_ltk,
+        stored=tup(pkps, pko, phi), stored_token=phi,
+        consumed=tup(pkold, var("PKOold"), old), consumed_token=old,
+        recv_premises=any_active, recv_guards=((odec(token, LTK), sko),),
+        conf_body=tup(CONFIRM, phi), conf_key=sko, deleted_key=skact,
+        verify_key=pko,
+    )
+
+
 def build_protocol(
     protocol: str, change_enabled: bool = False, reveals_enabled: bool = False
 ) -> ProtocolSpec:
     """Assemble the rule set for one protocol variant."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    ra, vj = var("RA"), var("Vj")
-    skra, pkra = var("SKRA"), var("PKRA")
+    v = _variant(protocol)
+    ra, skra, pkra = var("RA"), var("SKRA"), var("PKRA")
+    signer = var("SKsigner")
 
-    ps_premise, token_of = _pseudonym_shape(protocol)
+    minted = (
+        Fact("VehiclePSi", (VJ, SKPSI), persistent=True),
+        Fact("VehiclePseudonym", (VJ, v.pseudonym), persistent=True),
+        Fact("CanChange", (VJ, SKPSI, v.pseudonym)),
+    )
+    body = tup(REVOKE, v.stored, REASON)
+    req_msg = tup(ra, VJ, body, sign(body, skra))
+    # The addressed vehicle reads the RA's patterns with its own token in the
+    # place of the token variable.  A received message may carry any
+    # signature (SKsigner); the guards say which ones are accepted.
+    opened = {v.stored_token.ident: v.token}
+    recv_body = tup(REVOKE, instantiate_partial(opened, v.stored), REASON)
+    recv_sig = sign(recv_body, signer)
+    recv_msg = tup(ra, VJ, recv_body, recv_sig)
+    conf_body = instantiate_partial(opened, v.conf_body)
+    conf_msg = tup(VJ, ra, conf_body, sign(conf_body, v.conf_key))
+    accept_sig = sign(v.conf_body, signer)
+    accept_msg = tup(VJ, ra, v.conf_body, accept_sig)
+    if v.verify_key is None:
+        accept_guards = ()
+    else:
+        accept_guards = ((verify(accept_sig, v.conf_body, v.verify_key), TRUE),)
 
     rules = [
         Rule(
@@ -84,24 +200,85 @@ def build_protocol(
             actor="RA",
         ),
         _setup_vehicle_rule(reveals_enabled),
-        _setup_pseudonym_rule(protocol),
+        Rule(
+            id="SETUP_PSEUDONYM",
+            premises=(Fact("SetupPseudonym", (VJ,)),) + v.minting,
+            fresh_vars=v.fresh_vars,
+            events=(("InitVjPseudonym", (VJ,)),),
+            conclusions=minted,
+            network_out=(v.pseudonym,),
+            actor="Vj",
+        ),
         Rule(
             id="REPORT",
             premises=(
-                Fact("VehiclePseudonym", (vj, ps_premise), persistent=True),
+                Fact("VehiclePseudonym", (VJ, v.stored), persistent=True),
                 Fact("RevAuthPK", (ra, pkra), persistent=True),
             ),
-            events=(("Reported", (vj, token_of)),),
-            conclusions=(Fact("PendingRevocation", (ra, vj, ps_premise)),),
+            events=(("Reported", (VJ, v.stored_token)),),
+            conclusions=(Fact("PendingRevocation", (ra, VJ, v.stored)),),
             actor="RA",
             budget="max_sessions",
         ),
-        _osr_req_send_rule(ps_premise, token_of),
-        _osr_req_recv_rule(protocol),
-        _osr_conf_recv_rule(protocol),
+        Rule(
+            id="REV_AUTH_OSR_REQ_SEND",
+            premises=(
+                Fact("PendingRevocation", (ra, VJ, v.stored)),
+                Fact("RevAuthSK", (ra, skra), persistent=True),
+            ),
+            events=(
+                ("OsrReqMsgSentTo", (ra, VJ, v.stored_token)),
+                ("Running", (ra, VJ, req_msg)),
+            ),
+            conclusions=(Fact("AwaitRevokeConfirmation", (ra, VJ, v.stored, skra)),),
+            network_out=(req_msg,),
+            actor="RA",
+        ),
+        Rule(
+            id="OSR_REQ_RECV",
+            premises=(Fact("RevAuthPK", (ra, pkra), persistent=True),) + v.recv_premises,
+            guards=((verify(recv_sig, recv_body, pkra), TRUE),) + v.recv_guards,
+            network_in=(recv_msg,),
+            events=(
+                ("Commit", (ra, VJ, recv_msg)),
+                ("OsrReqMsgRecvBy", (VJ, ra, v.token)),
+                ("Recv", (VJ, recv_msg)),
+                ("OsrReqVerified", (VJ, v.token)),
+                ("DeleteAllPseudonyms", (VJ, v.deleted_key, pk(v.deleted_key))),
+                ("Running", (VJ, ra, conf_msg)),
+                ("OsrConfSentBy", (VJ, ra, v.token)),
+            ),
+            conclusions=(Fact("IsRevoked", (VJ,)),),
+            network_out=(conf_msg,),
+            actor="Vj",
+        ),
+        Rule(
+            id="REV_AUTH_OSR_CONF_RECV",
+            premises=(Fact("AwaitRevokeConfirmation", (ra, VJ, v.stored, skra)),),
+            guards=accept_guards,
+            network_in=(accept_msg,),
+            events=(
+                ("Commit", (VJ, ra, accept_msg)),
+                ("OsrConfAcceptedBy", (ra, VJ, v.stored_token)),
+            ),
+            actor="RA",
+        ),
     ]
     if change_enabled:
-        rules.append(_change_pseudonym_rule(protocol))
+        rules.append(Rule(
+            id="CHANGE_PSEUDONYM",
+            premises=(Fact("CanChange", (VJ, var("SKold"), v.consumed)),) + v.minting,
+            fresh_vars=v.fresh_vars,
+            events=(
+                ("ChangePseudonymForVehicle", (VJ, v.consumed_token, v.token)),
+                ("HasChanged", (VJ,)),
+            ),
+            conclusions=minted,
+            network_out=(v.pseudonym,),
+            actor="Vj",
+            budget="max_changes",
+            budget_per="Vj",
+        ))
     if reveals_enabled:
         rules.extend(_reveal_rules())
     return ProtocolSpec(
@@ -112,277 +289,49 @@ def build_protocol(
     )
 
 
-def _pseudonym_shape(protocol: str):
-    """Pseudonym pattern as stored/reported, and its confirmation token."""
-    if protocol == "plain":
-        ps = var("PS")
-        return ps, ps
-    if protocol == "rtoken":
-        sigma = var("SIGMA")
-        return tup(var("PKPS"), sigma), sigma
-    phi = var("PHI")
-    return tup(var("PKPS"), var("PKO"), phi), phi
-
-
 def _setup_vehicle_rule(reveals_enabled: bool) -> Rule:
-    vj, ltk = var("Vj"), var("LTK")
     conclusions = [
-        Fact("VehicleLtk", (vj, ltk), persistent=True),
-        Fact("SetupPseudonym", (vj,)),
+        Fact("VehicleLtk", (VJ, LTK), persistent=True),
+        Fact("SetupPseudonym", (VJ,)),
     ]
     if reveals_enabled:
-        conclusions += [Fact("CanRevealLtk", (vj,)), Fact("CanRevealPsi", (vj,))]
+        conclusions += [Fact("CanRevealLtk", (VJ,)), Fact("CanRevealPsi", (VJ,))]
     return Rule(
         id="SETUP_VEHICLE",
-        premises=(Fact("SetupVehicle", (vj,)),),
+        premises=(Fact("SetupVehicle", (VJ,)),),
         fresh_vars=("LTK",),
         conclusions=tuple(conclusions),
         actor="Vj",
     )
 
 
-def _setup_pseudonym_rule(protocol: str) -> Rule:
-    vj, ltk, skpsi = var("Vj"), var("LTK"), var("SKPSi")
-    if protocol == "plain":
-        ps = pk(skpsi)
-        premises = (Fact("SetupPseudonym", (vj,)),)
-        fresh_vars = ("SKPSi",)
-    elif protocol == "rtoken":
-        ps = tup(pk(skpsi), renc(tup(vj, pk(ltk), var("Rn")), ltk))
-        premises = (
-            Fact("SetupPseudonym", (vj,)),
-            Fact("VehicleLtk", (vj, ltk), persistent=True),
-        )
-        fresh_vars = ("SKPSi", "Rn")
-    else:
-        ps = tup(pk(skpsi), pk(var("SKO")), oenc(var("SKO"), ltk))
-        premises = (
-            Fact("SetupPseudonym", (vj,)),
-            Fact("VehicleLtk", (vj, ltk), persistent=True),
-        )
-        fresh_vars = ("SKPSi", "SKO")
-    return Rule(
-        id="SETUP_PSEUDONYM",
-        premises=premises,
-        fresh_vars=fresh_vars,
-        events=(("InitVjPseudonym", (vj,)),),
-        conclusions=(
-            Fact("VehiclePSi", (vj, skpsi), persistent=True),
-            Fact("VehiclePseudonym", (vj, ps), persistent=True),
-            Fact("CanChange", (vj, skpsi, ps)),
-        ),
-        network_out=(ps,),
-        actor="Vj",
-    )
-
-
-def _osr_req_send_rule(ps_premise, token_of) -> Rule:
-    ra, vj, skra = var("RA"), var("Vj"), var("SKRA")
-    body = tup(REVOKE, ps_premise, REASON)
-    msg = tup(ra, vj, body, sign(body, skra))
-    return Rule(
-        id="REV_AUTH_OSR_REQ_SEND",
-        premises=(
-            Fact("PendingRevocation", (ra, vj, ps_premise)),
-            Fact("RevAuthSK", (ra, skra), persistent=True),
-        ),
-        events=(
-            ("OsrReqMsgSentTo", (ra, vj, token_of)),
-            ("Running", (ra, vj, msg)),
-        ),
-        conclusions=(Fact("AwaitRevokeConfirmation", (ra, vj, ps_premise, skra)),),
-        network_out=(msg,),
-        actor="RA",
-    )
-
-
-def _osr_req_recv_rule(protocol: str) -> Rule:
-    ra, vj, pkra = var("RA"), var("Vj"), var("PKRA")
-    signer = var("SKsigner")
-    if protocol == "plain":
-        # Only the active pseudonym matches: the request must name the key
-        # held in the vehicle's CanChange fact.
-        skpsi = var("SKPSi")
-        token = pk(skpsi)
-        ps_in_msg = token
-        premises = (
-            Fact("RevAuthPK", (ra, pkra), persistent=True),
-            Fact("VehiclePSi", (vj, skpsi), persistent=True),
-            Fact("CanChange", (vj, skpsi, pk(skpsi))),
-        )
-        guards_extra = ()
-        conf_body = tup(vj, CONFIRM, token)
-        conf_key = skpsi
-        deleted_key = skpsi
-    elif protocol == "rtoken":
-        # Decryption of the embedded token identifies the target, whatever
-        # pseudonym is currently active.
-        ltk, skact = var("LTK"), var("SKact")
-        token = renc(tup(vj, pk(ltk), var("Rn")), ltk)
-        ps_in_msg = tup(var("PKPS"), token)
-        premises = (
-            Fact("RevAuthPK", (ra, pkra), persistent=True),
-            Fact("VehicleLtk", (vj, ltk), persistent=True),
-            Fact("CanChange", (vj, skact, var("PSact"))),
-        )
-        guards_extra = ((rdec(token, ltk), tup(vj, pk(ltk), var("Rn"))),)
-        conf_body = tup(CONFIRM, token)
-        conf_key = ltk
-        deleted_key = skact
-    else:
-        ltk, skact, sko = var("LTK"), var("SKact"), var("SKO")
-        token = oenc(sko, ltk)
-        ps_in_msg = tup(var("PKPS"), var("PKO"), token)
-        premises = (
-            Fact("RevAuthPK", (ra, pkra), persistent=True),
-            Fact("VehicleLtk", (vj, ltk), persistent=True),
-            Fact("CanChange", (vj, skact, var("PSact"))),
-        )
-        guards_extra = ((odec(token, ltk), sko),)
-        conf_body = tup(CONFIRM, token)
-        conf_key = sko
-        deleted_key = skact
-    body = tup(REVOKE, ps_in_msg, REASON)
-    req_sig = sign(body, signer)
-    req_msg = tup(ra, vj, body, req_sig)
-    conf_msg = tup(vj, ra, conf_body, sign(conf_body, conf_key))
-    return Rule(
-        id="OSR_REQ_RECV",
-        premises=premises,
-        guards=((verify(req_sig, body, pkra), TRUE),) + guards_extra,
-        network_in=(req_msg,),
-        events=(
-            ("Commit", (ra, vj, req_msg)),
-            ("OsrReqMsgRecvBy", (vj, ra, token)),
-            ("Recv", (vj, req_msg)),
-            ("OsrReqVerified", (vj, token)),
-            ("DeleteAllPseudonyms", (vj, deleted_key, pk(deleted_key))),
-            ("Running", (vj, ra, conf_msg)),
-            ("OsrConfSentBy", (vj, ra, token)),
-        ),
-        conclusions=(Fact("IsRevoked", (vj,)),),
-        network_out=(conf_msg,),
-        actor="Vj",
-    )
-
-
-def _osr_conf_recv_rule(protocol: str) -> Rule:
-    ra, vj, skra = var("RA"), var("Vj"), var("SKRA")
-    signer = var("SKsigner")
-    if protocol == "plain":
-        ps = var("PS")
-        conf_body = tup(vj, CONFIRM, ps)
-        # The reported pseudonym is itself the verification key.
-        guards = ((verify(sign(conf_body, signer), conf_body, ps), TRUE),)
-        token = ps
-        await_ps = ps
-    elif protocol == "rtoken":
-        # The RA holds no key for the vehicle, so the confirmation signature
-        # cannot be verified; only the echoed token is compared.
-        sigma = var("SIGMA")
-        conf_body = tup(CONFIRM, sigma)
-        guards = ()
-        token = sigma
-        await_ps = tup(var("PKPS"), sigma)
-    else:
-        pko, phi = var("PKO"), var("PHI")
-        conf_body = tup(CONFIRM, phi)
-        guards = ((verify(sign(conf_body, signer), conf_body, pko), TRUE),)
-        token = phi
-        await_ps = tup(var("PKPS"), pko, phi)
-    conf_msg = tup(vj, ra, conf_body, sign(conf_body, signer))
-    return Rule(
-        id="REV_AUTH_OSR_CONF_RECV",
-        premises=(Fact("AwaitRevokeConfirmation", (ra, vj, await_ps, skra)),),
-        guards=guards,
-        network_in=(conf_msg,),
-        events=(
-            ("Commit", (vj, ra, conf_msg)),
-            ("OsrConfAcceptedBy", (ra, vj, token)),
-        ),
-        actor="RA",
-    )
-
-
-def _change_pseudonym_rule(protocol: str) -> Rule:
-    vj, skpsi = var("Vj"), var("SKPSi")
-    if protocol == "plain":
-        old_token = var("PSold")
-        old_ps = old_token
-        premises = (Fact("CanChange", (vj, var("SKold"), old_ps)),)
-        fresh_vars = ("SKPSi",)
-        new_ps = pk(skpsi)
-        new_token = new_ps
-    elif protocol == "rtoken":
-        ltk = var("LTK")
-        old_token = var("SIGold")
-        old_ps = tup(var("PKold"), old_token)
-        premises = (
-            Fact("CanChange", (vj, var("SKold"), old_ps)),
-            Fact("VehicleLtk", (vj, ltk), persistent=True),
-        )
-        fresh_vars = ("SKPSi", "Rn")
-        new_ps = tup(pk(skpsi), renc(tup(vj, pk(ltk), var("Rn")), ltk))
-        new_token = renc(tup(vj, pk(ltk), var("Rn")), ltk)
-    else:
-        ltk, sko = var("LTK"), var("SKO")
-        old_token = var("PHIold")
-        old_ps = tup(var("PKold"), var("PKOold"), old_token)
-        premises = (
-            Fact("CanChange", (vj, var("SKold"), old_ps)),
-            Fact("VehicleLtk", (vj, ltk), persistent=True),
-        )
-        fresh_vars = ("SKPSi", "SKO")
-        new_ps = tup(pk(skpsi), pk(sko), oenc(sko, ltk))
-        new_token = oenc(sko, ltk)
-    return Rule(
-        id="CHANGE_PSEUDONYM",
-        premises=premises,
-        fresh_vars=fresh_vars,
-        events=(
-            ("ChangePseudonymForVehicle", (vj, old_token, new_token)),
-            ("HasChanged", (vj,)),
-        ),
-        conclusions=(
-            Fact("VehiclePSi", (vj, skpsi), persistent=True),
-            Fact("VehiclePseudonym", (vj, new_ps), persistent=True),
-            Fact("CanChange", (vj, skpsi, new_ps)),
-        ),
-        network_out=(new_ps,),
-        actor="Vj",
-        budget="max_changes",
-        budget_per="Vj",
-    )
-
-
 def _reveal_rules() -> list:
-    vj, ltk, skpsi = var("Vj"), var("LTK"), var("SKPSi")
     return [
         Rule(
             id="REVEAL_LTK",
             premises=(
-                Fact("CanRevealLtk", (vj,)),
-                Fact("VehicleLtk", (vj, ltk), persistent=True),
+                Fact("CanRevealLtk", (VJ,)),
+                Fact("VehicleLtk", (VJ, LTK), persistent=True),
             ),
             events=(
-                ("RevealLtk", (vj,)),
-                ("VehicleCompromised", (vj, ltk)),
+                ("RevealLtk", (VJ,)),
+                ("VehicleCompromised", (VJ, LTK)),
             ),
-            network_out=(ltk,),
+            network_out=(LTK,),
             actor="Vj",
         ),
         Rule(
             id="REVEAL_SK_PSI",
             premises=(
-                Fact("CanRevealPsi", (vj,)),
-                Fact("VehiclePSi", (vj, skpsi), persistent=True),
+                Fact("CanRevealPsi", (VJ,)),
+                Fact("VehiclePSi", (VJ, SKPSI), persistent=True),
             ),
             events=(
-                ("RevealSKPSi", (vj,)),
-                ("VjSKPSiReveal", (vj, skpsi)),
-                ("VehicleCompromised", (vj, skpsi)),
+                ("RevealSKPSi", (VJ,)),
+                ("VjSKPSiReveal", (VJ, SKPSI)),
+                ("VehicleCompromised", (VJ, SKPSI)),
             ),
-            network_out=(skpsi,),
+            network_out=(SKPSI,),
             actor="Vj",
         ),
     ]

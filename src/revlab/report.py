@@ -180,7 +180,7 @@ def render_msc(trace: Trace, agents, spec: ProtocolSpec) -> str:
     columns = [render(a) for a in agents] + ["ADVERSARY"]
     pos = {c: i for i, c in enumerate(columns)}
     released: dict = {}
-    lines = [_cells(columns, columns)]
+    lines = [_cells(columns, {c: c for c in columns})]
     if not trace.steps:
         return "\n".join(lines)
     for i, step in enumerate(trace.steps):
@@ -222,14 +222,10 @@ def _clip_args(args) -> str:
     return "(" + _clip(", ".join(render(a) for a in args), 48) + ")"
 
 
-def _cells(columns, content) -> str:
-    if isinstance(content, list):
-        values = {c: c for c in columns}
-    else:
-        values = content
+def _cells(columns, content: dict) -> str:
     row = []
     for c in columns:
-        row.append(_clip(values.get(c, "|"), _COL - 2).center(_COL))
+        row.append(_clip(content.get(c, "|"), _COL - 2).center(_COL))
     return "".join(row).rstrip()
 
 

@@ -290,17 +290,9 @@ def substitute(subst: dict, t: Term) -> Term:
         raise UnboundVariableError(missing.args[0]) from None
     got = _substituted.get(key)
     if got is None:
-        got = _substituted[key] = normalize(_subst(subst, t))
+        # every variable is bound here: values(subst) raised otherwise
+        got = _substituted[key] = normalize(_partial(subst, t))
     return got
-
-
-def _subst(subst: dict, t: Term) -> Term:
-    if isinstance(t, Var):
-        return subst[t.ident]
-    if isinstance(t, App):
-        args = tuple(_subst(subst, a) for a in t.args)
-        return t if args == t.args else app(t.sym, args)
-    return t
 
 
 def instantiate_partial(subst: dict, t: Term) -> Term:

@@ -54,12 +54,15 @@ from revlab.terms import (
 
 
 @lru_cache(maxsize=None)
-def scenario(protocol: str, change: bool = False, reveals: bool = False, **bound_kw):
+def scenario(
+    protocol: str, change: bool = False, reveals: bool = False, n_vehicles: int = 1,
+    **bound_kw,
+):
     """One exploration + goal evaluation per configuration, with timing."""
     spec = build_protocol(protocol, change_enabled=change, reveals_enabled=reveals)
     bounds = Bounds(**bound_kw)
     started = time.monotonic()
-    result = run_all(spec, bounds)
+    result = run_all(spec, bounds, n_vehicles=n_vehicles)
     elapsed = time.monotonic() - started
     return result, elapsed
 

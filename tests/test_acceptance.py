@@ -127,10 +127,12 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_secrets_stay_secret():
-    for protocol, change in DEFAULT_SCENARIOS:
-        result, _ = scenario(protocol, change=change)
+    scenarios = [(p, c, 1) for p, c in DEFAULT_SCENARIOS]
+    scenarios += [(p, True, 2) for p in ("plain", "rtoken", "otoken")]
+    for protocol, change, n_vehicles in scenarios:
+        result, _ = scenario(protocol, change=change, n_vehicles=n_vehicles)
         bad = secrecy_violations(result.spec, result.traces)
-        assert bad == [], f"{protocol}: secrets leaked {bad}"
+        assert bad == [], f"{protocol} ({n_vehicles} vehicles): secrets leaked {bad}"
         # the check has teeth: every secret class the protocol mints is watched
         from revlab.protocols import SECRET_FRESH_VARS
 
@@ -142,10 +144,12 @@ def test_criterion_7_secrets_stay_secret():
             if ident in SECRET_FRESH_VARS
         }
         expected = {"SKRA", "LTK", "SKPSi"}
+        if protocol == "rtoken":
+            expected |= {"Rn"}
         if protocol == "otoken":
             expected |= {"SKO"}
         assert expected <= watched, f"{protocol}: unwatched secrets {expected - watched}"
-    report(7, "no long-term or pseudonym secret derivable in any explored state")
+    report(7, "no long-term, pseudonym or token secret derivable in any explored state")
 
 
 def test_criterion_8_deterministic_output(capsys):
