@@ -228,7 +228,7 @@ def _read_config(path: str) -> dict:
             or value not in _CHOICES.get(key, (value,))
         ):
             _usage_error(f"config file {path}: {key} must be {wanted}, got {value!r}")
-    valid = Bounds().as_dict()
+    valid = Bounds()._asdict()
     unknown = sorted(set(cfg.get("bounds", {})) - set(valid))
     if unknown:
         _usage_error(

@@ -168,9 +168,6 @@ class Bounds(Record):
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         return _new(cls, values)
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class Step(Record):
     """One fired rule instance inside a trace.
@@ -178,8 +175,9 @@ class Step(Record):
     binding holds sorted (ident, Term) pairs; inputs the ground
     network-input terms; input_derivations the adversary's
     knowledge.Derivation of each input; generated the adversary's gen_fresh
-    names minted for this step; events Event values whose time is the step
-    index; outputs the ground terms released to the network.
+    names minted for this step; events the Event records it emitted, its
+    effect's tuple itself, whose timepoint is the step's index in its
+    trace; outputs the ground terms released to the network.
     """
 
     __slots__ = ()
@@ -217,10 +215,6 @@ class Trace(Record):
 
     def __new__(cls, steps, terminal_state, truncated=False, watch=None):
         return _new(cls, (steps, terminal_state, truncated, watch))
-
-    @property
-    def events(self) -> tuple:
-        return tuple(e for s in self.steps for e in s.events)
 
     def key(self):
         return (len(self.steps), tuple(s.key() for s in self.steps))
@@ -548,8 +542,12 @@ def _independent(a: Move, b: Move) -> bool:
 
 def _within_rule_bounds(rule: Rule, inst: Instance | None, state: SystemState,
                         bounds: Bounds) -> bool:
-    """Whether inst may fire given the budgets state has spent; with inst
-    None, whether any may."""
+    """Whether inst may fire given the budgets state has spent.
+
+    With inst None, a necessary condition for any instance to fire: for a
+    per-binding budget it checks only that the limit is above 0, so each
+    instance may still be refused once it is known.
+    """
     if not rule.budget:
         return True
     limit = getattr(bounds, rule.budget)
@@ -587,7 +585,7 @@ def replay(spec: ProtocolSpec, init: SystemState, trace: Trace, bounds: Bounds):
             raise ReplayMismatchError(
                 f"step {i} ({step.rule_id}) is not enabled on replay: {why}"
             ) from None
-        if tuple(e.key() for e in fired.events) != tuple(e.key() for e in step.events):
+        if fired.events != step.events:
             raise ReplayMismatchError(f"step {i} ({step.rule_id}) emitted different events")
         if fired.outputs != step.outputs:
             raise ReplayMismatchError(f"step {i} ({step.rule_id}) released different outputs")

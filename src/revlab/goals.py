@@ -142,7 +142,7 @@ def _minimal_prefix(trace: Trace, goal: str) -> Trace:
 def _recheck_verdict(v: GoalVerdict) -> None:
     if v.evidence is None:
         return
-    holds = recheck.holds(v.goal, v.evidence.events)
+    holds = recheck.holds(v.goal, v.evidence.steps)
     expected = v.outcome in (WITNESS_FOUND, COUNTEREXAMPLE_FOUND)
     if holds != expected:
         raise EvidenceCheckError(

@@ -15,16 +15,15 @@ request an anchor needs must happen at a strictly earlier timepoint; the G1
 chain is ordered by event position, so events within one step count as
 ordered.
 
-A step is one timepoint: fire gives every event it emits the step's index
-as its time, so the events of a step share one time and later steps have
-later times.  The monitors rely on this and never read an event's time.
+A step is one timepoint by construction: events carry no time, and an
+event's timepoint is the index of its step.
 
-Each monitor memoizes its fold of a step on (state, the label and args of
-the step's events whose label it reads, in order).  The memo is exact: the
-facts carry no times, so the new state does not depend on which step it is,
-and every at function reads only the label and args of events whose label
-is in the monitor's labels, so the other events of the step cannot change
-it.  The memos fill as searches run and live for the process.
+Each monitor memoizes its fold of a step on (state, the step's events whose
+label it reads, in order).  The memo is exact: the facts carry no times, so
+the new state does not depend on which step it is, and every at function
+reads only the events whose label is in the monitor's labels, so the other
+events of the step cannot change it.  The memos fill as searches run and
+live for the process.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ class Monitor:
         self.labels = labels  # the event labels the pattern reads
         self.hit = frozenset({self.fact("hit")})
         self._at = at
-        # (state, (label, args) of a step's events with a label in labels)
-        # -> the state after that step
+        # (state, a step's events with a label in labels) -> the state
+        # after that step
         self._moves: dict = {}
 
     def fact(self, kind: str, *args) -> Fact:
@@ -64,7 +63,7 @@ class Monitor:
         if state is self.hit:
             return state
         labels = self.labels
-        read = tuple([(e.label, e.args) for e in step.events if e.label in labels])
+        read = tuple([e for e in step.events if e.label in labels])
         if not read:
             return state
         key = (state, read)

@@ -1,8 +1,9 @@
-"""Second-opinion evaluation of goal predicates over an event sequence.
+"""Second-opinion evaluation of goal predicates over a trace's steps.
 
-Deliberately written apart from goals.py (different structure: label index,
-explicit timepoint lists) so every emitted witness or counterexample gets an
-independent confirmation before it is reported.
+Deliberately written apart from goals.py and monitors.py (different
+structure: label index, explicit timepoint lists) so every emitted witness
+or counterexample gets an independent confirmation before it is reported.
+An event's timepoint is the index of the step that holds it.
 """
 
 from __future__ import annotations
@@ -10,35 +11,41 @@ from __future__ import annotations
 from collections import defaultdict
 
 
+def _timed(steps) -> list:
+    """(time, label, args) of every event of the steps, in trace order."""
+    return [(time, e.label, e.args) for time, step in enumerate(steps) for e in step.events]
+
+
 def _index(events):
     by_label = defaultdict(list)
-    for e in events:
-        by_label[e.label].append(e)
+    for time, label, args in events:
+        by_label[label].append((time, args))
     return by_label
 
 
 def _vehicle_clean_weak(idx, vj, upto) -> bool:
     # prefixes are executions too: only compromises up to the anchor count
     for label in ("RevealLtk", "RevealSKPSi"):
-        for e in idx[label]:
-            if e.args[0] is vj and e.time <= upto:
+        for time, args in idx[label]:
+            if args[0] is vj and time <= upto:
                 return False
     return True
 
 
 def _vehicle_clean_strict(idx, vj, upto) -> bool:
     for label in ("RevealLtk", "RevealSKPSi", "VjSKPSiReveal", "VehicleCompromised"):
-        for e in idx[label]:
-            if e.args[0] is vj and e.time <= upto:
+        for time, args in idx[label]:
+            if args[0] is vj and time <= upto:
                 return False
     return True
 
 
-def holds(goal: str, events) -> bool:
-    """Whether the goal's witness/violation pattern occurs in the events."""
+def holds(goal: str, steps) -> bool:
+    """Whether the goal's witness/violation pattern occurs in the steps' events."""
+    events = _timed(steps)
     idx = _index(events)
     if goal == "g1":
-        return _g1(events, idx)
+        return _g1(events)
     if goal == "g2":
         return _accept_without_receive(idx, weak_guard=True)
     if goal == "g3":
@@ -54,23 +61,24 @@ def holds(goal: str, events) -> bool:
     raise ValueError(f"unknown goal {goal!r}")
 
 
-def _g1(events, idx) -> bool:
+def _g1(events) -> bool:
     order = ["Reported", "OsrReqMsgSentTo", "OsrReqMsgRecvBy", "OsrConfSentBy", "OsrConfAcceptedBy"]
-    for rep in idx["Reported"]:
-        vj, t = rep.args
-        cursor = list(events).index(rep)
+    for cursor, (_, first, args) in enumerate(events):
+        if first != "Reported":
+            continue
+        vj, t = args
         ok = True
         for label in order[1:]:
             nxt = None
             for pos in range(cursor + 1, len(events)):
-                e = events[pos]
-                if e.label != label:
+                _, got, args = events[pos]
+                if got != label:
                     continue
                 if label in ("OsrReqMsgSentTo", "OsrConfAcceptedBy"):
-                    agent_ok = e.args[1] is vj
+                    agent_ok = args[1] is vj
                 else:
-                    agent_ok = e.args[0] is vj
-                if agent_ok and e.args[2] is t:
+                    agent_ok = args[0] is vj
+                if agent_ok and args[2] is t:
                     nxt = pos
                     break
             if nxt is None:
@@ -84,14 +92,13 @@ def _g1(events, idx) -> bool:
 
 def _accept_without_receive(idx, weak_guard: bool) -> bool:
     clean = _vehicle_clean_weak if weak_guard else _vehicle_clean_strict
-    for acc in idx["OsrConfAcceptedBy"]:
-        ra, vj, t = acc.args
-        if not clean(idx, vj, acc.time):
+    for acc_time, (ra, vj, t) in idx["OsrConfAcceptedBy"]:
+        if not clean(idx, vj, acc_time):
             continue
         matched = [
-            r
-            for r in idx["OsrReqMsgRecvBy"]
-            if r.args[0] is vj and r.args[1] is ra and r.args[2] is t and r.time < acc.time
+            args
+            for time, args in idx["OsrReqMsgRecvBy"]
+            if args[0] is vj and args[1] is ra and args[2] is t and time < acc_time
         ]
         if not matched:
             return True
@@ -99,23 +106,22 @@ def _accept_without_receive(idx, weak_guard: bool) -> bool:
 
 
 def _g3(idx) -> bool:
-    for c in idx["Commit"]:
-        a, b, m = c.args
+    for c_time, (a, b, m) in idx["Commit"]:
         skip = False
         for x in (a, b):
             label = getattr(x, "label", "")
             if (
                 label.startswith("V")
                 and label[1:].isdigit()
-                and not _vehicle_clean_weak(idx, x, c.time)
+                and not _vehicle_clean_weak(idx, x, c_time)
             ):
                 skip = True
         if skip:
             continue
         earlier = [
-            r
-            for r in idx["Running"]
-            if r.args[0] is a and r.args[1] is b and r.args[2] is m and r.time < c.time
+            args
+            for time, args in idx["Running"]
+            if args[0] is a and args[1] is b and args[2] is m and time < c_time
         ]
         if not earlier:
             return True
@@ -123,21 +129,20 @@ def _g3(idx) -> bool:
 
 
 def _g5(idx) -> bool:
-    for rep in idx["Reported"]:
-        vj, t1 = rep.args
+    for rep_time, (vj, t1) in idx["Reported"]:
         changes = [
-            c
-            for c in idx["ChangePseudonymForVehicle"]
-            if c.args[0] is vj and c.args[1] is t1 and c.time > rep.time
+            time
+            for time, args in idx["ChangePseudonymForVehicle"]
+            if args[0] is vj and args[1] is t1 and time > rep_time
         ]
-        for chg in changes:
+        for chg_time in changes:
             confs = [
-                s
-                for s in idx["OsrConfSentBy"]
-                if s.args[0] is vj
-                and s.args[2] is t1
-                and s.time > chg.time
-                and _vehicle_clean_strict(idx, vj, s.time)
+                time
+                for time, args in idx["OsrConfSentBy"]
+                if args[0] is vj
+                and args[2] is t1
+                and time > chg_time
+                and _vehicle_clean_strict(idx, vj, time)
             ]
             if confs:
                 return True
@@ -145,14 +150,13 @@ def _g5(idx) -> bool:
 
 
 def _g6(idx) -> bool:
-    for sent in idx["OsrConfSentBy"]:
-        vj, ra, t = sent.args
-        if not _vehicle_clean_strict(idx, vj, sent.time):
+    for sent_time, (vj, ra, t) in idx["OsrConfSentBy"]:
+        if not _vehicle_clean_strict(idx, vj, sent_time):
             continue
         earlier = [
-            s
-            for s in idx["OsrReqMsgSentTo"]
-            if s.args[0] is ra and s.args[1] is vj and s.args[2] is t and s.time < sent.time
+            args
+            for time, args in idx["OsrReqMsgSentTo"]
+            if args[0] is ra and args[1] is vj and args[2] is t and time < sent_time
         ]
         if not earlier:
             return True

@@ -41,12 +41,12 @@ def serialize_trace(trace: Trace) -> dict:
                     {
                         "label": e.label,
                         "args": [render(a) for a in e.args],
-                        "time": e.time,
+                        "time": i,
                     }
                     for e in s.events
                 ],
             }
-            for s in trace.steps
+            for i, s in enumerate(trace.steps)
         ],
         "truncated": trace.truncated,
         "terminal": digest(trace.terminal_state),
@@ -74,7 +74,7 @@ def build_document(
             "goal": goal,
             "mode": v.mode,
             "outcome": v.outcome,
-            "bounds": result.bounds.as_dict(),
+            "bounds": result.bounds._asdict(),
             "evidence": None,
             "explanation": v.explanation,
         }
@@ -98,7 +98,7 @@ def build_document(
             "reveals_enabled": result.spec.reveals_enabled,
             "n_vehicles": result.n_vehicles,
             "goals": sorted(result.verdicts),
-            "bounds": result.bounds.as_dict(),
+            "bounds": result.bounds._asdict(),
         },
         "disclaimer": (
             "all-traces verdicts are bounded-exhaustive: "

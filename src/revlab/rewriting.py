@@ -41,12 +41,7 @@ class RuleDefinitionError(ValueError):
 class Fact(Record):
     """Predicate on terms; persistent facts survive consumption.
 
-    As tuples, Fact(n, a, False) and Event(n, a, 0) are equal, but no set,
-    dict or comparison holds both.  Events are made only by fire and
-    kept only in Step.events, where they meet only other events (replay
-    compares their keys, recheck their positions).  Facts sit in rules,
-    states, instances, monitor states and the explorer's keys and memos,
-    none of which holds an event.
+    A fact has three fields and an event two, so no fact equals an event.
     """
 
     __slots__ = ()
@@ -63,18 +58,13 @@ class Fact(Record):
 
 
 class Event(Record):
-    """Action label emitted by a fired rule at a trace timepoint."""
+    """Action label emitted by a fired rule.  It carries no time: its
+    timepoint is the index in the trace of the step that holds it."""
 
     __slots__ = ()
 
-    def __new__(cls, label, args, time=-1):
-        return _new(cls, (label, args, time))
-
-    def key(self):
-        return (self.time, self.label, tuple(sort_key(a) for a in self.args))
-
-    def render(self) -> str:
-        return f"{self.label}({', '.join(render(a) for a in self.args)})@{self.time}"
+    def __new__(cls, label, args):
+        return _new(cls, (label, args))
 
 
 class Rule(Record):
@@ -309,8 +299,8 @@ def effect(rule: Rule, instance: Instance) -> Effect:
 
     fresh_names are the names bound to the rule's fresh variables, in their
     order; linear and persistent the facts the conclusions produce; outputs
-    the ground terms released to the network; events the (label, args) of
-    each event emitted, without a time; budget the budget key a budgeted
+    the ground terms released to the network; events the Event records
+    emitted, in the rule's order; budget the budget key a budgeted
     rule spends, else None.  So instances with equal rule and binding have
     equal effects, which a search may build once and reuse (fire).
     """
@@ -325,7 +315,7 @@ def effect(rule: Rule, instance: Instance) -> Effect:
         persistent=tuple(persistent),
         outputs=tuple(substitute(subst, t) for t in rule.network_out),
         events=tuple(
-            (label, tuple(substitute(subst, a) for a in args)) for label, args in rule.events
+            Event(label, tuple(substitute(subst, a) for a in args)) for label, args in rule.events
         ),
         budget=budget_key(rule, subst) if rule.budget else None,
     )
@@ -335,7 +325,7 @@ _effect = effect  # fire's parameter shadows the name
 
 
 def fire(state: SystemState, rule: Rule, instance: Instance, effect: Effect | None = None):
-    """Apply one enabled instance; returns (new state, emitted events).
+    """Apply one enabled instance; returns (new state, effect.events).
 
     effect, when given, must be effect(rule, instance), built for this
     instance or for another with the same rule and binding; with None,
@@ -392,7 +382,7 @@ def fire(state: SystemState, rule: Rule, instance: Instance, effect: Effect | No
         step=state.step + 1,
         used=used,
     )
-    return new_state, tuple(Event(label, args, state.step) for label, args in effect.events)
+    return new_state, effect.events
 
 
 def budget_key(rule: Rule, subst: dict) -> tuple:

@@ -101,16 +101,23 @@ def check_memoized_advance(steps) -> int:
 # --- goal-side checks that only the tests use ---------------------------------
 
 
+def timed_events(steps) -> tuple:
+    """Every event of the steps as a (timepoint, event) pair, in trace
+    order; an event's timepoint is the index of its step."""
+    return tuple((time, e) for time, step in enumerate(steps) for e in step.events)
+
+
 def reveal_guard_weak(events, vehicle, upto: int) -> bool:
     """Whether the vehicle's keys were revealed (RevealLtk / RevealSKPSi).
 
-    Scoped to timepoints up to `upto`: every prefix of an explored trace is
-    itself a valid execution, so a compromise after the anchor event cannot
-    excuse a pattern that already occurred.
+    events are timed_events pairs.  Scoped to timepoints up to `upto`:
+    every prefix of an explored trace is itself a valid execution, so a
+    compromise after the anchor event cannot excuse a pattern that already
+    occurred.
     """
     return any(
-        e.label in monitors.WEAK_REVEALS and e.args[0] is vehicle and e.time <= upto
-        for e in events
+        e.label in monitors.WEAK_REVEALS and e.args[0] is vehicle and time <= upto
+        for time, e in events
     )
 
 
@@ -125,7 +132,8 @@ def secrecy_violations(spec, trace_set, depth: int = 4) -> list:
         k = trace.terminal_state.knowledge
         revealed = any(
             e.label in ("RevealLtk", "RevealSKPSi", "VjSKPSiReveal")
-            for e in trace.events
+            for step in trace.steps
+            for e in step.events
         )
         if revealed:
             continue
@@ -313,9 +321,10 @@ def digest(state, history: tuple = (), monitor=()) -> str:
     """canonical.digest of a state, optionally with its event history and
     monitor facts.
 
-    History events are position-fixed, so their names canonicalize by first
-    occurrence.  Monitor facts are one more section of the state, renamed
-    together with it.  With neither, this is canonical.digest itself.
+    The history is timed_events pairs.  History events are position-fixed,
+    so their names canonicalize by first occurrence.  Monitor facts are one
+    more section of the state, renamed together with it.  With neither,
+    this is canonical.digest itself.
     """
     if not history and not monitor:
         return canonical.digest(state)
@@ -342,7 +351,8 @@ def digest(state, history: tuple = (), monitor=()) -> str:
 
 
 def canonical_events(events) -> tuple:
-    """Event sequence rendered with per-trace canonical fresh renaming."""
+    """timed_events pairs rendered, each with its timepoint, under a
+    per-trace canonical fresh renaming."""
     compiled, renaming = _compile_history(events)
     return tuple(_assemble(c, renaming.__getitem__) for c in compiled)
 
@@ -351,12 +361,14 @@ _compiled_events: dict = {}
 
 
 def _compile_history(events):
-    """Compiled events and their fresh names' slot texts, by first occurrence."""
+    """Compiled (timepoint, event) pairs and their fresh names' slot texts,
+    by first occurrence."""
     compiled = []
-    for e in events:
-        got = _compiled_events.get(e)
+    for timed in events:
+        got = _compiled_events.get(timed)
         if got is None:
-            got = _compiled_events[e] = _compile_seq(f"{e.label}(", e.args, ", ", f")@{e.time}")
+            time, e = timed
+            got = _compiled_events[timed] = _compile_seq(f"{e.label}(", e.args, ", ", f")@{time}")
         compiled.append(got)
     renaming: dict[int, str] = {}
     for _, fids in compiled:
@@ -379,7 +391,7 @@ def _state_fresh_ids(state, history=()) -> list:
             for a in t.args:
                 walk(a)
 
-    for e in history:
+    for _, e in history:
         for a in e.args:
             walk(a)
     for f in list(state.linear) + sorted(state.persistent, key=Fact.key):
@@ -512,7 +524,7 @@ def enumerate_event_seqs(spec, init, bounds: Bounds) -> set:
             if rule.id == "CHANGE_PSEUDONYM":
                 vj = dict(inst.binding).get("Vj")
                 ch[vj] = ch.get(vj, 0) + 1
-            expand(nxt, events + list(evs), nr, ch)
+            expand(nxt, events + [(state.step, e) for e in evs], nr, ch)
 
     expand(init, [], 0, {})
     return out
@@ -822,7 +834,7 @@ def explored_states(spec, bounds: Bounds, n_vehicles: int = 1):
             enabled = reference_enabled(state, rules, bounds)
             children = [_child(state, rule, inst) for rule, inst in enabled]
             for child, step in reversed(children):
-                stack.append((child, history + step.events))
+                stack.append((child, history + tuple((state.step, e) for e in step.events)))
 
 
 def reference_enabled_instances(state, rule, synthesis_budget: int) -> list:
@@ -1057,7 +1069,7 @@ def reference_parse_config(argv) -> cli.ScenarioConfig:
     reveals = pick(ns.reveals, "reveals_enabled", False)
     goals_raw = pick(ns.goals, "goals", None)
     goals = cli._parse_goals(goals_raw, change)
-    file_bounds = {**Bounds().as_dict(), **file_cfg.get("bounds", {})}
+    file_bounds = {**Bounds()._asdict(), **file_cfg.get("bounds", {})}
     try:
         # each bound's flag stores under the Bounds field name
         bounds = Bounds(

@@ -76,7 +76,7 @@ def test_criterion_3_rtoken_authentication_attack():
         assert accept_steps and any(accept_steps[-1].input_synthesized)
         sig = accept_steps[-1].inputs[0].args[3]
         assert isinstance(sig, App) and sig.sym == "sign" and sig.args[1] in minted
-        assert all(e.label != "OsrReqMsgRecvBy" for e in ev.events)
+        assert all(e.label != "OsrReqMsgRecvBy" for s in ev.steps for e in s.events)
     assert elapsed <= 120, f"rtoken run took {elapsed:.1f}s"
     report(3, f"rtoken g2/g3/g4/g7 attacks found, g5 witness, in {elapsed:.1f}s")
 

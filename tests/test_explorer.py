@@ -28,6 +28,7 @@ from helpers import (
     renamed_copy,
     scenario,
     states_isomorphic,
+    timed_events,
     vehicle_swapped,
     vehicle_swapped_facts,
     watch_of,
@@ -50,7 +51,7 @@ from revlab.explorer import (
 from revlab.goals import GOAL_IDS
 from revlab.knowledge import Knowledge, observe
 from revlab.protocols import ProtocolSpec, agent_names, vehicle_name
-from revlab.report import _check_replay, render_msc
+from revlab.report import build_document, render_msc
 from revlab.rewriting import Event, Fact, Rule, enabled_instances, make_state
 from revlab.terms import Name, app, fresh, name, normalize, pk, sign, tup, var
 
@@ -75,7 +76,7 @@ class TestExplore:
             "OsrConfAcceptedBy",
         ]
         def has_flow(trace):
-            labels = [e.label for e in trace.events]
+            labels = [e.label for s in trace.steps for e in s.events]
             pos = -1
             for w in wanted:
                 if w not in labels[pos + 1 :]:
@@ -194,12 +195,14 @@ def _uncounted(explanation):
 
 
 def _evidence_events(verdict):
-    return None if verdict.evidence is None else canonical_events(verdict.evidence.events)
+    if verdict.evidence is None:
+        return None
+    return canonical_events(timed_events(verdict.evidence.steps))
 
 
 def _profile(trace):
     """Every goal's pattern, judged by the independent evaluator, plus truncation."""
-    return tuple(recheck.holds(g, trace.events) for g in GOAL_IDS), trace.truncated
+    return tuple(recheck.holds(g, trace.steps) for g in GOAL_IDS), trace.truncated
 
 
 class TestMonitorDedup:
@@ -212,9 +215,9 @@ class TestMonitorDedup:
         init = initial_state(spec, vehicles)
         kept = explore(spec, init, bounds)
         full = reference_search(spec, init, bounds, dedup=False)
-        full_events = {canonical_events(t.events) for t in full}
+        full_events = {canonical_events(timed_events(t.steps)) for t in full}
         assert full_events == enumerate_event_seqs(spec, init, bounds)
-        assert {canonical_events(t.events) for t in kept} <= full_events
+        assert {canonical_events(timed_events(t.steps)) for t in kept} <= full_events
         assert len(kept) < len(full)
         a = run_all(spec, bounds, n_vehicles=vehicles, trace_set=kept).verdicts
         b = run_all(spec, bounds, n_vehicles=vehicles, trace_set=full).verdicts
@@ -228,7 +231,7 @@ class TestMonitorDedup:
             assert t.watch == watch_of(t.steps)
         for t in full:  # the monitors judge every trace as the evaluator does
             monitored = tuple(monitors.holds_in(g, t.watch) for g in GOAL_IDS)
-            assert monitored == _profile(t)[0], canonical_events(t.events)
+            assert monitored == _profile(t)[0], canonical_events(timed_events(t.steps))
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
     def test_memoized_advance_equals_a_fold_without_memo(self, protocol, reveals,
@@ -250,13 +253,13 @@ class TestMonitorDedup:
         state = make_state()
         token = pk(fresh(700))
         ra, v1 = name("RA"), name("V1")
-        received = _event_step(Event("OsrReqMsgRecvBy", (v1, ra, token), 0))
-        other = _event_step(Event("InitVjPseudonym", (v1,), 0))
+        received = _event_step(Event("OsrReqMsgRecvBy", (v1, ra, token)))
+        other = _event_step(Event("InitVjPseudonym", (v1,)))
         a = monitors.advance_all(monitors.start(), received)
         b = monitors.advance_all(monitors.start(), other)
         assert _dedup_key(state, a) != _dedup_key(state, b)
         # the futures differ: only the second history makes an acceptance a forgery
-        accepted = _event_step(Event("OsrConfAcceptedBy", (ra, v1, token), 1))
+        accepted = _event_step(Event("OsrConfAcceptedBy", (ra, v1, token)))
         assert not monitors.holds_in("g2", watch_of([received, accepted]))
         assert monitors.holds_in("g2", watch_of([other, accepted]))
 
@@ -297,12 +300,12 @@ class TestMonitorDedup:
 def _follow(spec, picks):
     """Fire the named rule for the named vehicle in turn, from the initial state.
 
-    Returns the state, monitor states and event history.
+    Returns the state, monitor states and event history (timed_events).
     """
     bounds = Bounds()
     rules = sorted(spec.rules, key=lambda r: r.id)
     state = initial_state(spec, 2)
-    watch, history = monitors.start(), ()
+    watch, steps = monitors.start(), []
     for rule_id, vehicle in picks:
         rule, inst = next(
             (rule, inst)
@@ -311,8 +314,8 @@ def _follow(spec, picks):
         )
         state, step = _child(state, rule, inst)
         watch = monitors.advance_all(watch, step)
-        history += step.events
-    return state, watch, history
+        steps.append(step)
+    return state, watch, timed_events(steps)
 
 
 def _event_step(event):
@@ -785,6 +788,35 @@ class TestReplay:
         with pytest.raises(ReplayMismatchError, match=f"step {i} .* released different outputs"):
             replay(spec, init, trace._replace(steps=steps), bounds)
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda events: events[1:],
+            lambda events: (
+                events[0]._replace(args=(name("forged"), *events[0].args[1:])), *events[1:]
+            ),
+            lambda events: (events[1], events[0], *events[2:]),
+        ],
+        ids=["one-dropped", "argument-changed", "two-swapped"],
+    )
+    def test_events_other_than_the_rule_emits(self, tamper):
+        spec = build_protocol("plain")
+        bounds = Bounds(max_steps=6)
+        init = initial_state(spec, 1)
+        trace, i = next(
+            (t, i)
+            for t in explore(spec, init, bounds)
+            for i, s in enumerate(t.steps)
+            if len(s.events) >= 2 and s.events[0] != s.events[1]
+        )
+        assert replay(spec, init, trace, bounds) == trace.terminal_state
+        step = trace.steps[i]
+        forged = step._replace(events=tamper(step.events))
+        assert forged.events != step.events
+        steps = trace.steps[:i] + (forged,) + trace.steps[i + 1:]
+        with pytest.raises(ReplayMismatchError, match=f"step {i} .* emitted different events"):
+            replay(spec, init, trace._replace(steps=steps), bounds)
+
 
 @lru_cache(maxsize=1)
 def _gate_states(protocol, reveals, vehicles, steps) -> tuple:
@@ -819,25 +851,25 @@ class TestFireReplay:
         assert replay(spec, state, trace, left) == child
 
 
-class TestStepsAreTimepoints:
-    """The monitors fold a step as one timepoint: every event of an explored
-    or replayed step is at the step's index in its trace."""
+class TestEvidenceTimes:
+    """Events carry no time; the report gives each evidence event its step's
+    index in the trace as its time, the only place a time exists."""
 
     @pytest.mark.parametrize("protocol,reveals,vehicles,steps", GATE)
-    def test_each_step_is_at_its_index(self, protocol, reveals, vehicles, steps):
+    def test_each_event_is_at_its_step_index(self, protocol, reveals, vehicles, steps):
         spec = build_protocol(protocol, change_enabled=True, reveals_enabled=reveals)
-        bounds = Bounds(max_steps=steps)
-        init = initial_state(spec, vehicles)
-        result = run_all(spec, bounds, n_vehicles=vehicles,
-                         trace_set=explore(spec, init, bounds))
-        replayed = [
-            _check_replay(result, v.evidence, init)
-            for v in result.verdicts.values()
-            if v.evidence is not None
-        ]
-        for trace in result.traces.traces + tuple(replayed):
-            for i, step in enumerate(trace.steps):
-                assert {e.time for e in step.events} <= {i}, (step.rule_id, i)
+        result = run_all(spec, Bounds(max_steps=steps), n_vehicles=vehicles)
+        doc = build_document(result, 0.0, deterministic=True)
+        for entry in doc["results"]:
+            evidence = result.verdicts[entry["goal"]].evidence
+            assert (entry["evidence"] is None) == (evidence is None)
+            if evidence is None:
+                continue
+            steps = entry["evidence"]["steps"]
+            assert [s["rule"] for s in steps] == [s.rule_id for s in evidence.steps]
+            for i, (step, fired) in enumerate(zip(steps, evidence.steps)):
+                assert [e["label"] for e in step["events"]] == [e.label for e in fired.events]
+                assert [e["time"] for e in step["events"]] == [i] * len(fired.events)
 
 
 class TestRuleBudgets:
@@ -1152,9 +1184,9 @@ class TestCanonicalize:
             "|per{}|kn{}|gen{}"
         )
         history = (
-            Event("Sent", (name("A"), pk(fresh(502))), 0),
-            Event("Got", (fresh(502), fresh(501)), 1),
-            Event("Done", (), 2),
+            (0, Event("Sent", (name("A"), pk(fresh(502))))),
+            (1, Event("Got", (fresh(502), fresh(501)))),
+            (2, Event("Done", ())),
         )
         text = digest(s1, history)
         assert text == (

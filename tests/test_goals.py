@@ -1,10 +1,15 @@
 """Goal predicates on constructed fixtures and on real protocol runs."""
 
-from itertools import groupby
-
 import pytest
 
-from helpers import check_memoized_advance, outcomes, reveal_guard_weak, scenario, watch_of
+from helpers import (
+    check_memoized_advance,
+    outcomes,
+    reveal_guard_weak,
+    scenario,
+    timed_events,
+    watch_of,
+)
 from revlab import Bounds, build_protocol, run_all
 from revlab.explorer import Trace, TraceSet
 from revlab.goals import (
@@ -29,12 +34,18 @@ T = pk(fresh(400))
 T2 = pk(fresh(401))
 
 
-def ev(label, *args, time):
-    return Event(label, tuple(args), time=time)
+def ev(label, *args, step):
+    """An event of the fixture step with that index, as a (step, event) pair."""
+    return step, Event(label, tuple(args))
 
 
 def mk_trace(*events) -> Trace:
-    """The events as a trace of one step per timepoint, as explore makes them."""
+    """The (step, event) pairs as a trace: step i holds, in order, the events
+    paired with i, so an event's timepoint is its step index, as explore
+    makes them; an index no event names is an empty step."""
+    held = [[] for _ in range(1 + max((i for i, _ in events), default=-1))]
+    for i, e in events:
+        held[i].append(e)
     steps = tuple(
         Step(
             rule_id="FIXTURE",
@@ -44,7 +55,7 @@ def mk_trace(*events) -> Trace:
             generated=(),
             events=tuple(group),
         )
-        for _, group in groupby(events, key=lambda e: e.time)
+        for group in held
     )
     return Trace(steps, make_state(), False, watch_of(steps))
 
@@ -59,42 +70,42 @@ class TestFixtureTraces:
         assert v.outcome == NO_WITNESS
 
     def test_lone_confirmation_violates_g6(self):
-        t = mk_trace(ev("OsrConfSentBy", V1, RA, T, time=0))
+        t = mk_trace(ev("OsrConfSentBy", V1, RA, T, step=0))
         v = _evaluate("g6", mk_traceset(t))
         assert v.outcome == COUNTEREXAMPLE_FOUND
 
     def test_request_before_confirmation_satisfies_g6(self):
         t = mk_trace(
-            ev("OsrReqMsgSentTo", RA, V1, T, time=0),
-            ev("OsrConfSentBy", V1, RA, T, time=1),
+            ev("OsrReqMsgSentTo", RA, V1, T, step=0),
+            ev("OsrConfSentBy", V1, RA, T, step=1),
         )
         v = _evaluate("g6", mk_traceset(t))
         assert v.outcome == NO_COUNTEREXAMPLE
 
     def test_accept_preceded_by_receive_satisfies_g7(self):
         t = mk_trace(
-            ev("OsrReqMsgRecvBy", V1, RA, T, time=0),
-            ev("OsrConfAcceptedBy", RA, V1, T, time=1),
+            ev("OsrReqMsgRecvBy", V1, RA, T, step=0),
+            ev("OsrConfAcceptedBy", RA, V1, T, step=1),
         )
         v = _evaluate("g7", mk_traceset(t))
         assert v.outcome == NO_COUNTEREXAMPLE
 
     def test_accept_without_receive_violates_g7_and_g2(self):
-        t = mk_trace(ev("OsrConfAcceptedBy", RA, V1, T, time=0))
+        t = mk_trace(ev("OsrConfAcceptedBy", RA, V1, T, step=0))
         assert _evaluate("g7", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
         assert _evaluate("g2", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
 
     def test_receive_after_accept_still_violates_g2(self):
         t = mk_trace(
-            ev("OsrConfAcceptedBy", RA, V1, T, time=0),
-            ev("OsrReqMsgRecvBy", V1, RA, T, time=1),
+            ev("OsrConfAcceptedBy", RA, V1, T, step=0),
+            ev("OsrReqMsgRecvBy", V1, RA, T, step=1),
         )
         assert monitors.holds_in("g2", t.watch)
 
     def test_reveal_guard_excludes_compromised_vehicle(self):
         t = mk_trace(
-            ev("RevealLtk", V1, time=0),
-            ev("OsrConfAcceptedBy", RA, V1, T, time=1),
+            ev("RevealLtk", V1, step=0),
+            ev("OsrConfAcceptedBy", RA, V1, T, step=1),
         )
         assert not monitors.holds_in("g2", t.watch)
         assert _evaluate("g2", mk_traceset(t)).outcome == NO_COUNTEREXAMPLE
@@ -102,58 +113,59 @@ class TestFixtureTraces:
     def test_reveal_after_the_accept_does_not_excuse(self):
         # prefixes are executions: the forgery happened while keys were safe
         t = mk_trace(
-            ev("OsrConfAcceptedBy", RA, V1, T, time=0),
-            ev("RevealLtk", V1, time=1),
+            ev("OsrConfAcceptedBy", RA, V1, T, step=0),
+            ev("RevealLtk", V1, step=1),
         )
         assert monitors.holds_in("g2", t.watch)
         assert _evaluate("g2", mk_traceset(t)).outcome == COUNTEREXAMPLE_FOUND
 
     def test_token_mismatch_is_a_violation(self):
         t = mk_trace(
-            ev("OsrReqMsgRecvBy", V1, RA, T2, time=0),
-            ev("OsrConfAcceptedBy", RA, V1, T, time=1),
+            ev("OsrReqMsgRecvBy", V1, RA, T2, step=0),
+            ev("OsrConfAcceptedBy", RA, V1, T, step=1),
         )
         assert monitors.holds_in("g2", t.watch)
 
     def test_g5_needs_report_change_confirm_in_order(self):
         good = mk_trace(
-            ev("Reported", V1, T, time=0),
-            ev("ChangePseudonymForVehicle", V1, T, T2, time=1),
-            ev("OsrConfSentBy", V1, RA, T, time=2),
+            ev("Reported", V1, T, step=0),
+            ev("ChangePseudonymForVehicle", V1, T, T2, step=1),
+            ev("OsrConfSentBy", V1, RA, T, step=2),
         )
         assert monitors.holds_in("g5", good.watch)
         wrong_order = mk_trace(
-            ev("ChangePseudonymForVehicle", V1, T, T2, time=0),
-            ev("Reported", V1, T, time=1),
-            ev("OsrConfSentBy", V1, RA, T, time=2),
+            ev("ChangePseudonymForVehicle", V1, T, T2, step=0),
+            ev("Reported", V1, T, step=1),
+            ev("OsrConfSentBy", V1, RA, T, step=2),
         )
         assert not monitors.holds_in("g5", wrong_order.watch)
         confirm_before_change = mk_trace(
-            ev("Reported", V1, T, time=0),
-            ev("OsrConfSentBy", V1, RA, T, time=1),
-            ev("ChangePseudonymForVehicle", V1, T, T2, time=2),
+            ev("Reported", V1, T, step=0),
+            ev("OsrConfSentBy", V1, RA, T, step=1),
+            ev("ChangePseudonymForVehicle", V1, T, T2, step=2),
         )
         assert not monitors.holds_in("g5", confirm_before_change.watch)
 
     def test_recheck_agrees_on_fixtures(self):
         cases = [
-            mk_trace(ev("OsrConfAcceptedBy", RA, V1, T, time=0)),
+            mk_trace(ev("OsrConfAcceptedBy", RA, V1, T, step=0)),
             mk_trace(
-                ev("OsrReqMsgRecvBy", V1, RA, T, time=0),
-                ev("OsrConfAcceptedBy", RA, V1, T, time=1),
+                ev("OsrReqMsgRecvBy", V1, RA, T, step=0),
+                ev("OsrConfAcceptedBy", RA, V1, T, step=1),
             ),
-            mk_trace(ev("RevealLtk", V1, time=0), ev("OsrConfAcceptedBy", RA, V1, T, time=1)),
+            mk_trace(ev("RevealLtk", V1, step=0), ev("OsrConfAcceptedBy", RA, V1, T, step=1)),
         ]
         for t in cases:
             for goal in ("g2", "g7"):
-                assert monitors.holds_in(goal, t.watch) == recheck.holds(goal, t.events)
+                assert monitors.holds_in(goal, t.watch) == recheck.holds(goal, t.steps)
 
 
 V2 = name("V2")
 M = name("M")
 
-# Timing edge cases, one step each.  Expected: whether g1..g7 hold (1 = the
-# pattern occurs), as the event predicates the monitors replaced judged them.
+# Timing edge cases as (label, args, step index) rows.  Expected: whether
+# g1..g7 hold (1 = the pattern occurs), as the event predicates the monitors
+# replaced judged them.
 TIMING_FIXTURES = {
     "receive at the accept's timepoint is not earlier": (
         "0101001",
@@ -273,22 +285,22 @@ class TestTiming:
     @pytest.mark.parametrize("case", sorted(TIMING_FIXTURES))
     def test_monitors_keep_the_predicates_timing(self, case):
         expected, rows = TIMING_FIXTURES[case]
-        t = mk_trace(*(ev(label, *args, time=time) for label, args, time in rows))
+        t = mk_trace(*(ev(label, *args, step=step) for label, args, step in rows))
         got = "".join(str(int(monitors.holds_in(g, t.watch))) for g in GOAL_IDS)
         assert got == expected
-        assert got == "".join(str(int(recheck.holds(g, t.events))) for g in GOAL_IDS)
+        assert got == "".join(str(int(recheck.holds(g, t.steps))) for g in GOAL_IDS)
 
     def test_memoized_advance_equals_a_fold_without_memo(self):
         traces = [
-            mk_trace(*(ev(label, *args, time=time) for label, args, time in rows))
+            mk_trace(*(ev(label, *args, step=step) for label, args, step in rows))
             for _, rows in TIMING_FIXTURES.values()
         ]
         # two steps, each holding a label that G1 reads and one that it does not
         mixed = mk_trace(
-            ev("Reported", V1, T, time=0),
-            ev("InitVjPseudonym", V1, time=0),
-            ev("OsrReqMsgSentTo", RA, V1, T, time=1),
-            ev("RevealLtk", V1, time=1),
+            ev("Reported", V1, T, step=0),
+            ev("InitVjPseudonym", V1, step=0),
+            ev("OsrReqMsgSentTo", RA, V1, T, step=1),
+            ev("RevealLtk", V1, step=1),
         )
         assert len(mixed.steps) == 2
         g1 = monitors.MONITORS["g1"]
@@ -302,16 +314,16 @@ class TestTiming:
 
     def test_g5_diagnosis_reads_the_monitor(self):
         changed = [
-            ev("Reported", V1, T, time=0),
-            ev("ChangePseudonymForVehicle", V1, T, T2, time=1),
+            ev("Reported", V1, T, step=0),
+            ev("ChangePseudonymForVehicle", V1, T, T2, step=1),
         ]
         silent = _explain_g5_failure(mk_traceset(mk_trace(*changed)))
         assert f"CanChange(V1, _, {render(T)})" in silent
-        answered = mk_trace(*changed, ev("OsrConfSentBy", V2, RA, T, time=2))
+        answered = mk_trace(*changed, ev("OsrConfSentBy", V2, RA, T, step=2))
         assert _explain_g5_failure(mk_traceset(answered)) == "no witness within bounds"
         # a change at the report's own timepoint does not follow the report
         same_time = mk_trace(
-            ev("Reported", V1, T, time=0), ev("ChangePseudonymForVehicle", V1, T, T2, time=0)
+            ev("Reported", V1, T, step=0), ev("ChangePseudonymForVehicle", V1, T, T2, step=0)
         )
         assert _explain_g5_failure(mk_traceset(same_time)) == "no witness within bounds"
 
@@ -431,7 +443,7 @@ class TestProtocolMatrices:
         sig = msg.args[3]
         assert isinstance(sig, App) and sig.sym == "sign"
         assert sig.args[1] in generated, "confirmation signed with the minted key"
-        labels = [e.label for e in ev_trace.events]
+        labels = [e.label for s in ev_trace.steps for e in s.events]
         assert "OsrReqMsgRecvBy" not in labels
 
     def test_g5_explanation_names_the_blocking_fact(self):
@@ -454,7 +466,8 @@ class TestProtocolMatrices:
         # the guard does real work: an accept with no prior receive exists,
         # excused because the vehicle's keys were revealed beforehand
         def excused_forgery(trace):
-            for acc in trace.events:
+            events = timed_events(trace.steps)
+            for acc_time, acc in events:
                 if acc.label != "OsrConfAcceptedBy":
                     continue
                 ra, vj, t = acc.args
@@ -462,10 +475,10 @@ class TestProtocolMatrices:
                     e.label == "OsrReqMsgRecvBy"
                     and e.args[0] is vj
                     and e.args[2] is t
-                    and e.time < acc.time
-                    for e in trace.events
+                    and time < acc_time
+                    for time, e in events
                 )
-                if not got_recv and reveal_guard_weak(trace.events, vj, acc.time):
+                if not got_recv and reveal_guard_weak(events, vj, acc_time):
                     return True
             return False
 
@@ -484,4 +497,4 @@ class TestProtocolMatrices:
             result, _ = scenario(proto, change=True)
             for goal, v in result.verdicts.items():
                 if v.evidence is not None:
-                    assert recheck.holds(goal, v.evidence.events)
+                    assert recheck.holds(goal, v.evidence.steps)

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from helpers import honest_prefix, saturate_oracle
+from helpers import honest_prefix, saturate_oracle, timed_events
 from revlab.knowledge import can_derive
 from revlab.protocols import (
     RA_NAME,
@@ -227,10 +227,9 @@ class TestStructuralInvariants:
         bounds = Bounds(max_steps=9)
         ts = explore(spec, initial_state(spec, 2), bounds)
         for trace in ts:
-            reported = {
-                (e.args[0], e.args[1]) for e in trace.events if e.label == "Reported"
-            }
-            for e in trace.events:
+            events = [e for s in trace.steps for e in s.events]
+            reported = {(e.args[0], e.args[1]) for e in events if e.label == "Reported"}
+            for e in events:
                 if e.label == "OsrConfSentBy":
                     assert (e.args[0], e.args[2]) in reported
         got = run_all(spec, bounds, trace_set=ts).verdicts
@@ -243,19 +242,19 @@ class TestStructuralInvariants:
         spec = build_protocol("rtoken", change_enabled=True)
         ts = explore(spec, initial_state(spec, 1), Bounds())
         for trace in ts:
-            events = trace.events
+            events = timed_events(trace.steps)
             for conf in events:
-                if conf.label != "OsrConfSentBy":
+                conf_time, sent = conf
+                if sent.label != "OsrConfSentBy":
                     continue
                 verified = [
-                    e
-                    for e in events
+                    (time, e)
+                    for time, e in events
                     if e.label == "OsrReqVerified"
-                    and e.args[0] is conf.args[0]
-                    and e.args[1] is conf.args[2]
-                    and e.time <= conf.time
+                    and e.args[0] is sent.args[0]
+                    and e.args[1] is sent.args[2]
+                    and time <= conf_time
                 ]
                 assert verified, "confirmation without prior verification"
                 # same firing: the receive rule verifies then confirms
-                flat = list(events)
-                assert flat.index(verified[0]) < flat.index(conf)
+                assert events.index(verified[0]) < events.index(conf)

@@ -35,7 +35,7 @@ SPEC = ProtocolSpec("toy", ())
 
 RECORDS = {
     "Fact": Fact("F", (A,)),
-    "Event": Event("E", (A,), 0),
+    "Event": Event("E", (A,)),
     "Rule": Rule(id="R"),
     "SystemState": SystemState(),
     "Instance": Instance("R", (), (), (), (), ()),
@@ -67,9 +67,9 @@ PINNED = {
         "Fact(name='F', args=(A,), persistent=False)",
     ),
     "Event": (
-        ("label", "args", "time"),
-        {"time": -1},
-        "Event(label='E', args=(A,), time=0)",
+        ("label", "args"),
+        {},
+        "Event(label='E', args=(A,))",
     ),
     "Rule": (
         ("id", "premises", "fresh_vars", "guards", "events", "conclusions",
@@ -193,10 +193,12 @@ def test_tuple_records_keep_the_record_contract(kind):
     assert tuple(params[1:]) == record._fields == cls.__match_args__
 
 
-def test_fact_and_event_keep_tuple_equality():
-    # documented on Fact: equal as tuples, never held together
-    fact, event = Fact("E", (A,), False), Event("E", (A,), 0)
-    assert fact == event and hash(fact) == hash(event)
+def test_a_fact_never_equals_an_event():
+    # documented on Fact: a fact has three fields and an event two
+    for persistent in (False, True):
+        fact, event = Fact("E", (A,), persistent), Event("E", (A,))
+        assert fact != event and event != fact
+        assert len({fact, event}) == 2
 
 
 @pytest.mark.parametrize("kind", sorted(RECORDS))

@@ -1,6 +1,7 @@
 """Report documents: JSON round-trip, disclaimers, replay checks, MSC."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from revlab.report import (
     to_json,
 )
 from revlab.rewriting import make_state
+
+RTOKEN_REFERENCE = Path(__file__).resolve().parent.parent / "reference" / "rtoken.json"
 
 
 class TestDocument:
@@ -112,7 +115,7 @@ class TestReferenceComparison:
     def test_matching_reference_has_no_mismatches(self):
         result, elapsed = scenario("rtoken", change=True)
         doc = build_document(result, elapsed, deterministic=True)
-        ref = json.load(open("reference/rtoken.json"))
+        ref = json.loads(RTOKEN_REFERENCE.read_text(encoding="utf-8"))
         assert compare_with_reference(doc, ref) == []
 
     def test_divergent_reference_reports_goals(self):
@@ -125,7 +128,7 @@ class TestReferenceComparison:
     def test_protocol_and_change_flag_must_match_bounds_need_not(self):
         result, elapsed = scenario("rtoken", change=True)
         doc = build_document(result, elapsed, deterministic=True)
-        ref = json.load(open("reference/rtoken.json"))
+        ref = json.loads(RTOKEN_REFERENCE.read_text(encoding="utf-8"))
         assert compare_with_reference(doc, {**ref, "protocol": "otoken"}) == [
             'protocol: expected "otoken", got "rtoken"'
         ]

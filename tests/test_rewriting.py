@@ -238,12 +238,13 @@ class TestFire:
         nxt, _ = fire(state, rule, inst)
         assert state.knowledge.basis <= nxt.knowledge.basis
 
-    def test_timepoints_stamp_the_step_index(self):
+    def test_fire_returns_its_effects_events_and_advances_the_step(self):
         spec, state = honest_prefix("plain", upto="REPORT")
         rule = spec.rule("REV_AUTH_OSR_REQ_SEND")
         inst = enabled_instances(state, rule, 4)[0]
-        nxt, events = fire(state, rule, inst)
-        assert all(e.time == state.step for e in events)
+        made = effect(rule, inst)
+        nxt, events = fire(state, rule, inst, made)
+        assert events is made.events
         assert nxt.step == state.step + 1
 
     def test_stale_instance_is_rejected(self):
